@@ -57,6 +57,10 @@ class ChoiceDataset:
             raise ValueError("x must have shape (N, J, D)")
         if self.y.shape != self.x.shape[:2]:
             raise ValueError("y must have shape (N, J)")
+        bad = np.argwhere(~np.isfinite(self.x))
+        if bad.size:
+            n, j = bad[0][:2]
+            raise ValueError(f"x must be finite: unit {n}, alternative {j} has {self.x[n, j]}")
         row_sums = self.y.sum(axis=1)
         if not np.all((np.abs(row_sums) < 1e-12) | (np.abs(row_sums - 1.0) < 1e-12)):
             raise ValueError("each outcome row must sum to 0 or 1")
@@ -162,17 +166,38 @@ class DesignMatrix:
         return n * self.n_alts + j
 
 
-def _accumulate_columns(x, draws, points, domain, kernel, n_rows):
-    """Z and Phi columns for the given basis points, chunked over draws."""
-    n_pts = draws.shape[0]
-    Z = np.zeros((n_rows, len(points)))
+def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMatrix:
+    """The columns of ``points`` appended to ``existing`` (None: no columns yet).
+
+    ``Z`` and ``Phi`` columns are accumulated in fixed chunks over the draws;
+    ``basis`` is the basis of the resulting design.
+    """
+    if kernel is None:
+        kernel = choice_probabilities
+    n_pts = draws.n_draws
+    Z = np.zeros((data.n_rows, len(points)))
     phi = np.empty((n_pts, len(points)))
     for start in range(0, n_pts, DESIGN_CHUNK):
         block = slice(start, min(start + DESIGN_CHUNK, n_pts))
-        phi[block] = evaluate_basis_columns(points, domain, draws[block])
-        g = kernel(x, draws[block]).reshape(n_rows, -1)
+        phi[block] = evaluate_basis_columns(points, basis.domain, draws.draws[block])
+        g = kernel(data.x, draws.draws[block]).reshape(data.n_rows, -1)
         Z += g @ phi[block]
-    return Z, phi
+    column_mass = phi.sum(axis=0)
+    dead = np.flatnonzero(column_mass <= 0.0)
+    if dead.size:
+        raise DeadColumnError([points[k] for k in dead])
+    if existing is not None:
+        Z = np.hstack([existing.Z, Z])
+        column_mass = np.concatenate([existing.column_mass, column_mass])
+        phi = np.hstack([existing.basis_at_draws, phi])
+    return DesignMatrix(
+        Z=Z,
+        column_mass=column_mass,
+        basis_at_draws=phi,
+        basis=basis,
+        n_units=data.n_units,
+        n_alts=data.n_alts,
+    )
 
 
 def build_design_matrix(
@@ -190,23 +215,7 @@ def build_design_matrix(
     """
     if data.dim != draws.dim or draws.dim != basis.domain.dim:
         raise ValueError("data, draws and basis dimensions must agree")
-    if kernel is None:
-        kernel = choice_probabilities
-    Z, phi = _accumulate_columns(
-        data.x, draws.draws, basis.grid.points, basis.domain, kernel, data.n_rows
-    )
-    column_mass = phi.sum(axis=0)
-    dead = np.flatnonzero(column_mass <= 0.0)
-    if dead.size:
-        raise DeadColumnError([basis.grid.points[k] for k in dead])
-    return DesignMatrix(
-        Z=Z,
-        column_mass=column_mass,
-        basis_at_draws=phi,
-        basis=basis,
-        n_units=data.n_units,
-        n_alts=data.n_alts,
-    )
+    return _assemble_columns(None, basis.grid.points, basis, draws, data, kernel)
 
 
 def incremental_columns(
@@ -223,8 +232,6 @@ def incremental_columns(
     closed, which holds whenever ``new_points`` comes from a refinement step.
     """
     new_points = list(new_points)
-    if kernel is None:
-        kernel = choice_probabilities
     old_grid = existing.basis.grid
     for p in new_points:
         if p in old_grid:
@@ -239,21 +246,8 @@ def incremental_columns(
         base_level=0,
         max_level=old_grid.max_level,
     )
-    Z_new, phi_new = _accumulate_columns(
-        data.x, draws.draws, new_points, existing.basis.domain, kernel, data.n_rows
-    )
-    mass_new = phi_new.sum(axis=0)
-    dead = np.flatnonzero(mass_new <= 0.0)
-    if dead.size:
-        raise DeadColumnError([new_points[k] for k in dead])
-    return DesignMatrix(
-        Z=np.hstack([existing.Z, Z_new]),
-        column_mass=np.concatenate([existing.column_mass, mass_new]),
-        basis_at_draws=np.hstack([existing.basis_at_draws, phi_new]),
-        basis=BasisSet(new_grid, existing.basis.domain),
-        n_units=existing.n_units,
-        n_alts=existing.n_alts,
-    )
+    basis = BasisSet(new_grid, existing.basis.domain)
+    return _assemble_columns(existing, new_points, basis, draws, data, kernel)
 
 
 def write_dataset_csv(data: ChoiceDataset, path) -> None:
@@ -301,6 +295,8 @@ def read_dataset_csv(path) -> ChoiceDataset:
                 xs = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.all(np.isfinite(xs)):
+                raise ValueError(f"{path}: line {lineno}: covariates must be finite")
             if chosen not in (0, 1):
                 raise ValueError(f"{path}: line {lineno}: chosen must be 0 or 1")
             if unit_id != current_id:

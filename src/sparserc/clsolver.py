@@ -290,7 +290,7 @@ def solve_cls(
     it = 0
     gap_prev = np.inf
     stall = 0
-    while it < min(max_iter, 500):
+    while it < max_iter:
         it += 1
         r_d = H @ v - b - At.T @ lam + mu * cs
         r_p = At @ v - sig

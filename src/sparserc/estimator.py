@@ -1,9 +1,11 @@
 """The three estimators and their model-selection machinery.
 
-* ``fit_sg``   — hierarchical basis on a classical sparse grid.
-* ``fit_asg``  — the same basis grown by spatially adaptive refinement; the
-  number of refinement steps is picked by k-fold cross-validation (MSE or
-  log-likelihood) or by AIC over the full search path.
+* ``fit_asg``  — hierarchical basis on a classical sparse grid, grown by
+  spatially adaptive refinement; the number of refinement steps is picked by
+  k-fold cross-validation (MSE or log-likelihood) or by AIC over the full
+  search path.
+* ``fit_sg``   — the classical sparse-grid estimator: the same pipeline with
+  zero refinement steps and no step selection.
 * ``fit_fkrb`` — fixed-grid baseline: candidate coefficient points on a
   cartesian lattice whose probability weights are fit on the simplex.
 
@@ -155,26 +157,17 @@ class FitResult:
         return self.alpha.shape[0]
 
 
-def _solver_kwargs(solver: SolverOptions | None) -> dict:
-    solver = solver or SolverOptions()
-    return {"tol": solver.tol, "max_iter": solver.max_iter, "ridge": solver.ridge}
+def _solve(solve, solver: SolverOptions | None, *args, **kwargs) -> CLSSolution:
+    """Call a solve function with the solver settings.
 
-
-def _run_cls(problem: CLSProblem, solver: SolverOptions | None, x0=None) -> CLSSolution:
-    solver = solver or SolverOptions()
-    try:
-        return solve_cls(problem, x0=x0, **_solver_kwargs(solver))
-    except NonConvergenceError as exc:
-        if solver.strict:
-            raise
-        exc.best.warnings.append("nonconvergence: best iterate returned")
-        return exc.best
-
-
-def _run_simplex(Z, y, solver: SolverOptions | None) -> CLSSolution:
+    With ``strict=False`` a :class:`NonConvergenceError` yields its best
+    iterate, marked by a warning, instead of propagating.
+    """
     solver = solver or SolverOptions()
     try:
-        return solve_simplex_cls(Z, y, **_solver_kwargs(solver))
+        return solve(
+            *args, tol=solver.tol, max_iter=solver.max_iter, ridge=solver.ridge, **kwargs
+        )
     except NonConvergenceError as exc:
         if solver.strict:
             raise
@@ -196,13 +189,33 @@ def _diagnostics(sol: CLSSolution, n_rows: int) -> dict:
     }
 
 
-def _design_problem(design: DesignMatrix, y: np.ndarray) -> CLSProblem:
+def _design_problem(design: DesignMatrix, y: np.ndarray, rows=slice(None)) -> CLSProblem:
+    """The CLS problem of a design on the selected regression rows."""
     return CLSProblem(
-        Z=design.Z,
-        y=y,
+        Z=design.Z[rows],
+        y=y[rows],
         A_ineq=design.basis_at_draws,
         c_eq=design.column_mass,
     )
+
+
+def _config(
+    kind: str,
+    setting: dict,
+    domain: Domain,
+    solver: SolverOptions | None,
+    draws: dict | None = None,
+    refinement: RefineOptions | None = None,
+) -> dict:
+    """The settings a fit records; :func:`fit_from_json` rebuilds the fit from them."""
+    config = {"estimator": kind, **setting}
+    config["domain"] = {"lower": domain.lower.tolist(), "upper": domain.upper.tolist()}
+    if draws is not None:
+        config["draws"] = draws
+    config["solver"] = asdict(solver or SolverOptions())
+    if refinement is not None:
+        config["refinement"] = asdict(refinement)
+    return config
 
 
 def fit_sg(
@@ -216,34 +229,11 @@ def fit_sg(
 ) -> FitResult:
     """Fit the classical sparse-grid estimator of a given level.
 
-    The number of integration draws defaults to ``2000 * D``.
+    This is the adaptive pipeline of :func:`fit_asg` with zero refinement
+    steps and no step selection.  The number of integration draws defaults
+    to ``2000 * D``.
     """
-    if data.dim != domain.dim:
-        raise ValueError("data and domain dimensions differ")
-    r = r_draws if r_draws is not None else 2000 * data.dim
-    grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
-    basis = BasisSet(grid, domain)
-    draws = halton_draws(r, data.dim, burn_in=burn_in, domain=domain)
-    design = build_design_matrix(data, draws, basis)
-    sol = _run_cls(_design_problem(design, data.y_flat), solver)
-    density = design.basis_at_draws @ sol.alpha
-    config = {
-        "estimator": "sg",
-        "level": level,
-        "domain": {"lower": domain.lower.tolist(), "upper": domain.upper.tolist()},
-        "draws": {"rule": "halton", "r": r, "burn_in": burn_in},
-        "solver": asdict(solver or SolverOptions()),
-    }
-    return FitResult(
-        kind="sg",
-        domain=domain,
-        alpha=sol.alpha,
-        support=draws.draws,
-        density_at_draws=density,
-        diagnostics=_diagnostics(sol, data.n_rows),
-        config=config,
-        grid=grid,
-    )
+    return _fit_hierarchical(data, domain, level, r_draws, solver, burn_in, max_level)
 
 
 def fkrb_grid(domain: Domain, q_per_dim: int) -> np.ndarray:
@@ -288,13 +278,7 @@ def fit_fkrb(
         )
     points = fkrb_grid(domain, q_per_dim)
     cols = _kernel_columns(data.x, points, data.n_rows)
-    sol = _run_simplex(cols, data.y_flat, solver)
-    config = {
-        "estimator": "fkrb",
-        "q": q_per_dim,
-        "domain": {"lower": domain.lower.tolist(), "upper": domain.upper.tolist()},
-        "solver": asdict(solver or SolverOptions()),
-    }
+    sol = _solve(solve_simplex_cls, solver, cols, data.y_flat)
     return FitResult(
         kind="fkrb",
         domain=domain,
@@ -302,28 +286,38 @@ def fit_fkrb(
         support=points,
         density_at_draws=sol.alpha,
         diagnostics=_diagnostics(sol, data.n_rows),
-        config=config,
+        config=_config("fkrb", {"q": q_per_dim}, domain, solver),
         fixed_grid=points,
     )
 
 
-def _surplus_scores(alpha: np.ndarray) -> np.ndarray:
-    return np.abs(alpha)
+def _column_scores(
+    criterion: str,
+    alpha: np.ndarray,
+    design: DesignMatrix | None = None,
+    y: np.ndarray | None = None,
+) -> np.ndarray:
+    """Score of every column (grid point) of a fit under a refinement criterion.
 
-
-def _local_error_scores(alpha: np.ndarray, design: DesignMatrix, y: np.ndarray) -> np.ndarray:
+    "surplus" scores ``|alpha_p|``; "local_error" scores ``|alpha_p| *
+    sum_{n,j} Z[(n,j),p] * resid_{n,j}^2`` on the fit's design and outcomes.
+    """
+    if criterion == "surplus":
+        return np.abs(alpha)
     resid_sq = (y - design.Z @ alpha) ** 2
     return np.abs(alpha) * (design.Z.T @ resid_sq)
+
+
+def _refinable_scores(grid: SparseGrid, scores: np.ndarray) -> dict:
+    """Scores of the refinable points of ``grid``, keyed by point."""
+    return {p: float(scores[grid.position(p)]) for p in refinable_points(grid)}
 
 
 def criterion_surplus(fit: FitResult) -> dict:
     """Score refinable grid points by the magnitude of their coefficient."""
     if fit.grid is None:
         raise ValueError("surplus criterion needs a hierarchical-grid fit")
-    return {
-        p: abs(float(fit.alpha[fit.grid.position(p)]))
-        for p in refinable_points(fit.grid)
-    }
+    return _refinable_scores(fit.grid, _column_scores("surplus", fit.alpha))
 
 
 def criterion_local_error(
@@ -342,10 +336,8 @@ def criterion_local_error(
     if design is None:
         basis = BasisSet(fit.grid, fit.domain)
         design = build_design_matrix(data, draws, basis)
-    scores = _local_error_scores(fit.alpha, design, data.y_flat)
-    return {
-        p: float(scores[fit.grid.position(p)]) for p in refinable_points(fit.grid)
-    }
+    scores = _column_scores("local_error", fit.alpha, design, data.y_flat)
+    return _refinable_scores(fit.grid, scores)
 
 
 def _aic_value(ssr_raw: float, n_rows: int, n_parameters: int) -> float:
@@ -421,6 +413,14 @@ class CvResult:
     n_clamped: int = 0
 
 
+def _folds(data: ChoiceDataset, k: int, seed: int):
+    """Yield the ``(train, test)`` unit positions of each of ``k`` folds."""
+    assign = fold_assignments(data.unit_ids, k, seed)
+    fold_of = np.array([assign[int(u)] for u in data.unit_ids])
+    for f in range(k):
+        yield np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+
+
 def kfold_cv(
     data: ChoiceDataset,
     k: int,
@@ -436,13 +436,9 @@ def kfold_cv(
     """
     if metric not in ("mse", "loglik"):
         raise ValueError(f"unknown metric {metric!r}")
-    assign = fold_assignments(data.unit_ids, k, seed)
-    fold_of = np.array([assign[int(u)] for u in data.unit_ids])
     per_fold = []
     clamped_total = 0
-    for f in range(k):
-        test_pos = np.flatnonzero(fold_of == f)
-        train_pos = np.flatnonzero(fold_of != f)
+    for train_pos, test_pos in _folds(data, k, seed):
         fit = fit_procedure(data.subset(train_pos))
         test = data.subset(test_pos)
         pred = predict_probabilities(fit, test)
@@ -453,14 +449,6 @@ def kfold_cv(
             per_fold.append(ll)
             clamped_total += clamped
     return CvResult(per_fold=per_fold, mean=float(np.mean(per_fold)), n_clamped=clamped_total)
-
-
-def _select_targets(
-    grid: SparseGrid, scores: np.ndarray, count: int
-) -> list[GridPoint]:
-    candidates = refinable_points(grid)
-    ranked = sorted(candidates, key=lambda p: (-scores[grid.position(p)], grid.position(p)))
-    return ranked[:count]
 
 
 def fit_asg(
@@ -480,18 +468,37 @@ def fit_asg(
     under the configured selection rule (per-fold refits reuse these grids),
     and the fit at the best step is returned together with the whole trace.
     """
+    opts = refine_opts or RefineOptions()
+    return _fit_hierarchical(data, domain, level, r_draws, solver, burn_in, opts.max_level, opts)
+
+
+def _fit_hierarchical(
+    data: ChoiceDataset,
+    domain: Domain,
+    level: int,
+    r_draws: int | None,
+    solver: SolverOptions | None,
+    burn_in: int,
+    max_level: int | None,
+    opts: RefineOptions | None = None,
+) -> FitResult:
+    """The sparse-grid pipeline of :func:`fit_sg` and :func:`fit_asg`.
+
+    Builds the classical grid of ``level``, the draws, the design and the
+    first solve, then runs ``opts.steps`` refinement steps and selects one
+    of them under ``opts.selection``.  Without ``opts`` no step runs and
+    none is selected: that is the classical estimator, recorded as "sg"
+    with no trace.
+    """
     if data.dim != domain.dim:
         raise ValueError("data and domain dimensions differ")
-    opts = refine_opts or RefineOptions()
-    if level > opts.max_level:
-        raise ValueError(f"level {level} exceeds max_level {opts.max_level}")
     r = r_draws if r_draws is not None else 2000 * data.dim
     y = data.y_flat
 
-    grid = build_classical_sparse_grid(data.dim, level, max_level=opts.max_level)
+    grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
     draws = halton_draws(r, data.dim, burn_in=burn_in, domain=domain)
     design = build_design_matrix(data, draws, BasisSet(grid, domain))
-    sol = _run_cls(_design_problem(design, y), solver)
+    sol = _solve(solve_cls, solver, _design_problem(design, y))
 
     grids = [grid]
     designs = [design]
@@ -500,21 +507,18 @@ def fit_asg(
     added_log: list[tuple] = [()]
     terminated_early = False
 
-    for _ in range(opts.steps):
-        candidates = refinable_points(grid)
-        if not candidates:
+    for _ in range(opts.steps if opts is not None else 0):
+        scores = _refinable_scores(grid, _column_scores(opts.criterion, sol.alpha, design, y))
+        if not scores:
             terminated_early = True
             break
-        if opts.criterion == "surplus":
-            scores = _surplus_scores(sol.alpha)
-        else:
-            scores = _local_error_scores(sol.alpha, design, y)
-        targets = _select_targets(grid, scores, opts.points_per_step)
+        ranked = sorted(scores, key=lambda p: (-scores[p], grid.position(p)))
+        targets = ranked[: opts.points_per_step]
         new_grid, _report = refine(grid, targets)
         added = new_grid.points[len(grid):]
         design = incremental_columns(design, added, draws, data)
         warm = np.concatenate([sol.alpha, np.zeros(len(added))])
-        sol = _run_cls(_design_problem(design, y), solver, x0=warm)
+        sol = _solve(solve_cls, solver, _design_problem(design, y), x0=warm)
         grid = new_grid
         grids.append(grid)
         designs.append(design)
@@ -522,59 +526,49 @@ def fit_asg(
         refined_log.append(tuple(targets))
         added_log.append(tuple(added))
 
-    n_steps = len(grids) - 1
-    in_sample = [s.ssr_raw / data.n_rows for s in sols]
-    aics = [_aic_value(s.ssr_raw, data.n_rows, s.alpha.shape[0]) for s in sols]
+    selected, trace = 0, None
+    if opts is not None:
+        n_steps = len(grids) - 1
+        in_sample = [s.ssr_raw / data.n_rows for s in sols]
+        aics = [_aic_value(s.ssr_raw, data.n_rows, s.alpha.shape[0]) for s in sols]
 
-    oos_mse = [None] * (n_steps + 1)
-    oos_ll = [None] * (n_steps + 1)
-    clamped_total = 0
-    if opts.selection in ("cv_mse", "cv_ll"):
-        assign = fold_assignments(data.unit_ids, opts.k_folds, opts.cv_seed)
-        fold_of = np.array([assign[int(u)] for u in data.unit_ids])
-        mse_folds = np.empty((opts.k_folds, n_steps + 1))
-        ll_folds = np.empty((opts.k_folds, n_steps + 1))
-        for f in range(opts.k_folds):
-            test_pos = np.flatnonzero(fold_of == f)
-            train_pos = np.flatnonzero(fold_of != f)
-            train_rows = data.row_slice(train_pos)
-            test_rows = data.row_slice(test_pos)
-            y_train = y[train_rows]
-            y_test = data.y[test_pos]
-            warm = None
-            for s in range(n_steps + 1):
-                dsg = designs[s]
-                problem = CLSProblem(
-                    Z=dsg.Z[train_rows],
-                    y=y_train,
-                    A_ineq=dsg.basis_at_draws,
-                    c_eq=dsg.column_mass,
-                )
-                fold_sol = _run_cls(problem, solver, x0=warm)
-                pred = (dsg.Z[test_rows] @ fold_sol.alpha).reshape(
-                    test_pos.shape[0], data.n_alts
-                )
-                mse_folds[f, s] = heldout_mse(pred, y_test)
-                ll, clamped = heldout_loglik(pred, y_test)
-                ll_folds[f, s] = ll
-                clamped_total += clamped
-                if s < n_steps:
-                    pad = len(grids[s + 1]) - len(grids[s])
-                    warm = np.concatenate([fold_sol.alpha, np.zeros(pad)])
-        oos_mse = [tuple(mse_folds[:, s]) for s in range(n_steps + 1)]
-        oos_ll = [tuple(ll_folds[:, s]) for s in range(n_steps + 1)]
+        oos_mse = [None] * (n_steps + 1)
+        oos_ll = [None] * (n_steps + 1)
+        clamped_total = 0
+        if opts.selection in ("cv_mse", "cv_ll"):
+            mse_folds = np.empty((opts.k_folds, n_steps + 1))
+            ll_folds = np.empty((opts.k_folds, n_steps + 1))
+            folds = _folds(data, opts.k_folds, opts.cv_seed)
+            for f, (train_pos, test_pos) in enumerate(folds):
+                train_rows = data.row_slice(train_pos)
+                test_rows = data.row_slice(test_pos)
+                y_test = data.y[test_pos]
+                warm = None
+                for s, dsg in enumerate(designs):
+                    problem = _design_problem(dsg, y, train_rows)
+                    fold_sol = _solve(solve_cls, solver, problem, x0=warm)
+                    pred = (dsg.Z[test_rows] @ fold_sol.alpha).reshape(
+                        test_pos.shape[0], data.n_alts
+                    )
+                    mse_folds[f, s] = heldout_mse(pred, y_test)
+                    ll, clamped = heldout_loglik(pred, y_test)
+                    ll_folds[f, s] = ll
+                    clamped_total += clamped
+                    if s < n_steps:
+                        pad = len(grids[s + 1]) - len(grids[s])
+                        warm = np.concatenate([fold_sol.alpha, np.zeros(pad)])
+            oos_mse = [tuple(mse_folds[:, s]) for s in range(n_steps + 1)]
+            oos_ll = [tuple(ll_folds[:, s]) for s in range(n_steps + 1)]
 
-    if opts.selection == "cv_mse":
-        criterion_values = [float(np.mean(v)) for v in oos_mse]
-    elif opts.selection == "cv_ll":
-        criterion_values = [-float(np.mean(v)) for v in oos_ll]
-    else:
-        criterion_values = list(aics)
-    selected = int(np.argmin(criterion_values))
+        if opts.selection == "cv_mse":
+            criterion_values = [float(np.mean(v)) for v in oos_mse]
+        elif opts.selection == "cv_ll":
+            criterion_values = [-float(np.mean(v)) for v in oos_ll]
+        else:
+            criterion_values = list(aics)
+        selected = int(np.argmin(criterion_values))
 
-    records = []
-    for s in range(n_steps + 1):
-        records.append(
+        records = [
             StepRecord(
                 step=s,
                 refined_points=refined_log[s],
@@ -587,31 +581,25 @@ def fit_asg(
                 oos_loglik_folds=oos_ll[s],
                 oos_loglik_mean=float(np.mean(oos_ll[s])) if oos_ll[s] else None,
             )
+            for s in range(n_steps + 1)
+        ]
+        trace = RefinementTrace(
+            records=records,
+            selected_step=selected,
+            terminated_early=terminated_early,
+            n_clamped_loglik=clamped_total,
         )
-    trace = RefinementTrace(
-        records=records,
-        selected_step=selected,
-        terminated_early=terminated_early,
-        n_clamped_loglik=clamped_total,
-    )
 
+    kind = "sg" if opts is None else "asg"
     best_sol = sols[selected]
-    best_design = designs[selected]
-    density = best_design.basis_at_draws @ best_sol.alpha
-    config = {
-        "estimator": "asg",
-        "level": level,
-        "domain": {"lower": domain.lower.tolist(), "upper": domain.upper.tolist()},
-        "draws": {"rule": "halton", "r": r, "burn_in": burn_in},
-        "solver": asdict(solver or SolverOptions()),
-        "refinement": asdict(opts),
-    }
+    draws_config = {"rule": "halton", "r": r, "burn_in": burn_in}
+    config = _config(kind, {"level": level}, domain, solver, draws_config, opts)
     return FitResult(
-        kind="asg",
+        kind=kind,
         domain=domain,
         alpha=best_sol.alpha,
         support=draws.draws,
-        density_at_draws=density,
+        density_at_draws=designs[selected].basis_at_draws @ best_sol.alpha,
         diagnostics=_diagnostics(best_sol, data.n_rows),
         config=config,
         grid=grids[selected],

@@ -85,6 +85,13 @@ class TestChoiceDataset:
         with pytest.raises(ValueError, match="sum to 0 or 1"):
             ChoiceDataset(x, y)
 
+    def test_nonfinite_covariate_names_unit_and_alternative(self):
+        x = np.zeros((3, 2, 2))
+        x[2, 1, 0] = np.nan
+        x[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="x must be finite: unit 1, alternative 0"):
+            ChoiceDataset(x, np.zeros((3, 2)))
+
     def test_outside_option_rows_allowed(self):
         x = np.zeros((2, 3, 1))
         y = np.zeros((2, 3))
@@ -292,6 +299,13 @@ class TestDatasetCsv:
             "unit_id,alt_id,chosen,x_1\n0,1,0,0.5\n0,2,not-a-number,0.1\n"
         )
         with pytest.raises(ValueError, match="line 3"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_nonfinite_covariate_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"unit_id,alt_id,chosen,x_1\n0,1,0,0.5\n0,2,1,{value}\n")
+        with pytest.raises(ValueError, match="line 3: covariates must be finite"):
             read_dataset_csv(path)
 
     def test_out_of_order_alternative_names_line(self, tmp_path):

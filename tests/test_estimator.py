@@ -8,6 +8,7 @@ from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import ChoiceDataset, build_design_matrix
 from sparserc.estimator import (
     RefineOptions,
+    _column_scores,
     aic,
     criterion_local_error,
     criterion_surplus,
@@ -143,13 +144,12 @@ class TestCriteria:
         assert resid_sq >= 0  # hand identity exercised above
 
     def test_local_error_perfect_fit_scores_zero(self):
-        # feed outcomes equal to the fitted predictions: residuals vanish
-        data, fit, draws, design = self._fitted()
-        pred = (design.Z @ fit.alpha).reshape(data.n_units, data.n_alts)
-        scores = np.abs(fit.alpha) * (design.Z.T @ (data.y_flat - pred.reshape(-1)) ** 2)
-        exact = np.abs(fit.alpha) * (design.Z.T @ np.zeros(data.n_rows))
-        assert np.all(exact == 0.0)
-        assert np.all(scores >= 0.0)
+        # outcomes equal to the fitted predictions leave no residual to share
+        _, fit, _, design = self._fitted()
+        assert np.any(fit.alpha != 0.0)
+        scores = _column_scores("local_error", fit.alpha, design, design.Z @ fit.alpha)
+        assert scores.shape == fit.alpha.shape
+        assert np.all(scores == 0.0)
 
 
 class TestAic:
@@ -283,8 +283,27 @@ class TestFitAsg:
         asg = fit_asg(data, Domain.cube(2), 2, r_draws=500, refine_opts=opts)
         sg = fit_sg(data, Domain.cube(2), 2, r_draws=500)
         np.testing.assert_array_equal(asg.alpha, sg.alpha)
+        np.testing.assert_array_equal(asg.density_at_draws, sg.density_at_draws)
+        assert asg.grid.points == sg.grid.points
+        assert asg.diagnostics == sg.diagnostics
         assert asg.trace.selected_step == 0
         assert asg.n_parameters == sg.n_parameters
+
+    def test_zero_step_cv_matches_kfold_cv_of_sg(self):
+        # the adaptive search's fold refits and kfold_cv share one fold map
+        data = _data(n=90, d=2, seed=26)
+        domain = Domain.cube(2)
+        opts = RefineOptions(steps=0, selection="cv_mse", k_folds=3, cv_seed=7)
+        asg = fit_asg(data, domain, 2, r_draws=500, refine_opts=opts)
+        step0 = asg.trace.records[0]
+
+        def sg(d):
+            return fit_sg(d, domain, 2, r_draws=500)
+
+        mse = kfold_cv(data, 3, sg, metric="mse", seed=7)
+        ll = kfold_cv(data, 3, sg, metric="loglik", seed=7)
+        np.testing.assert_allclose(step0.oos_mse_folds, mse.per_fold, rtol=1e-12)
+        np.testing.assert_allclose(step0.oos_loglik_folds, ll.per_fold, rtol=1e-12)
 
     def test_grids_nest_across_steps(self):
         _, fit = self._asg(selection="aic")
