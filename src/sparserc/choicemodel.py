@@ -61,9 +61,14 @@ class ChoiceDataset:
         if bad.size:
             n, j = bad[0][:2]
             raise ValueError(f"x must be finite: unit {n}, alternative {j} has {self.x[n, j]}")
-        row_sums = self.y.sum(axis=1)
-        if not np.all((np.abs(row_sums) < 1e-12) | (np.abs(row_sums - 1.0) < 1e-12)):
-            raise ValueError("each outcome row must sum to 0 or 1")
+        not_binary = (self.y != 0.0) & (self.y != 1.0)
+        bad = np.flatnonzero(not_binary.any(axis=1) | (self.y.sum(axis=1) > 1.0))
+        if bad.size:
+            n = bad[0]
+            raise ValueError(
+                f"each outcome row must hold 0/1 entries that sum to 0 or 1: "
+                f"unit {n} has {self.y[n].tolist()}"
+            )
         if self.unit_ids is None:
             self.unit_ids = np.arange(self.x.shape[0])
         else:
@@ -129,11 +134,14 @@ def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
-    u = np.einsum("njd,md->njm", x, betas)
+    n, j, d = x.shape
+    # ``u`` is a fresh array, so the shift, exp and divide can work in place.
+    u = (x.reshape(n * j, d) @ betas.T).reshape(n, j, -1)
     m = np.maximum(u.max(axis=1, keepdims=True), 0.0)
-    e = np.exp(u - m)
-    denom = np.exp(-m) + e.sum(axis=1, keepdims=True)
-    return e / denom
+    u -= m
+    np.exp(u, out=u)
+    u /= np.exp(-m) + u.sum(axis=1, keepdims=True)
+    return u
 
 
 @dataclass
@@ -170,7 +178,10 @@ def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMat
     """The columns of ``points`` appended to ``existing`` (None: no columns yet).
 
     ``Z`` and ``Phi`` columns are accumulated in fixed chunks over the draws;
-    ``basis`` is the basis of the resulting design.
+    ``basis`` is the basis of the resulting design.  Within a chunk the kernel
+    sees only the live draws, those where at least one of ``points`` is
+    nonzero: a draw outside every new support adds nothing to ``Z``.  A chunk
+    with no live draw makes no kernel call.
     """
     if kernel is None:
         kernel = choice_probabilities
@@ -180,8 +191,10 @@ def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMat
     for start in range(0, n_pts, DESIGN_CHUNK):
         block = slice(start, min(start + DESIGN_CHUNK, n_pts))
         phi[block] = evaluate_basis_columns(points, basis.domain, draws.draws[block])
-        g = kernel(data.x, draws.draws[block]).reshape(data.n_rows, -1)
-        Z += g @ phi[block]
+        live = np.flatnonzero(phi[block].any(axis=1))
+        if live.size:
+            g = kernel(data.x, draws.draws[block][live]).reshape(data.n_rows, -1)
+            Z += g @ phi[block][live]
     column_mass = phi.sum(axis=0)
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:
@@ -209,7 +222,9 @@ def build_design_matrix(
     """Assemble the simulated design matrix for a basis.
 
     ``kernel`` defaults to :func:`choice_probabilities`; tests may inject a
-    stub with the same ``(x, betas) -> (N, J, M)`` signature.  Raises
+    stub with the same ``(x, betas) -> (N, J, M)`` signature.  In each chunk
+    of draws the kernel receives only the draws where some basis function is
+    nonzero; with the level-1 root hat in the basis that is every draw.  Raises
     :class:`DeadColumnError` when some basis function has no draw in its
     support, which would create an identically zero column.
     """
@@ -228,7 +243,8 @@ def incremental_columns(
     """Extend a design matrix with columns for newly added grid points.
 
     Existing columns are carried over unchanged (bit for bit); only the new
-    columns are computed.  The extended grid must remain hierarchically
+    columns are computed, and the kernel is evaluated only at the draws where
+    some new column is nonzero.  The extended grid must remain hierarchically
     closed, which holds whenever ``new_points`` comes from a refinement step.
     """
     new_points = list(new_points)

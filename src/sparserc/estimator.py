@@ -593,7 +593,11 @@ def _fit_hierarchical(
     kind = "sg" if opts is None else "asg"
     best_sol = sols[selected]
     draws_config = {"rule": "halton", "r": r, "burn_in": burn_in}
-    config = _config(kind, {"level": level}, domain, solver, draws_config, opts)
+    setting = {"level": level}
+    if opts is None:
+        # asg records its cap in the refinement options.
+        setting["max_level"] = grid.max_level
+    config = _config(kind, setting, domain, solver, draws_config, opts)
     return FitResult(
         kind=kind,
         domain=domain,
@@ -709,8 +713,12 @@ def fit_from_json(obj: dict) -> FitResult:
             config=config,
             fixed_grid=points,
         )
-    max_level = config.get("refinement", {}).get("max_level") or max(
-        5, config["level"]
+    # Fit JSON written before sg configs recorded ``max_level`` falls back
+    # to the default cap.
+    max_level = (
+        config.get("max_level")
+        or config.get("refinement", {}).get("max_level")
+        or max(5, config["level"])
     )
     grid = grid_from_json(obj["grid"], base_level=0, max_level=max_level)
     draws = halton_draws(

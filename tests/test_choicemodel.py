@@ -76,6 +76,25 @@ class TestChoiceProbabilities:
         assert probs.max() <= 1.0
         assert (probs.sum(axis=1) < 1.0 + 1e-12).all()
 
+    def test_overflow_safe(self):
+        x = np.array([[[1.0], [2.0]], [[-1.0], [0.5]]])
+        betas = np.array([[250.0], [-500.0], [500.0]])
+        probs = choice_probabilities(x, betas)
+        assert np.all(np.isfinite(probs))
+        assert probs.min() >= 0.0
+        assert probs.max() <= 1.0
+        assert probs[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
+        assert probs[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_inputs_left_untouched(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 3, 2))
+        betas = rng.normal(size=(5, 2))
+        x_before, betas_before = x.copy(), betas.copy()
+        choice_probabilities(x, betas)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(betas, betas_before)
+
 
 class TestChoiceDataset:
     def test_row_sum_validation(self):
@@ -84,6 +103,15 @@ class TestChoiceDataset:
         y[0, 0] = 0.5
         with pytest.raises(ValueError, match="sum to 0 or 1"):
             ChoiceDataset(x, y)
+
+    @pytest.mark.parametrize(
+        "row", [[0.3, 0.7], [1.0, 1.0], [2.0, -1.0], [np.nan, 0.0]]
+    )
+    def test_non_one_hot_row_names_unit(self, row):
+        y = np.zeros((3, 2))
+        y[1] = row
+        with pytest.raises(ValueError, match="unit 1 has"):
+            ChoiceDataset(np.zeros((3, 2, 1)), y)
 
     def test_nonfinite_covariate_names_unit_and_alternative(self):
         x = np.zeros((3, 2, 2))
@@ -187,6 +215,57 @@ class TestBuildDesignMatrix:
         design = build_design_matrix(data, draws, _root_basis())
         assert design.row_of(2, 1) == 7
         assert design.n_rows == data.n_rows
+
+
+class _CountingKernel:
+    """The default kernel, recording the draws of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x, betas):
+        self.calls.append(np.array(betas))
+        return choice_probabilities(x, betas)
+
+
+class TestKernelSeesLiveDraws:
+    # sorted draws, so each DESIGN_CHUNK block covers its own part of [0, 1]
+    def _setup(self):
+        data = _tiny_data(n=4, j=2, d=1, seed=8)
+        dom = Domain.cube(1, 0.0, 1.0)
+        draws = DrawSet(draws=np.linspace(0.0001, 0.9999, 5000)[:, None], domain=dom, burn_in=0)
+        return data, dom, draws
+
+    def test_root_design_passes_every_draw(self):
+        data, _, draws = self._setup()
+        kernel = _CountingKernel()
+        build_design_matrix(data, draws, _root_basis(), kernel=kernel)
+        assert len(kernel.calls) == 3
+        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws)
+
+    def test_new_columns_pass_only_their_live_draws(self):
+        data, dom, draws = self._setup()
+        root = SparseGrid(1, [GridPoint((1,), (1,))], max_level=5)
+        design = build_design_matrix(data, draws, BasisSet(root, dom))
+        kernel = _CountingKernel()
+        # support (0, 0.5): the first block is all live, the second partly,
+        # the third not at all
+        inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data, kernel=kernel)
+        live = inc.basis_at_draws[:, 1] != 0.0
+        assert 0 < live.sum() < draws.n_draws
+        assert len(kernel.calls) == 2
+        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])
+
+    def test_incremental_columns_on_halton_draws(self):
+        data, draws, design = TestIncrementalColumns()._design()
+        grid = design.basis.grid
+        new_grid, _ = refine(grid, [grid.points[1]])
+        added = new_grid.points[len(grid):]
+        kernel = _CountingKernel()
+        inc = incremental_columns(design, added, draws, data, kernel=kernel)
+        live = (inc.basis_at_draws[:, len(grid):] != 0.0).any(axis=1)
+        assert live.sum() < draws.n_draws
+        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])
 
 
 class TestDesignSparsity:

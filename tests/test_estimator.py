@@ -379,6 +379,15 @@ class TestFitSerialization:
         np.testing.assert_allclose(back.density_at_draws, fit.density_at_draws, atol=1e-15)
         assert back.grid.points == fit.grid.points
 
+    def test_sg_round_trip_keeps_level_cap(self):
+        data = _data(n=60, d=2, seed=23)
+        fit = fit_sg(data, Domain.cube(2), 2, r_draws=400, max_level=2)
+        obj = json.loads(json.dumps(fit_to_json(fit)))
+        assert fit_from_json(obj).grid.max_level == 2
+        # fit JSON that predates the recorded cap loads with the default one
+        del obj["config"]["max_level"]
+        assert fit_from_json(obj).grid.max_level == 5
+
     def test_fkrb_round_trip(self):
         data = _data(n=60, d=2, seed=24)
         fit = fit_fkrb(data, Domain.cube(2), 3)
