@@ -17,6 +17,14 @@ is indifferent to constraint redundancy.  Inequality constraints enter
 only through matrix-vector products and a ``B x B`` normal matrix, never
 through systems of their own size.
 
+The normal matrix is built and factored in NumPy's BLAS and LAPACK: it is
+the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
+``W``, which NumPy hands to ``syrk`` (half the flops of a general product),
+and ``np.linalg.cholesky`` factors it.  SciPy's wheels bundle a second
+OpenBLAS with its own thread pool; alternating level-3 calls between the
+two pools makes each pool busy-wait while the other runs, slowing both.
+Only the level-2 triangular solves (``cho_solve``) go through SciPy.
+
 The simplex variant keeps a working-set (NNLS-style) iteration: its
 constraint rows are orthonormal, so the degeneracy above cannot occur,
 and the vertex solutions it returns carry exact zeros.  A proximal outer
@@ -32,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -201,11 +209,19 @@ def _package(problem, v, s, lam, mu, iterations, ridge, warnings_):
 
 
 def _cholesky_jittered(M: np.ndarray):
+    """Lower Cholesky factor of ``M`` as a ``cho_solve`` factor.
+
+    A diagonal jitter grows until the factorization succeeds.  A non-finite
+    ``M`` raises :class:`numpy.linalg.LinAlgError`, because
+    ``np.linalg.cholesky`` does not check finiteness.
+    """
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("normal matrix not finite")
     jitter = 0.0
     base = float(np.max(np.diag(M)))
     for attempt in range(8):
         try:
-            return cho_factor(M + jitter * np.eye(M.shape[0]), lower=True)
+            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0])), True
         except np.linalg.LinAlgError:
             jitter = base * (1e-14 * 10.0**attempt)
     raise np.linalg.LinAlgError("normal matrix not factorizable")
@@ -233,7 +249,10 @@ def solve_cls(
     :class:`InfeasibleError` if none exists).  The converged objective is
     the constrained minimum, so it never exceeds the value at any feasible
     warm start.  Raises :class:`NonConvergenceError` carrying the best
-    iterate when ``max_iter`` is exhausted.
+    iterate when the iteration stops short of the tolerances; its message
+    names the reason: ``stalled`` (no gap progress), ``factorization
+    failed`` (the normal matrix is non-finite or not factorizable) or
+    ``iteration cap (max_iter=N)``.
     """
     Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
     B = problem.n_coef
@@ -287,9 +306,11 @@ def solve_cls(
     tol_stat = 0.5 * tol
     tol_comp = 0.5 * tol
     converged = False
+    stop = f"iteration cap (max_iter={max_iter})"
     it = 0
     gap_prev = np.inf
     stall = 0
+    W = np.empty_like(At)
     while it < max_iter:
         it += 1
         r_d = H @ v - b - At.T @ lam + mu * cs
@@ -308,23 +329,29 @@ def solve_cls(
         if gap > 0.9999 * gap_prev:
             stall += 1
             if stall > 30:
+                stop = "stalled"
                 break
         else:
             stall = 0
         gap_prev = gap
 
         d = lam / sig
-        M = H + (At * d[:, None]).T @ At
+        np.multiply(At, np.sqrt(d)[:, None], out=W)
+        M = W.T @ W + H
         try:
             factor = _cholesky_jittered(M)
         except np.linalg.LinAlgError:
+            stop = "factorization failed"
             break
+        # the factor of a finite M is finite; a non-finite right-hand side
+        # makes the next iteration's M non-finite and stops the loop there
+        u2 = cho_solve(factor, cs, check_finite=False)
+        cs_u2 = cs @ u2
 
         def newton(rc):
             g = -r_d + At.T @ (rc / sig - d * r_p)
-            u1 = cho_solve(factor, g)
-            u2 = cho_solve(factor, cs)
-            dmu = (cs @ u1 + r_e) / (cs @ u2)
+            u1 = cho_solve(factor, g, check_finite=False)
+            dmu = (cs @ u1 + r_e) / cs_u2
             dv = u1 - dmu * u2
             dsig = At @ dv + r_p
             dlam = rc / sig - d * dsig
@@ -351,7 +378,7 @@ def solve_cls(
     if not converged:
         raise NonConvergenceError(
             f"interior-point iteration stopped after {it} steps without "
-            f"meeting tolerances", best=packaged
+            f"meeting tolerances: {stop}", best=packaged
         )
     return packaged
 

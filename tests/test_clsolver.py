@@ -246,6 +246,27 @@ class TestSolverContracts:
         assert best.alpha.shape == (problem.n_coef,)
         assert np.isfinite(best.ssr)
 
+    def test_iteration_cap_named(self):
+        problem = random_instance(15)
+        with pytest.raises(NonConvergenceError, match=r"iteration cap \(max_iter=3\)") as exc_info:
+            solve_cls(problem, max_iter=3)
+        assert exc_info.value.best.iterations == 3
+
+    def test_overflowing_normal_matrix_is_factorization_failure(self):
+        # H = Z'Z / m overflows to inf; the solve must stop at once with its
+        # best iterate instead of escaping a finiteness check or iterating
+        # on NaN
+        rng = np.random.default_rng(0)
+        Z = rng.normal(size=(10, 3)) * 1e200
+        problem = CLSProblem(
+            Z=Z, y=rng.normal(size=10), A_ineq=np.abs(rng.normal(size=(10, 3))),
+            c_eq=np.ones(3),
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonConvergenceError, match="factorization failed") as exc_info:
+                solve_cls(problem)
+        assert exc_info.value.best.iterations <= 2
+
     def test_ridge_zero_matches_default(self):
         problem = random_instance(16)
         a = solve_cls(problem)
@@ -258,6 +279,25 @@ class TestSolverContracts:
         ridged = solve_cls(problem, ridge=10.0)
         s = problem.c_eq
         assert np.linalg.norm(ridged.alpha * s) <= np.linalg.norm(plain.alpha * s) + 1e-9
+
+
+class TestThreadedSize:
+    """An instance large enough for OpenBLAS to run its level-3 calls threaded."""
+
+    def test_sparse_nonnegative_rows(self):
+        rng = np.random.default_rng(30)
+        m, B, R = 1500, 300, 3000
+        Z = rng.normal(size=(m, B))
+        y = Z @ rng.dirichlet(np.ones(B)) + 0.3 * rng.normal(size=m)
+        A = np.abs(rng.normal(size=(R, B))) * (rng.random((R, B)) < 0.15)
+        c = rng.uniform(0.5, 2.0, size=B)
+        problem = CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c)
+        sol = solve_cls(problem)
+        chk = check_kkt(problem, sol)
+        assert chk["stationarity"] <= 1e-8
+        assert chk["primal_ineq"] <= 1e-8
+        assert abs(c @ sol.alpha - 1.0) <= 1e-10
+        np.testing.assert_array_equal(solve_cls(problem).alpha, sol.alpha)
 
 
 class TestFeasibleStart:
