@@ -22,6 +22,10 @@ from .quasirand import DrawSet
 # so results are bit-identical regardless of memory or worker count.
 DESIGN_CHUNK = 2048
 
+# Bytes of kernel output per tile of units: small enough that a tile stays in
+# cache through the product, shift, exp and divide.
+KERNEL_TILE_BYTES = 1 << 20
+
 
 class DeadColumnError(ValueError):
     """A basis function's support contains no integration draw."""
@@ -129,19 +133,29 @@ def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Kernel probabilities for every unit, alternative and coefficient row.
 
     Returns an ``(N, J, M)`` array for ``x`` of shape ``(N, J, D)`` and
-    ``betas`` of shape ``(M, D)``.  Memory grows with ``N * J * M``; callers
+    ``betas`` of shape ``(M, D)``.  The output is the only array of that
+    size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
+    each (one unit when a unit's ``J * M`` values are larger), and each tile
+    takes its utilities, max shift, ``exp`` and divide in place while it is
+    in cache.  A tile holds whole units, so a unit's shift and normalization
+    see only its own utilities.  Memory grows with ``N * J * M``; callers
     with many coefficient rows should chunk over ``betas``.
     """
     x = np.asarray(x, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n, j, d = x.shape
-    # ``u`` is a fresh array, so the shift, exp and divide can work in place.
-    u = (x.reshape(n * j, d) @ betas.T).reshape(n, j, -1)
-    m = np.maximum(u.max(axis=1, keepdims=True), 0.0)
-    u -= m
-    np.exp(u, out=u)
-    u /= np.exp(-m) + u.sum(axis=1, keepdims=True)
-    return u
+    m = betas.shape[0]
+    out = np.empty((n, j, m))
+    units = max(1, KERNEL_TILE_BYTES // max(1, 8 * j * m))
+    for start in range(0, n, units):
+        u = out[start:start + units]
+        rows = u.shape[0] * j
+        np.matmul(x[start:start + units].reshape(rows, d), betas.T, out=u.reshape(rows, m))
+        shift = np.maximum(u.max(axis=1, keepdims=True), 0.0)
+        u -= shift
+        np.exp(u, out=u)
+        u /= np.exp(-shift) + u.sum(axis=1, keepdims=True)
+    return out
 
 
 @dataclass
@@ -195,6 +209,8 @@ def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMat
         if live.size:
             g = kernel(data.x, draws.draws[block][live]).reshape(data.n_rows, -1)
             Z += g @ phi[block][live]
+            # two blocks' kernel outputs alive at once would set the peak memory
+            del g
     column_mass = phi.sum(axis=0)
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:

@@ -20,7 +20,15 @@ through systems of their own size.
 The normal matrix is built and factored in NumPy's BLAS and LAPACK: it is
 the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
 ``W``, which NumPy hands to ``syrk`` (half the flops of a general product),
-and ``np.linalg.cholesky`` factors it.  SciPy's wheels bundle a second
+and ``np.linalg.cholesky`` factors it.  The product is summed blockwise over
+the constraint rows.  A draw lies in exactly one support per hierarchical
+subspace, so a basis row has one nonzero per subspace and is mostly zeros;
+once per solve the rows are ordered by their zero pattern over the leading
+(coarsest) columns, which groups draws that are close in space, and cut
+into blocks of ``ROW_BLOCK`` rows.  Each block's ``syrk`` runs on the
+columns the block touches only, and is added into those entries of the
+normal matrix.  A dense constraint matrix gives blocks that touch every
+column, the same flops as one product.  SciPy's wheels bundle a second
 OpenBLAS with its own thread pool; alternating level-3 calls between the
 two pools makes each pool busy-wait while the other runs, slowing both.
 Only the level-2 triangular solves (``cho_solve``) go through SciPy.
@@ -44,6 +52,13 @@ from scipy.linalg import cho_solve
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
+
+# Constraint rows per block of the normal-matrix build; fixed, so results do
+# not depend on memory or worker count.
+ROW_BLOCK = 256
+# Leading columns whose zero pattern orders the rows; the pattern of up to
+# 62 columns packs into a nonnegative int64 key.
+_PATTERN_COLUMNS = 62
 
 _PROX_EPS = 1e-6
 _MAX_OUTER = 1_000
@@ -90,6 +105,14 @@ class CLSProblem:
             raise ValueError("c_eq must have one entry per coefficient")
         if not np.any(self.c_eq > 0):
             raise ValueError("c_eq needs at least one positive entry")
+        for name in ("Z", "y", "A_ineq", "c_eq"):
+            arr = getattr(self, name)
+            if not np.isfinite(arr).all():
+                idx = np.argwhere(~np.isfinite(arr))[0]
+                where = int(idx[0]) if idx.size == 1 else tuple(int(i) for i in idx)
+                raise ValueError(
+                    f"{name} must be finite: entry {where} is {arr[tuple(idx)]}"
+                )
         if self.objective_scale is None:
             self.objective_scale = float(self.Z.shape[0])
 
@@ -229,10 +252,56 @@ def _cholesky_jittered(M: np.ndarray):
 
 def _max_step(z: np.ndarray, dz: np.ndarray) -> float:
     """Largest step in [0, 1] keeping ``z + step * dz`` nonnegative."""
-    neg = dz < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-z[neg] / dz[neg])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dz < 0, z / dz, -np.inf)
+    return float(min(1.0, -ratio.max()))
+
+
+def _row_blocks(At: np.ndarray) -> list:
+    """Blocks of the rows of ``At`` for :func:`_normal_matrix`.
+
+    Rows are stably sorted by their zero pattern over the leading columns
+    (the first column is the most significant bit) and cut into blocks of
+    ``ROW_BLOCK``.  Each block is ``(rows, cols, At[rows][:, cols])``, with
+    ``cols`` the columns where some row of the block is nonzero.
+    """
+    R, B = At.shape
+    k = min(B, _PATTERN_COLUMNS)
+    nonzero = At != 0.0
+    key = nonzero[:, :k] @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    order = np.argsort(key, kind="stable")
+    spans = []
+    for start in range(0, R, ROW_BLOCK):
+        rows = order[start:start + ROW_BLOCK]
+        spans.append((rows, np.flatnonzero(nonzero[rows].any(axis=0))))
+    del nonzero
+    # one buffer holds every block: many mid-sized arrays that live through
+    # the solve fragment the heap and keep its memory after the solve
+    store = np.empty(sum(rows.size * cols.size for rows, cols in spans))
+    blocks = []
+    used = 0
+    for rows, cols in spans:
+        Ab = store[used:used + rows.size * cols.size].reshape(rows.size, cols.size)
+        Ab[...] = At[np.ix_(rows, cols)]
+        used += Ab.size
+        blocks.append((rows, cols, Ab))
+    return blocks
+
+
+def _normal_matrix(blocks: list, d: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``At' diag(d) At + H`` summed over the row blocks of ``At``.
+
+    Each block adds ``W_b' W_b`` with ``W_b = At_b * sqrt(d_b)``, which NumPy
+    sends to ``syrk``, into the entries of the columns it touches.
+    """
+    B = H.shape[0]
+    sqrt_d = np.sqrt(d)
+    M = H.copy()
+    flat = M.reshape(-1)
+    for rows, cols, Ab in blocks:
+        Wb = Ab * sqrt_d[rows][:, None]
+        flat[(cols[:, None] * B + cols).ravel()] += (Wb.T @ Wb).ravel()
+    return M
 
 
 def solve_cls(
@@ -289,9 +358,13 @@ def solve_cls(
         sol = _solve_kkt(K, np.concatenate([b, [1.0]]))
         return _package(problem, sol[:B], s, np.zeros(0), sol[B], 1, ridge, warnings_)
 
-    As = A / s
-    t = np.maximum(np.abs(As).max(axis=1), 1e-300)
-    At = As / t[:, None]
+    At = A / s
+    t = np.maximum(At.max(axis=1), -At.min(axis=1))
+    # an all-zero row is the vacuous constraint 0 >= 0; scale 1 keeps its
+    # multiplier finite
+    t[t == 0.0] = 1.0
+    At /= t[:, None]
+    blocks = _row_blocks(At)
 
     v = v0.copy()
     total = cs @ v
@@ -310,7 +383,6 @@ def solve_cls(
     it = 0
     gap_prev = np.inf
     stall = 0
-    W = np.empty_like(At)
     while it < max_iter:
         it += 1
         r_d = H @ v - b - At.T @ lam + mu * cs
@@ -336,8 +408,7 @@ def solve_cls(
         gap_prev = gap
 
         d = lam / sig
-        np.multiply(At, np.sqrt(d)[:, None], out=W)
-        M = W.T @ W + H
+        M = _normal_matrix(blocks, d, H)
         try:
             factor = _cholesky_jittered(M)
         except np.linalg.LinAlgError:

@@ -5,6 +5,7 @@ import pytest
 
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import (
+    KERNEL_TILE_BYTES,
     ChoiceDataset,
     DeadColumnError,
     build_design_matrix,
@@ -94,6 +95,54 @@ class TestChoiceProbabilities:
         choice_probabilities(x, betas)
         np.testing.assert_array_equal(x, x_before)
         np.testing.assert_array_equal(betas, betas_before)
+
+
+class TestKernelTiles:
+    """``choice_probabilities`` fills its output in tiles of whole units."""
+
+    def test_unit_independent_of_other_units(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(600, 3, 2))
+        betas = rng.normal(size=(100, 2)) * 3
+        units_per_tile = KERNEL_TILE_BYTES // (8 * 3 * 100)
+        assert 1 < units_per_tile < 600
+        k = units_per_tile + 64
+        full = choice_probabilities(x, betas)
+        np.testing.assert_array_equal(choice_probabilities(x[:k], betas), full[:k])
+        # every unit moves to another position in its tile
+        np.testing.assert_array_equal(choice_probabilities(x[1:], betas), full[1:])
+        np.testing.assert_allclose(full[k - 1, :, 7], logit_kernel(x[k - 1], betas[7]), atol=1e-14)
+
+    def test_single_unit_and_single_draw(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(1, 4, 3))
+        beta = rng.normal(size=(1, 3))
+        probs = choice_probabilities(x, beta)
+        assert probs.shape == (1, 4, 1)
+        np.testing.assert_allclose(probs[0, :, 0], logit_kernel(x[0], beta[0]), atol=1e-15)
+
+    def test_unit_larger_than_a_tile(self):
+        rng = np.random.default_rng(6)
+        j = 5
+        m = KERNEL_TILE_BYTES // (8 * j) + 1
+        x = rng.normal(size=(3, j, 2))
+        betas = rng.normal(size=(m, 2))
+        probs = choice_probabilities(x, betas)
+        for n in range(3):
+            np.testing.assert_array_equal(choice_probabilities(x[n:n + 1], betas)[0], probs[n])
+        for col in (0, m // 2, m - 1):
+            np.testing.assert_allclose(probs[2, :, col], logit_kernel(x[2], betas[col]), atol=1e-14)
+
+    def test_large_utilities_finite_in_every_tile(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, size=(400, 5, 2))
+        betas = rng.uniform(-250.0, 250.0, size=(300, 2))
+        assert np.abs(x @ betas.T).max() > 400.0
+        assert 8 * 5 * 300 * 400 > 2 * KERNEL_TILE_BYTES
+        probs = choice_probabilities(x, betas)
+        assert np.all(np.isfinite(probs))
+        assert probs.min() >= 0.0
+        assert (probs.sum(axis=1) <= 1.0 + 1e-12).all()
 
 
 class TestChoiceDataset:

@@ -1,8 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from sparserc import clsolver
+from sparserc.basis import Domain, evaluate_basis_columns
 from sparserc.clsolver import (
     CLSProblem,
     InfeasibleError,
@@ -13,6 +16,8 @@ from sparserc.clsolver import (
     solve_cls,
     solve_simplex_cls,
 )
+from sparserc.hiergrid import build_classical_sparse_grid
+from sparserc.quasirand import halton_draws
 
 
 def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None, nonneg_rows=None):
@@ -298,6 +303,97 @@ class TestThreadedSize:
         assert chk["primal_ineq"] <= 1e-8
         assert abs(c @ sol.alpha - 1.0) <= 1e-10
         np.testing.assert_array_equal(solve_cls(problem).alpha, sol.alpha)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize(
+        "name, index, shown",
+        [
+            ("Z", (3, 1), "(3, 1)"),
+            ("y", (4,), "4"),
+            ("A_ineq", (6, 2), "(6, 2)"),
+            ("c_eq", (1,), "1"),
+        ],
+    )
+    def test_rejected_naming_array_and_first_index(self, name, index, shown):
+        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
+        arrays = {
+            "Z": problem.Z, "y": problem.y, "A_ineq": problem.A_ineq, "c_eq": problem.c_eq,
+        }
+        arrays[name][index] = np.nan
+        # a later bad entry must not be the one reported
+        arrays[name][(-1,) * len(index)] = np.inf
+        message = rf"^{name} must be finite: entry {re.escape(shown)} is nan"
+        with pytest.raises(ValueError, match=message):
+            CLSProblem(**arrays)
+
+
+class TestZeroConstraintRow:
+    def test_vacuous_row_keeps_certificate_finite(self):
+        problem = random_instance(4, n_coef=3, n_rows=20)
+        A = np.vstack([np.eye(3), np.zeros((1, 3))])
+        problem = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=A, c_eq=problem.c_eq)
+        sol = solve_cls(problem)
+        assert np.all(np.isfinite(sol.lambda_ineq))
+        assert sol.kkt_residual <= 1e-8
+        assert check_kkt(problem, sol)["stationarity"] <= 1e-8
+
+
+def hierarchical_rows(n_draws, dim, level):
+    """Hat-basis rows at Halton draws: one nonzero per hierarchical subspace."""
+    grid = build_classical_sparse_grid(dim, level)
+    domain = Domain.cube(dim)
+    draws = halton_draws(n_draws, dim, domain=domain).draws
+    return evaluate_basis_columns(grid.points, domain, draws)
+
+
+class TestBlockedNormalMatrix:
+    """The blockwise normal matrix against the dense ``W' W + H``."""
+
+    @staticmethod
+    def check(At):
+        rng = np.random.default_rng(0)
+        R, B = At.shape
+        G = rng.uniform(size=(B + 3, B))
+        H = G.T @ G
+        d = rng.uniform(0.01, 100.0, size=R)
+        blocks = clsolver._row_blocks(At)
+        rows = np.sort(np.concatenate([r for r, _, _ in blocks]))
+        np.testing.assert_array_equal(rows, np.arange(R))
+        assert all(r.size <= clsolver.ROW_BLOCK for r, _, _ in blocks)
+        W = At * np.sqrt(d)[:, None]
+        np.testing.assert_allclose(
+            clsolver._normal_matrix(blocks, d, H), W.T @ W + H, rtol=1e-13, atol=0.0
+        )
+
+    def test_rows_not_a_multiple_of_the_block(self):
+        At = hierarchical_rows(700, 2, 4)
+        assert At.shape[0] % clsolver.ROW_BLOCK
+        self.check(At)
+
+    def test_single_column(self):
+        self.check(np.random.default_rng(1).uniform(size=(300, 1)))
+
+    def test_more_columns_than_the_pattern_key(self):
+        At = hierarchical_rows(1000, 3, 4)
+        assert At.shape[1] > 62
+        self.check(At)
+
+    def test_zero_row(self):
+        At = hierarchical_rows(520, 2, 3)
+        At[[0, 257, 519]] = 0.0
+        self.check(At)
+
+    def test_dense_rows(self):
+        At = np.random.default_rng(2).uniform(0.1, 1.0, size=(600, 40))
+        blocks = clsolver._row_blocks(At)
+        assert all(cols.size == 40 for _, cols, _ in blocks)
+        self.check(At)
+
+    def test_blocks_skip_zeros_of_hierarchical_rows(self):
+        At = hierarchical_rows(2000, 3, 4)
+        touched = np.mean([cols.size for _, cols, _ in clsolver._row_blocks(At)])
+        assert touched < 0.6 * At.shape[1]
 
 
 class TestFeasibleStart:
