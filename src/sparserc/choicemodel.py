@@ -184,9 +184,6 @@ class DesignMatrix:
     def n_columns(self) -> int:
         return self.Z.shape[1]
 
-    def row_of(self, n: int, j: int) -> int:
-        return n * self.n_alts + j
-
 
 def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMatrix:
     """The columns of ``points`` appended to ``existing`` (None: no columns yet).

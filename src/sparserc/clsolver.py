@@ -1,10 +1,12 @@
 """Convex constrained least squares for probability-weight estimation.
 
-Two entry points share one contract:
+Three entry points share one contract:
 
 * :func:`solve_cls` minimizes ``||y - Z a||^2 / (2 m)`` subject to
   ``A_ineq a >= 0`` row-wise and ``c_eq' a = 1`` (nonnegative implied
   density at every draw, total mass one).
+* :func:`solve_cls_stack` solves several such problems that share ``A_ineq``
+  and ``c_eq`` in one iteration; :func:`solve_cls` is its one-problem case.
 * :func:`solve_simplex_cls` is the special case ``A_ineq = I``,
   ``c_eq = 1`` used by fixed-grid weights.
 
@@ -33,14 +35,24 @@ OpenBLAS with its own thread pool; alternating level-3 calls between the
 two pools makes each pool busy-wait while the other runs, slowing both.
 Only the level-2 triangular solves (``cho_solve``) go through SciPy.
 
+The iteration runs on a stack of ``k`` problems, such as the cross-validation
+refits of one refinement step, which share ``Phi``.  The scaled constraints
+and their row blocks are built once per stack, and the iterates are
+``(k, .)`` arrays in one buffer.  Each problem has its own step lengths, stop
+test and stall counter, and leaves the stack when it stops, with the iterate
+its own solve stops at.  Each problem keeps the arithmetic of a one-problem
+solve (row-wise operations, its own ``syrk``, Cholesky and ``cho_solve``),
+except that the products with the constraints are one ``gemm`` for the whole
+stack, so it can differ from its own solve in the last bits.
+
 The simplex variant keeps a working-set (NNLS-style) iteration: its
 constraint rows are orthonormal, so the degeneracy above cannot occur,
 and the vertex solutions it returns carry exact zeros.  A proximal outer
 loop keeps its subproblems strictly convex.
 
-Every solution carries multipliers, and :func:`check_kkt` re-derives all
-optimality residuals from the problem data alone.  Both solvers are
-deterministic for fixed inputs.
+Every solution carries multipliers and its ``stop_reason``, and
+:func:`check_kkt` re-derives all optimality residuals from the problem data
+alone.  Both solvers are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -140,6 +152,7 @@ class CLSSolution:
     mu_eq: float
     ridge: float = 0.0
     warnings: list = field(default_factory=list)
+    stop_reason: str = "converged"
 
 
 def objective(problem: CLSProblem, alpha: np.ndarray) -> float:
@@ -203,7 +216,7 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _package(problem, v, s, lam, mu, iterations, ridge, warnings_):
+def _package(problem, v, s, lam, mu, iterations, ridge, warnings_, stop_reason):
     alpha = v / s
     resid = problem.y - problem.Z @ alpha
     ssr_raw = float(resid @ resid)
@@ -226,35 +239,52 @@ def _package(problem, v, s, lam, mu, iterations, ridge, warnings_):
         mu_eq=float(mu),
         ridge=ridge,
         warnings=list(warnings_),
+        stop_reason=stop_reason,
     )
     sol.kkt_residual = check_kkt(problem, sol)["stationarity"]
     return sol
 
 
-def _cholesky_jittered(M: np.ndarray):
-    """Lower Cholesky factor of ``M`` as a ``cho_solve`` factor.
+def _factor_stack(M: np.ndarray) -> list:
+    """``cho_solve`` factors of the slices of a ``(k, B, B)`` stack, in one call.
 
-    A diagonal jitter grows until the factorization succeeds.  A non-finite
-    ``M`` raises :class:`numpy.linalg.LinAlgError`, because
-    ``np.linalg.cholesky`` does not check finiteness.
+    When that fails, each slice is retried with a diagonal jitter that grows
+    until it factors; a slice that never does, or is not finite
+    (``np.linalg.cholesky`` does not check), gets ``None``.
     """
-    if not np.isfinite(M).all():
-        raise np.linalg.LinAlgError("normal matrix not finite")
-    jitter = 0.0
-    base = float(np.max(np.diag(M)))
-    for attempt in range(8):
+    if np.isfinite(M).all():
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0])), True
+            return [(L, True) for L in np.linalg.cholesky(M)]
         except np.linalg.LinAlgError:
-            jitter = base * (1e-14 * 10.0**attempt)
-    raise np.linalg.LinAlgError("normal matrix not factorizable")
+            pass
+    factors = [None] * len(M)
+    for i, Mi in enumerate(M):
+        if not np.isfinite(Mi).all():
+            continue
+        base = float(np.max(np.diag(Mi)))
+        for jitter in [0.0] + [base * (1e-14 * 10.0**a) for a in range(7)]:
+            try:
+                factors[i] = np.linalg.cholesky(Mi + jitter * np.eye(Mi.shape[0])), True
+                break
+            except np.linalg.LinAlgError:
+                pass
+    return factors
 
 
-def _max_step(z: np.ndarray, dz: np.ndarray) -> float:
-    """Largest step in [0, 1] keeping ``z + step * dz`` nonnegative."""
+def _max_step(z: np.ndarray, dz: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Largest step in [0, 1] keeping each row of ``z + step * dz``
+    nonnegative, for ``z > 0``; ``ratio`` is scratch of the shape of ``z``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dz < 0, z / dz, -np.inf)
-    return float(min(1.0, -ratio.max()))
+        np.divide(z, dz, out=ratio)
+    # a ratio where dz >= 0 ends at or below -1 and caps nothing: no masked pass
+    np.minimum(ratio, 0.0, out=ratio)
+    ratio -= dz >= 0
+    return np.minimum(1.0, -ratio.max(axis=-1))
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products ``x[i] @ y[i]``, each one BLAS ``dot``."""
+    return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
 
 
 def _row_blocks(At: np.ndarray) -> list:
@@ -292,16 +322,31 @@ def _normal_matrix(blocks: list, d: np.ndarray, H: np.ndarray) -> np.ndarray:
     """``At' diag(d) At + H`` summed over the row blocks of ``At``.
 
     Each block adds ``W_b' W_b`` with ``W_b = At_b * sqrt(d_b)``, which NumPy
-    sends to ``syrk``, into the entries of the columns it touches.
+    sends to ``syrk``, into the entries of the columns it touches.  ``d`` and
+    ``H`` may carry a leading stack axis, ``(k, R)`` and ``(k, B, B)``; each
+    slice then gets its own ``syrk``.
     """
-    B = H.shape[0]
-    sqrt_d = np.sqrt(d)
+    B = H.shape[-1]
     M = H.copy()
-    flat = M.reshape(-1)
+    flat = M.reshape(-1, B * B)
     for rows, cols, Ab in blocks:
-        Wb = Ab * sqrt_d[rows][:, None]
-        flat[(cols[:, None] * B + cols).ravel()] += (Wb.T @ Wb).ravel()
+        Wb = Ab * np.sqrt(d.take(rows, axis=-1))[..., None]
+        idx = (cols[:, None] * B + cols).ravel()
+        # one 1-D scatter per slice: NumPy's fast path for fancy indexing
+        for Mi, Pi in zip(flat, (np.swapaxes(Wb, -1, -2) @ Wb).reshape(-1, idx.size)):
+            Mi[idx] += Pi
     return M
+
+
+def nonconvergence(solution: CLSSolution, max_iter: int) -> NonConvergenceError:
+    """The error :func:`solve_cls` raises for an unconverged interior-point solution."""
+    reason = solution.stop_reason.replace("_", " ")
+    if solution.stop_reason == "iteration_cap":
+        reason = f"iteration cap (max_iter={max_iter})"
+    return NonConvergenceError(
+        f"interior-point iteration stopped after {solution.iterations} steps "
+        f"without meeting tolerances: {reason}", best=solution
+    )
 
 
 def solve_cls(
@@ -321,44 +366,74 @@ def solve_cls(
     iterate when the iteration stops short of the tolerances; its message
     names the reason: ``stalled`` (no gap progress), ``factorization
     failed`` (the normal matrix is non-finite or not factorizable) or
-    ``iteration cap (max_iter=N)``.
+    ``iteration cap (max_iter=N)``.  This is :func:`solve_cls_stack` of one
+    problem.
     """
-    Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
-    B = problem.n_coef
-    R = problem.n_ineq
-    scale = problem.objective_scale
-    warnings_: list[str] = []
+    (sol,) = solve_cls_stack([problem], tol, max_iter, ridge, [x0])
+    if sol.stop_reason != "converged":
+        raise nonconvergence(sol, max_iter)
+    return sol
 
-    s = _column_scale(problem)
-    Zs = Z / s
-    cs = c / s
-    H = Zs.T @ Zs / scale
-    if ridge:
-        H = H + ridge * np.eye(B)
-    b = Zs.T @ y / scale
 
-    v0 = None
-    if x0 is not None:
-        a0 = np.asarray(x0, dtype=float)
-        if a0.shape == (B,) and np.all(np.isfinite(a0)):
-            v0 = a0 * s
-        else:
-            warnings_.append("malformed warm start ignored")
-    if v0 is None or R == 0:
-        start = feasible_start(problem)  # raises when infeasible
-        if v0 is None:
-            v0 = start * s
+def solve_cls_stack(
+    problems: list,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    ridge: float = 0.0,
+    x0: list | None = None,
+) -> list:
+    """Interior-point solves of problems that share ``A_ineq`` and ``c_eq``.
+
+    ``x0`` holds one warm start (or None) per problem, as in
+    :func:`solve_cls`.  Returns one :class:`CLSSolution` per problem, in
+    order, and raises no :class:`NonConvergenceError`: each solution's
+    ``stop_reason`` is ``converged``, ``stalled``, ``factorization_failed``
+    or ``iteration_cap``.  Raises :class:`ValueError` naming the array when
+    two problems differ in ``A_ineq`` or ``c_eq``.
+    """
+    first = problems[0]
+    for name in ("A_ineq", "c_eq"):
+        if not all(np.array_equal(getattr(p, name), getattr(first, name)) for p in problems[1:]):
+            raise ValueError(f"stacked problems must share {name}")
+    k, B, R = len(problems), first.n_coef, first.n_ineq
+    x0 = [None] * k if x0 is None else list(x0)
+    if len(x0) != k:
+        raise ValueError("x0 needs one entry per problem")
+    warnings_ = [[] for _ in range(k)]
+
+    s = _column_scale(first)
+    cs = first.c_eq / s
+    # one problem at a time, so only one scaled copy of a Z is alive
+    H = np.empty((k, B, B))
+    b = np.empty((k, B))
+    v = np.empty((k, B))
+    start = None
+    for i, (problem, a0) in enumerate(zip(problems, x0)):
+        Zs = problem.Z / s
+        H[i] = Zs.T @ Zs / problem.objective_scale
+        if ridge:
+            H[i] += ridge * np.eye(B)
+        b[i] = Zs.T @ problem.y / problem.objective_scale
+        del Zs
+        if a0 is not None:
+            a0 = np.asarray(a0, dtype=float)
+            if a0.shape != (B,) or not np.all(np.isfinite(a0)):
+                warnings_[i].append("malformed warm start ignored")
+                a0 = None
+        if (a0 is None or R == 0) and start is None:
+            start = feasible_start(first)  # raises when infeasible
+        v[i] = (start if a0 is None else a0) * s
 
     if R == 0:
-        # equality-constrained least squares; one bordered solve
-        K = np.zeros((B + 1, B + 1))
-        K[:B, :B] = H
-        K[:B, B] = cs
-        K[B, :B] = cs
-        sol = _solve_kkt(K, np.concatenate([b, [1.0]]))
-        return _package(problem, sol[:B], s, np.zeros(0), sol[B], 1, ridge, warnings_)
+        # equality-constrained least squares; one bordered solve each
+        K = [np.block([[Hi, cs[:, None]], [cs, 0.0]]) for Hi in H]
+        sols = [_solve_kkt(Ki, np.append(bi, 1.0)) for Ki, bi in zip(K, b)]
+        return [
+            _package(p, x[:B], s, np.zeros(0), x[B], 1, ridge, w, "converged")
+            for p, x, w in zip(problems, sols, warnings_)
+        ]
 
-    At = A / s
+    At = first.A_ineq / s
     t = np.maximum(At.max(axis=1), -At.min(axis=1))
     # an all-zero row is the vacuous constraint 0 >= 0; scale 1 keeps its
     # multiplier finite
@@ -366,92 +441,114 @@ def solve_cls(
     At /= t[:, None]
     blocks = _row_blocks(At)
 
-    v = v0.copy()
-    total = cs @ v
-    if abs(total) > 1e-12:
-        v = v / total
-    sig = At @ v
-    floor = max(1e-8, 1e-3 * float(np.median(np.abs(sig))) if R else 1e-8)
-    sig = np.maximum(sig, floor)
-    lam = np.full(R, max(1.0, float(np.max(np.abs(b)))))
-    mu = 0.0
+    # every (k, R) array of the iteration lives in one buffer, updated in
+    # place: many mid-sized temporaries fragment the heap and keep its memory
+    work = np.empty((10, k, R))
+    sig, lam, r_p, comp, d, q, rc, dsig, dlam, dsig_a = work
+    total = _dots(v, cs)
+    rescale = np.abs(total) > 1e-12
+    v[rescale] /= total[rescale, None]
+    np.matmul(v, At.T, out=sig)
+    floor = np.maximum(1e-8, 1e-3 * np.median(np.abs(sig), axis=1))
+    np.maximum(sig, floor[:, None], out=sig)
+    lam[...] = np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
+    mu = np.zeros(k)
 
-    tol_stat = 0.5 * tol
-    tol_comp = 0.5 * tol
-    converged = False
-    stop = f"iteration cap (max_iter={max_iter})"
+    # the problem of each row of the stack; a problem leaves the stack when
+    # it stops, with the iterate its own solve would stop at
+    ids = np.arange(k)
+    out = [None] * k
+    tol_stat = tol_comp = 0.5 * tol
+    gap_prev = np.full(k, np.inf)
+    stall = np.zeros(k, dtype=int)
     it = 0
-    gap_prev = np.inf
-    stall = 0
-    while it < max_iter:
-        it += 1
-        r_d = H @ v - b - At.T @ lam + mu * cs
-        r_p = At @ v - sig
-        r_e = float(cs @ v - 1.0)
-        comp = lam * sig
-        gap = float(comp.mean())
-        if (
-            float(np.max(np.abs(r_d))) <= tol_stat
-            and float(np.max(comp)) <= tol_comp
-            and float(np.max(np.abs(r_p))) <= tol_stat
-            and abs(r_e) <= 1e-11 * (1.0 + float(np.max(np.abs(v))))
-        ):
-            converged = True
-            break
-        if gap > 0.9999 * gap_prev:
-            stall += 1
-            if stall > 30:
-                stop = "stalled"
-                break
+    while True:
+        if it >= max_iter:
+            stop = np.full(ids.size, "iteration_cap")
         else:
-            stall = 0
-        gap_prev = gap
+            it += 1
+            r_d = np.matmul(H, v[:, :, None])[:, :, 0] - b - lam @ At + mu[:, None] * cs
+            np.matmul(v, At.T, out=r_p)
+            r_p -= sig
+            r_e = _dots(v, cs) - 1.0
+            np.multiply(lam, sig, out=comp)
+            gap = comp.mean(axis=1)
+            converged = (
+                (np.abs(r_d).max(axis=1) <= tol_stat)
+                & (comp.max(axis=1) <= tol_comp)
+                & (np.maximum(r_p.max(axis=1), -r_p.min(axis=1)) <= tol_stat)
+                & (np.abs(r_e) <= 1e-11 * (1.0 + np.abs(v).max(axis=1)))
+            )
+            stall = np.where(gap > 0.9999 * gap_prev, stall + 1, 0)
+            gap_prev = gap
+            np.divide(lam, sig, out=d)
+            # no normal matrix when every problem stops here anyway
+            go = (~converged & (stall <= 30)).any()
+            factors = _factor_stack(_normal_matrix(blocks, d, H)) if go else [None] * ids.size
+            stop = np.where(converged, "converged", np.where(stall > 30, "stalled", np.where(
+                [f is None for f in factors], "factorization_failed", ""
+            )))
+        done = stop != ""
+        for j in np.flatnonzero(done):
+            i = ids[j]
+            lam_orig = np.maximum(lam[j], 0.0) / t
+            out[i] = _package(
+                problems[i], v[j], s, lam_orig, mu[j], it, ridge, warnings_[i], str(stop[j])
+            )
+        if done.all():
+            return out
+        if done.any():
+            keep = ~done
+            work[:, :keep.sum()] = work[:, :ids.size][:, keep]
+            sig, lam, r_p, comp, d, q, rc, dsig, dlam, dsig_a = work[:, :keep.sum()]
+            ids, v, mu, H, b, stall, gap_prev, r_d, r_e, gap = (
+                x[keep] for x in (ids, v, mu, H, b, stall, gap_prev, r_d, r_e, gap)
+            )
+            factors = [f for f, kept in zip(factors, keep) if kept]
 
-        d = lam / sig
-        M = _normal_matrix(blocks, d, H)
-        try:
-            factor = _cholesky_jittered(M)
-        except np.linalg.LinAlgError:
-            stop = "factorization failed"
-            break
+        def rhs(rc, dlam):
+            # Newton right-hand side of rc; leaves rc / sig in q, dlam is scratch
+            np.divide(rc, sig, out=q)
+            return np.subtract(q, np.multiply(d, r_p, out=dlam), out=dlam) @ At - r_d
+
+        def direction(u1, dsig, dlam):
+            # the Newton step from u1 = M^-1 rhs(rc); fills dsig and dlam
+            dmu = (_dots(u1, cs) + r_e) / cs_u2
+            dv = u1 - dmu[:, None] * u2
+            np.add(np.matmul(dv, At.T, out=dsig), r_p, out=dsig)
+            np.subtract(q, np.multiply(d, dsig, out=dlam), out=dlam)
+            return dv, dmu
+
         # the factor of a finite M is finite; a non-finite right-hand side
         # makes the next iteration's M non-finite and stops the loop there
-        u2 = cho_solve(factor, cs, check_finite=False)
-        cs_u2 = cs @ u2
-
-        def newton(rc):
-            g = -r_d + At.T @ (rc / sig - d * r_p)
-            u1 = cho_solve(factor, g, check_finite=False)
-            dmu = (cs @ u1 + r_e) / cs_u2
-            dv = u1 - dmu * u2
-            dsig = At @ dv + r_p
-            dlam = rc / sig - d * dsig
-            return dv, dsig, dlam, float(dmu)
-
+        u2 = np.array([cho_solve(f, cs, check_finite=False) for f in factors])
+        cs_u2 = _dots(u2, cs)
         # predictor
-        dv_a, dsig_a, dlam_a, dmu_a = newton(-comp)
-        ap = _max_step(sig, dsig_a)
-        ad = _max_step(lam, dlam_a)
-        gap_aff = float((lam + ad * dlam_a) @ (sig + ap * dsig_a)) / R
-        sigma_c = (max(gap_aff, 0.0) / max(gap, 1e-300)) ** 3
+        g = rhs(np.negative(comp, out=rc), dlam)
+        u1 = np.array([cho_solve(f, gi, check_finite=False) for f, gi in zip(factors, g)])
+        # dlam holds the predictor's dlam until the corrector overwrites it
+        direction(u1, dsig_a, dlam)
+        ap = _max_step(sig, dsig_a, q)[:, None]
+        ad = _max_step(lam, dlam, q)[:, None]
+        np.add(np.multiply(ad, dlam, out=q), lam, out=q)
+        np.add(np.multiply(ap, dsig_a, out=dsig), sig, out=dsig)
+        gap_aff = _dots(q, dsig) / R
+        # cubed by libm's pow: NumPy's SIMD power can round the last bit
+        # differently, and on some CPUs only
+        ratio = np.maximum(gap_aff, 0.0) / np.maximum(gap, 1e-300)
+        sigma_c = np.array([r**3 for r in ratio.tolist()])
         # corrector recentered toward sigma_c * gap
-        rc = sigma_c * gap - comp - dlam_a * dsig_a
-        dv, dsig, dlam, dmu = newton(rc)
-        ap = _IPM_STEP_DAMP * _max_step(sig, dsig)
-        ad = _IPM_STEP_DAMP * _max_step(lam, dlam)
-        v = v + ap * dv
-        sig = sig + ap * dsig
-        lam = lam + ad * dlam
+        np.subtract((sigma_c * gap)[:, None], comp, out=rc)
+        rc -= np.multiply(dlam, dsig_a, out=q)
+        g = rhs(rc, dlam)
+        u1 = np.array([cho_solve(f, gi, check_finite=False) for f, gi in zip(factors, g)])
+        dv, dmu = direction(u1, dsig, dlam)
+        ap = _IPM_STEP_DAMP * _max_step(sig, dsig, q)
+        ad = _IPM_STEP_DAMP * _max_step(lam, dlam, q)
+        v = v + ap[:, None] * dv
+        sig += np.multiply(ap[:, None], dsig, out=dsig)
+        lam += np.multiply(ad[:, None], dlam, out=dlam)
         mu = mu + ad * dmu
-
-    lam_orig = np.maximum(lam, 0.0) / t
-    packaged = _package(problem, v, s, lam_orig, mu, it, ridge, warnings_)
-    if not converged:
-        raise NonConvergenceError(
-            f"interior-point iteration stopped after {it} steps without "
-            f"meeting tolerances: {stop}", best=packaged
-        )
-    return packaged
 
 
 def solve_simplex_cls(
@@ -550,7 +647,8 @@ def solve_simplex_cls(
     grad = H @ w - b
     lam = np.maximum(grad + mu, 0.0)
     lam[np.asarray(free, dtype=int)] = 0.0
-    packaged = _package(problem, w, np.ones(B), lam, mu, iterations, ridge, [])
+    stop_reason = "converged" if converged else "iteration_cap"
+    packaged = _package(problem, w, np.ones(B), lam, mu, iterations, ridge, [], stop_reason)
     if not converged:
         raise NonConvergenceError(
             f"simplex active-set iteration limit {max_iter} reached", best=packaged

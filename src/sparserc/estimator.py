@@ -35,7 +35,9 @@ from .clsolver import (
     CLSProblem,
     CLSSolution,
     NonConvergenceError,
+    nonconvergence,
     solve_cls,
+    solve_cls_stack,
     solve_simplex_cls,
 )
 from .hiergrid import (
@@ -157,22 +159,28 @@ class FitResult:
         return self.alpha.shape[0]
 
 
-def _solve(solve, solver: SolverOptions | None, *args, **kwargs) -> CLSSolution:
-    """Call a solve function with the solver settings.
+def _solve(solve, solver: SolverOptions | None, *args, **kwargs):
+    """Call a solve function (one solution, or a list for
+    :func:`solve_cls_stack`) with the solver settings.
 
-    With ``strict=False`` a :class:`NonConvergenceError` yields its best
-    iterate, marked by a warning, instead of propagating.
+    With ``strict=False`` an unconverged solution is returned marked by a
+    warning; otherwise it raises :class:`NonConvergenceError`.
     """
     solver = solver or SolverOptions()
     try:
-        return solve(
+        out = solve(
             *args, tol=solver.tol, max_iter=solver.max_iter, ridge=solver.ridge, **kwargs
         )
     except NonConvergenceError as exc:
         if solver.strict:
             raise
-        exc.best.warnings.append("nonconvergence: best iterate returned")
-        return exc.best
+        out = exc.best
+    for sol in out if isinstance(out, list) else [out]:
+        if sol.stop_reason != "converged":
+            if solver.strict:
+                raise nonconvergence(sol, solver.max_iter)
+            sol.warnings.append("nonconvergence: best iterate returned")
+    return out
 
 
 def _diagnostics(sol: CLSSolution, n_rows: int) -> dict:
@@ -183,19 +191,22 @@ def _diagnostics(sol: CLSSolution, n_rows: int) -> dict:
         "max_ineq_violation": sol.max_ineq_violation,
         "eq_violation": sol.eq_violation,
         "iterations": sol.iterations,
+        "stop_reason": sol.stop_reason,
         "n_parameters": sol.alpha.shape[0],
         "n_rows": n_rows,
         "warnings": list(sol.warnings),
     }
 
 
-def _design_problem(design: DesignMatrix, y: np.ndarray, rows=slice(None)) -> CLSProblem:
-    """The CLS problem of a design on the selected regression rows."""
+def _design_problem(
+    design: DesignMatrix, y: np.ndarray, rows=slice(None), cols=slice(None)
+) -> CLSProblem:
+    """The CLS problem of a design's selected columns on the selected regression rows."""
     return CLSProblem(
-        Z=design.Z[rows],
+        Z=design.Z[rows, cols],
         y=y[rows],
-        A_ineq=design.basis_at_draws,
-        c_eq=design.column_mass,
+        A_ineq=design.basis_at_draws[:, cols],
+        c_eq=design.column_mass[cols],
     )
 
 
@@ -465,8 +476,10 @@ def fit_asg(
     Full-search refinement: starting from the classical grid of ``level``,
     each step scores the refinable points on the current full-data fit,
     refines the best ones, and refits.  Every step's grid is then evaluated
-    under the configured selection rule (per-fold refits reuse these grids),
-    and the fit at the best step is returned together with the whole trace.
+    under the configured selection rule (per-fold refits reuse these grids;
+    the k fold refits of one step are solved together, each warm-started from
+    its fold's solution at the previous step), and the fit at the best step
+    is returned together with the whole trace.
     """
     opts = refine_opts or RefineOptions()
     return _fit_hierarchical(data, domain, level, r_draws, solver, burn_in, opts.max_level, opts)
@@ -500,8 +513,9 @@ def _fit_hierarchical(
     design = build_design_matrix(data, draws, BasisSet(grid, domain))
     sol = _solve(solve_cls, solver, _design_problem(design, y))
 
+    # a refinement step appends columns, so each step's design is a column
+    # prefix of the last one, and only the last one is kept
     grids = [grid]
-    designs = [design]
     sols = [sol]
     refined_log: list[tuple] = [()]
     added_log: list[tuple] = [()]
@@ -521,7 +535,6 @@ def _fit_hierarchical(
         sol = _solve(solve_cls, solver, _design_problem(design, y), x0=warm)
         grid = new_grid
         grids.append(grid)
-        designs.append(design)
         sols.append(sol)
         refined_log.append(tuple(targets))
         added_log.append(tuple(added))
@@ -538,25 +551,27 @@ def _fit_hierarchical(
         if opts.selection in ("cv_mse", "cv_ll"):
             mse_folds = np.empty((opts.k_folds, n_steps + 1))
             ll_folds = np.empty((opts.k_folds, n_steps + 1))
-            folds = _folds(data, opts.k_folds, opts.cv_seed)
-            for f, (train_pos, test_pos) in enumerate(folds):
-                train_rows = data.row_slice(train_pos)
-                test_rows = data.row_slice(test_pos)
-                y_test = data.y[test_pos]
-                warm = None
-                for s, dsg in enumerate(designs):
-                    problem = _design_problem(dsg, y, train_rows)
-                    fold_sol = _solve(solve_cls, solver, problem, x0=warm)
-                    pred = (dsg.Z[test_rows] @ fold_sol.alpha).reshape(
+            folds = list(_folds(data, opts.k_folds, opts.cv_seed))
+            train_rows = [data.row_slice(train_pos) for train_pos, _ in folds]
+            warm = None
+            for s, step_grid in enumerate(grids):
+                # the k fold refits of a step share Phi, so they run as one stack
+                cols = slice(len(step_grid))
+                problems = [_design_problem(design, y, rows, cols) for rows in train_rows]
+                fold_sols = _solve(solve_cls_stack, solver, problems, x0=warm)
+                del problems  # the next step's k copies of Z replace these
+                for f, ((_, test_pos), fold_sol) in enumerate(zip(folds, fold_sols)):
+                    pred = (design.Z[data.row_slice(test_pos), cols] @ fold_sol.alpha).reshape(
                         test_pos.shape[0], data.n_alts
                     )
+                    y_test = data.y[test_pos]
                     mse_folds[f, s] = heldout_mse(pred, y_test)
                     ll, clamped = heldout_loglik(pred, y_test)
                     ll_folds[f, s] = ll
                     clamped_total += clamped
-                    if s < n_steps:
-                        pad = len(grids[s + 1]) - len(grids[s])
-                        warm = np.concatenate([fold_sol.alpha, np.zeros(pad)])
+                if s < n_steps:
+                    pad = len(grids[s + 1]) - len(grids[s])
+                    warm = [np.concatenate([fs.alpha, np.zeros(pad)]) for fs in fold_sols]
             oos_mse = [tuple(mse_folds[:, s]) for s in range(n_steps + 1)]
             oos_ll = [tuple(ll_folds[:, s]) for s in range(n_steps + 1)]
 
@@ -603,7 +618,7 @@ def _fit_hierarchical(
         domain=domain,
         alpha=best_sol.alpha,
         support=draws.draws,
-        density_at_draws=designs[selected].basis_at_draws @ best_sol.alpha,
+        density_at_draws=design.basis_at_draws[:, : len(grids[selected])] @ best_sol.alpha,
         diagnostics=_diagnostics(best_sol, data.n_rows),
         config=config,
         grid=grids[selected],

@@ -262,7 +262,8 @@ class TestBuildDesignMatrix:
         data = _tiny_data(n=4, j=3, d=1, seed=4)
         draws = halton_draws(100, 1, domain=Domain.cube(1))
         design = build_design_matrix(data, draws, _root_basis())
-        assert design.row_of(2, 1) == 7
+        assert data.row_slice([2])[1] == 7
+        assert data.y_flat[7] == data.y[2, 1]
         assert design.n_rows == data.n_rows
 
 

@@ -14,6 +14,7 @@ from sparserc.clsolver import (
     feasible_start,
     objective,
     solve_cls,
+    solve_cls_stack,
     solve_simplex_cls,
 )
 from sparserc.hiergrid import build_classical_sparse_grid
@@ -394,6 +395,113 @@ class TestBlockedNormalMatrix:
         At = hierarchical_rows(2000, 3, 4)
         touched = np.mean([cols.size for _, cols, _ in clsolver._row_blocks(At)])
         assert touched < 0.6 * At.shape[1]
+
+
+def overflowing_instance():
+    """``H = Z'Z / m`` overflows to inf, so the normal matrix never factors."""
+    rng = np.random.default_rng(0)
+    return CLSProblem(
+        Z=rng.normal(size=(10, 3)) * 1e200, y=rng.normal(size=10),
+        A_ineq=np.abs(rng.normal(size=(10, 3))), c_eq=np.ones(3),
+    )
+
+
+class TestStopReason:
+    def test_converged(self):
+        problem = random_instance(15)
+        assert solve_cls(problem).stop_reason == "converged"
+        assert solve_simplex_cls(problem.Z, problem.y).stop_reason == "converged"
+
+    def test_factorization_failed(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonConvergenceError) as exc_info:
+                solve_cls(overflowing_instance())
+            (sol,) = solve_cls_stack([overflowing_instance()])
+        assert exc_info.value.best.stop_reason == "factorization_failed"
+        assert sol.stop_reason == "factorization_failed"
+
+    def test_iteration_cap(self):
+        problem = random_instance(15)
+        with pytest.raises(NonConvergenceError) as exc_info:
+            solve_cls(problem, max_iter=3)
+        assert exc_info.value.best.stop_reason == "iteration_cap"
+        (sol,) = solve_cls_stack([problem], max_iter=3)
+        assert (sol.stop_reason, sol.iterations) == ("iteration_cap", 3)
+        with pytest.raises(NonConvergenceError) as exc_info:
+            solve_simplex_cls(problem.Z, problem.y, max_iter=1)
+        assert exc_info.value.best.stop_reason == "iteration_cap"
+
+
+def shared_constraint_instances(n, seed=40):
+    """``n`` problems on one hat-basis constraint matrix and mass vector,
+    like the fold refits of one refinement step."""
+    rng = np.random.default_rng(seed)
+    A = hierarchical_rows(300, 2, 3)
+    c = A.mean(axis=0)
+    problems = []
+    for i in range(n):
+        m = 40 + 7 * i
+        Z = rng.uniform(size=(m, A.shape[1])) * c
+        y = Z @ (rng.dirichlet(np.ones(A.shape[1])) / c) + 0.05 * rng.normal(size=m)
+        problems.append(CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c))
+    return problems
+
+
+class TestSolveStack:
+    def test_stack_of_one_is_solve_cls(self):
+        (problem,) = shared_constraint_instances(1)
+        (stacked,) = solve_cls_stack([problem])
+        solo = solve_cls(problem)
+        np.testing.assert_array_equal(stacked.alpha, solo.alpha)
+        np.testing.assert_array_equal(stacked.lambda_ineq, solo.lambda_ineq)
+        assert stacked.iterations == solo.iterations
+
+    def check_others(self, problems, sols, x0=None):
+        x0 = x0 or [None] * len(problems)
+        for problem, sol, a0 in zip(problems, sols, x0):
+            solo = solve_cls(problem, x0=a0)
+            assert sol.stop_reason == "converged"
+            assert sol.iterations == solo.iterations
+            np.testing.assert_allclose(sol.alpha, solo.alpha, rtol=0.0, atol=1e-12)
+            assert check_kkt(problem, sol)["stationarity"] <= 1e-8
+
+    def test_failed_factorization_leaves_the_others(self):
+        problems = shared_constraint_instances(3)
+        bad = problems[1]
+        problems[1] = CLSProblem(Z=bad.Z * 1e200, y=bad.y, A_ineq=bad.A_ineq, c_eq=bad.c_eq)
+        with np.errstate(all="ignore"):
+            sols = solve_cls_stack(problems)
+        assert sols[1].stop_reason == "factorization_failed"
+        assert sols[1].iterations == 1
+        self.check_others(problems[::2], sols[::2])
+
+    def test_iteration_cap_leaves_the_others(self):
+        problems = shared_constraint_instances(3)
+        counts = [solve_cls(p).iterations for p in problems]
+        slowest = int(np.argmax(counts))
+        cap = max(counts) - 1
+        assert sorted(counts)[-2] <= cap, counts
+        sols = solve_cls_stack(problems, max_iter=cap)
+        assert (sols[slowest].stop_reason, sols[slowest].iterations) == ("iteration_cap", cap)
+        others = [i for i in range(3) if i != slowest]
+        self.check_others([problems[i] for i in others], [sols[i] for i in others])
+
+    def test_mixed_cold_and_warm_starts(self):
+        problems = shared_constraint_instances(3)
+        warm = solve_cls(problems[2]).alpha
+        x0 = [None, np.full(problems[1].n_coef, np.nan), warm]
+        sols = solve_cls_stack(problems, x0=x0)
+        assert sols[1].warnings == ["malformed warm start ignored"]
+        assert sols[2].iterations < sols[0].iterations
+        self.check_others(problems, sols, x0)
+
+    @pytest.mark.parametrize("name", ["A_ineq", "c_eq"])
+    def test_problems_must_share_constraints(self, name):
+        first, second = shared_constraint_instances(2)
+        arrays = {"Z": second.Z, "y": second.y, "A_ineq": second.A_ineq, "c_eq": second.c_eq}
+        arrays[name] = arrays[name] * 2.0
+        with pytest.raises(ValueError, match=name):
+            solve_cls_stack([first, CLSProblem(**arrays)])
 
 
 class TestFeasibleStart:

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from sparserc import estimator
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import ChoiceDataset, build_design_matrix
+from sparserc.clsolver import NonConvergenceError, check_kkt, solve_cls
 from sparserc.estimator import (
     RefineOptions,
+    SolverOptions,
     _column_scores,
     aic,
     criterion_local_error,
@@ -354,6 +357,111 @@ class TestFitAsg:
         data = _data(n=20, d=1, seed=21)
         with pytest.raises(ValueError, match="max_level"):
             fit_asg(data, Domain.cube(1), 4, refine_opts=RefineOptions(max_level=3))
+
+
+class _Recorder:
+    """Stands in for a solver entry point of the ``estimator`` namespace and
+    records each call's arguments and result."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, *args, **kwargs):
+        out = self.fn(*args, **kwargs)
+        self.calls.append((args, kwargs, out))
+        return out
+
+
+def _record_solvers(monkeypatch):
+    solo = _Recorder(estimator.solve_cls)
+    stack = _Recorder(estimator.solve_cls_stack)
+    monkeypatch.setattr(estimator, "solve_cls", solo)
+    monkeypatch.setattr(estimator, "solve_cls_stack", stack)
+    return solo, stack
+
+
+class TestFoldRefits:
+    def test_every_fold_refit_is_certified(self, monkeypatch):
+        _, stack = _record_solvers(monkeypatch)
+        data = _data(n=120, j=3, d=2, seed=18)
+        opts = RefineOptions(steps=3, selection="cv_mse", k_folds=3)
+        fit_asg(data, Domain.cube(2), 2, r_draws=600, refine_opts=opts)
+        assert len(stack.calls) == 4
+        for (problems,), kwargs, sols in stack.calls:
+            x0 = kwargs["x0"] or [None] * len(problems)
+            for problem, a0, sol in zip(problems, x0, sols):
+                assert sol.stop_reason == "converged"
+                assert check_kkt(problem, sol)["stationarity"] <= 1e-8
+                assert abs(problem.c_eq @ sol.alpha - 1.0) <= 1e-8
+                assert (problem.A_ineq @ sol.alpha).min() >= -1e-8
+                solo = solve_cls(problem, x0=a0)
+                assert sol.iterations == solo.iterations
+                np.testing.assert_allclose(sol.alpha, solo.alpha, rtol=0.0, atol=1e-12)
+
+    def test_warm_starts_follow_each_fold(self, monkeypatch):
+        _, stack = _record_solvers(monkeypatch)
+        data = _data(n=90, j=3, d=2, seed=26)
+        opts = RefineOptions(steps=2, selection="cv_ll", k_folds=3)
+        fit_asg(data, Domain.cube(2), 2, r_draws=500, refine_opts=opts)
+        assert stack.calls[0][1]["x0"] is None
+        for before, after in zip(stack.calls, stack.calls[1:]):
+            for sol, warm in zip(before[2], after[1]["x0"]):
+                n = sol.alpha.shape[0]
+                np.testing.assert_array_equal(warm[:n], sol.alpha)
+                assert not warm[n:].any()
+
+
+class TestSolverEntryPoints:
+    """``perfbench``'s tracer counts solves by wrapping ``estimator.solve_cls``;
+    the fold refits reach the solver through ``estimator.solve_cls_stack``."""
+
+    def test_asg_solves_full_data_alone_and_folds_stacked(self, monkeypatch):
+        solo, stack = _record_solvers(monkeypatch)
+        data = _data(n=80, d=2, seed=25)
+        opts = RefineOptions(steps=2, selection="cv_mse", k_folds=3)
+        fit = fit_asg(data, Domain.cube(2), 2, r_draws=400, refine_opts=opts)
+        steps = len(fit.trace.records) - 1
+        assert steps == 2
+        assert len(solo.calls) == steps + 1
+        assert [len(args[0]) for args, _, _ in stack.calls] == [3] * (steps + 1)
+
+    def test_sg_solves_once(self, monkeypatch):
+        solo, stack = _record_solvers(monkeypatch)
+        fit_sg(_data(n=60, d=2, seed=1), Domain.cube(2), 2, r_draws=400)
+        assert len(solo.calls) == 1
+        assert stack.calls == []
+
+
+class TestStopReason:
+    def test_recorded_in_diagnostics_and_json(self):
+        data = _data(n=60, d=2, seed=23)
+        fit = fit_sg(data, Domain.cube(2), 2, r_draws=400)
+        assert fit.diagnostics["stop_reason"] == "converged"
+        back = fit_from_json(json.loads(json.dumps(fit_to_json(fit))))
+        assert back.diagnostics["stop_reason"] == "converged"
+        capped = fit_sg(
+            data, Domain.cube(2), 2, r_draws=400,
+            solver=SolverOptions(max_iter=3, strict=False),
+        )
+        assert capped.diagnostics["stop_reason"] == "iteration_cap"
+        assert capped.diagnostics["warnings"] == ["nonconvergence: best iterate returned"]
+
+    def test_strict_applies_to_each_problem_of_a_stack(self):
+        data = _data(n=60, d=2, seed=23)
+        design = build_design_matrix(
+            data, halton_draws(400, 2, domain=Domain.cube(2)),
+            BasisSet(build_classical_sparse_grid(2, 2), Domain.cube(2)),
+        )
+        rows = [np.arange(0, 90), np.arange(90, 180)]
+        problems = [estimator._design_problem(design, data.y_flat, r) for r in rows]
+        lenient = estimator._solve(
+            estimator.solve_cls_stack, SolverOptions(max_iter=3, strict=False), problems
+        )
+        assert [s.stop_reason for s in lenient] == ["iteration_cap"] * 2
+        assert all(s.warnings == ["nonconvergence: best iterate returned"] for s in lenient)
+        with pytest.raises(NonConvergenceError, match=r"iteration cap \(max_iter=3\)$"):
+            estimator._solve(estimator.solve_cls_stack, SolverOptions(max_iter=3), problems)
 
 
 class TestPredictProbabilities:
