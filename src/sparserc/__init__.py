@@ -42,8 +42,6 @@ from .estimator import (
     RefinementTrace,
     SolverOptions,
     aic,
-    criterion_local_error,
-    criterion_surplus,
     fit_asg,
     fit_fkrb,
     fit_from_json,
@@ -75,7 +73,6 @@ from .simulate import (
     McReport,
     MixtureComponent,
     MixtureDgp,
-    draw_coefficients,
     four_normal_mixture,
     make_dataset,
     run_experiment,

@@ -140,11 +140,6 @@ class BasisSet:
     def size(self) -> int:
         return len(self.grid)
 
-    def centers(self) -> np.ndarray:
-        """Domain-space center coordinates of all basis functions, in grid order."""
-        unit = np.array([p.unit_coords() for p in self.grid.points])
-        return self.domain.from_unit(unit)
-
     def evaluate(self, at: np.ndarray) -> np.ndarray:
         """Matrix of all basis functions at the given domain points, ``(n, B)``."""
         return evaluate_basis_columns(self.grid.points, self.domain, at)

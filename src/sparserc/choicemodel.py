@@ -173,12 +173,6 @@ class DesignMatrix:
     column_mass: np.ndarray
     basis_at_draws: np.ndarray
     basis: BasisSet
-    n_units: int
-    n_alts: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.Z.shape[0]
 
     @property
     def n_columns(self) -> int:
@@ -216,14 +210,7 @@ def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMat
         Z = np.hstack([existing.Z, Z])
         column_mass = np.concatenate([existing.column_mass, column_mass])
         phi = np.hstack([existing.basis_at_draws, phi])
-    return DesignMatrix(
-        Z=Z,
-        column_mass=column_mass,
-        basis_at_draws=phi,
-        basis=basis,
-        n_units=data.n_units,
-        n_alts=data.n_alts,
-    )
+    return DesignMatrix(Z=Z, column_mass=column_mass, basis_at_draws=phi, basis=basis)
 
 
 def build_design_matrix(
@@ -270,10 +257,7 @@ def incremental_columns(
     if not new_points:
         return existing
     new_grid = SparseGrid(
-        old_grid.dim,
-        old_grid.points + tuple(new_points),
-        base_level=0,
-        max_level=old_grid.max_level,
+        old_grid.dim, old_grid.points + tuple(new_points), max_level=old_grid.max_level
     )
     basis = BasisSet(new_grid, existing.basis.domain)
     return _assemble_columns(existing, new_points, basis, draws, data, kernel)

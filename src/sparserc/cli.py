@@ -2,8 +2,9 @@
 
 All commands are driven by JSON config files carrying ``schema_version: 1``;
 unknown keys are rejected before any computation.  Exit codes: 0 on success,
-1 on usage or config errors, 2 when a run completed with warnings (clamped
-probabilities, nonconvergent solves returning their best iterate).
+1 on usage errors, bad config or input values and unreadable or unwritable
+files, 2 when a run completed with warnings (clamped probabilities,
+nonconvergent solves returning their best iterate).
 """
 
 from __future__ import annotations
@@ -125,18 +126,15 @@ def _parse_refinement(obj: dict | None, seed: int) -> RefineOptions:
         {"steps", "points_per_step", "criterion", "selection", "k_folds", "max_level"},
         "refinement",
     )
-    try:
-        return RefineOptions(
-            steps=int(_get(obj, "steps", 10)),
-            points_per_step=int(_get(obj, "points_per_step", 1)),
-            criterion=_get(obj, "criterion", "local_error"),
-            selection=_get(obj, "selection", "cv_mse"),
-            k_folds=int(_get(obj, "k_folds", 5)),
-            max_level=int(_get(obj, "max_level", 5)),
-            cv_seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return RefineOptions(
+        steps=int(_get(obj, "steps", 10)),
+        points_per_step=int(_get(obj, "points_per_step", 1)),
+        criterion=_get(obj, "criterion", "local_error"),
+        selection=_get(obj, "selection", "cv_mse"),
+        k_folds=int(_get(obj, "k_folds", 5)),
+        max_level=int(_get(obj, "max_level", 5)),
+        cv_seed=seed,
+    )
 
 
 _DGP_PRESET = re.compile(r"^(two|four)-normals-d(\d+)$")
@@ -165,50 +163,13 @@ def _parse_dgp(config: dict) -> MixtureDgp:
     raise UsageError("config needs either a preset or an explicit dgp")
 
 
-def write_weights_csv(fit: FitResult, path) -> None:
-    """Support points and their probability weights: beta_1..beta_D, weight."""
+def write_points_csv(points: np.ndarray, values: np.ndarray, name: str, path) -> None:
+    """One value per point: columns beta_1..beta_D, then ``name``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"beta_{d + 1}" for d in range(fit.domain.dim)] + ["weight"])
-        for row, w in zip(fit.support, fit.density_at_draws):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
-
-
-def read_weights_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        support, weights = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {dim + 1} columns")
-            support.append([float(v) for v in row[:dim]])
-            weights.append(float(row[dim]))
-    return np.asarray(support), np.asarray(weights)
-
-
-def write_cdf_csv(points: np.ndarray, values: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = points.shape[1]
-        writer.writerow([f"beta_{d + 1}" for d in range(dim)] + ["F_hat"])
+        writer.writerow([f"beta_{d + 1}" for d in range(points.shape[1])] + [name])
         for row, v in zip(points, values):
             writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
-
-
-def read_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        points, values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {dim + 1} columns")
-            points.append([float(v) for v in row[:dim]])
-            values.append(float(row[dim]))
-    return np.asarray(points), np.asarray(values)
 
 
 def write_marginals_csv(fit: FitResult, path, points_per_dim: int = 201) -> None:
@@ -222,22 +183,6 @@ def write_marginals_csv(fit: FitResult, path, points_per_dim: int = 201) -> None
             vals = marginal_cdf(dist, d, grid)
             for t, v in zip(grid, vals):
                 writer.writerow([d + 1, repr(float(t)), repr(float(v))])
-
-
-def read_marginals_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    out: dict[int, tuple[list, list]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["dim", "t", "F_hat"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            d = int(row[0])
-            out.setdefault(d, ([], []))[0].append(float(row[1]))
-            out[d][1].append(float(row[2]))
-    return {d: (np.asarray(ts), np.asarray(vs)) for d, (ts, vs) in out.items()}
 
 
 def cmd_simulate(args) -> int:
@@ -286,10 +231,7 @@ def cmd_estimate(args) -> int:
          "solver", "refinement", "seed"},
         "estimate config",
     )
-    try:
-        data = read_dataset_csv(args.data)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    data = read_dataset_csv(args.data)
     estimator = _get(config, "estimator", "sg")
     if estimator not in ("sg", "asg", "fkrb"):
         raise UsageError(f"unknown estimator {estimator!r}")
@@ -325,7 +267,7 @@ def cmd_estimate(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(fit_to_json(fit), fh, indent=2)
         if args.weights_csv:
-            write_weights_csv(fit, args.weights_csv)
+            write_points_csv(fit.support, fit.density_at_draws, "weight", args.weights_csv)
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
 
@@ -346,6 +288,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for flag, value in (("--points-per-dim", args.points_per_dim),
+                        ("--truth-samples", args.truth_samples)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     try:
         with open(args.fit) as fh:
             fit = fit_from_json(json.load(fh))
@@ -353,10 +299,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"cannot load fit: {exc}") from None
     dist = DiscreteDistribution.from_fit(fit)
     if args.points:
-        try:
-            points = read_draws_csv(args.points)
-        except (OSError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
+        points = read_draws_csv(args.points)
         if points.shape[1] != fit.domain.dim:
             raise UsageError(
                 f"points have dimension {points.shape[1]}, fit has {fit.domain.dim}"
@@ -368,7 +311,7 @@ def cmd_evaluate(args) -> int:
         ]
         points = lattice_points(axes)
     values = joint_cdf(dist, points)
-    write_cdf_csv(points, values, args.out_cdf)
+    write_points_csv(points, values, "F_hat", args.out_cdf)
     write_marginals_csv(fit, args.out_marginals)
 
     summary = {
@@ -468,31 +411,28 @@ def cmd_replicate(args) -> int:
     domain = None
     if config.get("domain"):
         domain = _parse_domain(config["domain"], dgp.dim)
-    try:
-        mc = McConfig(
-            dgp=dgp,
-            n_units=int(_get(config, "n_units", 1000)),
-            replicates=int(_get(config, "replicates", 20)),
-            seed=seed,
-            n_alts=int(_get(config, "n_alts", 5)),
-            r_draws=(int(config["r_draws"]) if config.get("r_draws") else None),
-            burn_in=int(_get(config, "burn_in", 20)),
-            sg_levels=tuple(_get(config, "sg_levels", [])),
-            asg_levels=tuple(_get(config, "asg_levels", [])),
-            fkrb_q=tuple(_get(config, "fkrb_q", [])),
-            refine=_parse_refinement(config.get("refinement"), seed),
-            solver=_parse_solver(config.get("solver")),
-            domain=domain,
-            eval_points_per_dim=int(_get(config, "eval_points_per_dim", 10)),
-            eval_subsample=(
-                int(config["eval_subsample"]) if config.get("eval_subsample") else None
-            ),
-            truth_samples=int(_get(config, "truth_samples", 2_000_000)),
-            workers=(int(workers) if workers else None),
-        )
-        mc.run_labels()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mc = McConfig(
+        dgp=dgp,
+        n_units=int(_get(config, "n_units", 1000)),
+        replicates=int(_get(config, "replicates", 20)),
+        seed=seed,
+        n_alts=int(_get(config, "n_alts", 5)),
+        r_draws=(int(config["r_draws"]) if config.get("r_draws") else None),
+        burn_in=int(_get(config, "burn_in", 20)),
+        sg_levels=tuple(_get(config, "sg_levels", [])),
+        asg_levels=tuple(_get(config, "asg_levels", [])),
+        fkrb_q=tuple(_get(config, "fkrb_q", [])),
+        refine=_parse_refinement(config.get("refinement"), seed),
+        solver=_parse_solver(config.get("solver")),
+        domain=domain,
+        eval_points_per_dim=int(_get(config, "eval_points_per_dim", 10)),
+        eval_subsample=(
+            int(config["eval_subsample"]) if config.get("eval_subsample") else None
+        ),
+        truth_samples=int(_get(config, "truth_samples", 2_000_000)),
+        workers=(int(workers) if workers else None),
+    )
+    mc.run_labels()  # no estimator configured: fail before the truth table
     report = run_experiment(mc)
     try:
         with open(args.report, "w") as fh:
@@ -547,11 +487,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every usage, input-value and file error exits 1 with
+    its message (``CapacityError``, ``DeadColumnError`` and JSON decoding
+    errors are ``ValueError``s)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,9 +2,10 @@
 
 Three entry points share one contract:
 
-* :func:`solve_cls` minimizes ``||y - Z a||^2 / (2 m)`` subject to
-  ``A_ineq a >= 0`` row-wise and ``c_eq' a = 1`` (nonnegative implied
-  density at every draw, total mass one).
+* :func:`solve_cls` minimizes ``||y - Z a||^2 / (2 m)``, ``m`` the rows of
+  ``Z``, subject to ``A_ineq a >= 0`` row-wise and ``c_eq' a = 1``
+  (nonnegative implied density at every draw, total mass one).  ``A_ineq``
+  has at least one row: every fit has at least one draw.
 * :func:`solve_cls_stack` solves several such problems that share ``A_ineq``
   and ``c_eq`` in one iteration; :func:`solve_cls` is its one-problem case.
 * :func:`solve_simplex_cls` is the special case ``A_ineq = I``,
@@ -93,16 +94,14 @@ class NonConvergenceError(RuntimeError):
 class CLSProblem:
     """Data of one constrained least-squares instance.
 
-    ``objective_scale`` divides the squared-error sum; by default it is the
-    number of rows, matching the mean-squared objective.  Changing it rescales
-    the objective without moving the minimizer.
+    The objective is ``||y - Z a||^2 / (2 m)`` with ``m`` the number of rows
+    of ``Z``; ``A_ineq`` needs at least one row.
     """
 
     Z: np.ndarray
     y: np.ndarray
     A_ineq: np.ndarray
     c_eq: np.ndarray
-    objective_scale: float | None = None
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=float)
@@ -113,6 +112,8 @@ class CLSProblem:
             raise ValueError("Z must be (m, B) and y (m,)")
         if self.A_ineq.ndim != 2 or self.A_ineq.shape[1] != self.Z.shape[1]:
             raise ValueError("A_ineq must have one column per coefficient")
+        if self.A_ineq.shape[0] == 0:
+            raise ValueError("A_ineq needs at least one row")
         if self.c_eq.shape != (self.Z.shape[1],):
             raise ValueError("c_eq must have one entry per coefficient")
         if not np.any(self.c_eq > 0):
@@ -125,8 +126,6 @@ class CLSProblem:
                 raise ValueError(
                     f"{name} must be finite: entry {where} is {arr[tuple(idx)]}"
                 )
-        if self.objective_scale is None:
-            self.objective_scale = float(self.Z.shape[0])
 
     @property
     def n_coef(self) -> int:
@@ -156,9 +155,9 @@ class CLSSolution:
 
 
 def objective(problem: CLSProblem, alpha: np.ndarray) -> float:
-    """Scaled objective ``||y - Z a||^2 / (2 * objective_scale)``."""
+    """The objective ``||y - Z a||^2 / (2 m)``."""
     r = problem.y - problem.Z @ np.asarray(alpha, dtype=float)
-    return float(r @ r) / (2.0 * problem.objective_scale)
+    return float(r @ r) / (2.0 * problem.Z.shape[0])
 
 
 def _column_scale(problem: CLSProblem) -> np.ndarray:
@@ -177,11 +176,7 @@ def feasible_start(problem: CLSProblem) -> np.ndarray:
     :class:`InfeasibleError` when no feasible point exists.
     """
     A, c = problem.A_ineq, problem.c_eq
-    if problem.n_ineq == 0:
-        ok = c > 0
-    else:
-        ok = (A.min(axis=0) >= 0.0) & (c > 0)
-    idx = np.flatnonzero(ok)
+    idx = np.flatnonzero((A.min(axis=0) >= 0.0) & (c > 0))
     if idx.size:
         x = np.zeros(problem.n_coef)
         x[idx[0]] = 1.0 / c[idx[0]]
@@ -190,8 +185,8 @@ def feasible_start(problem: CLSProblem) -> np.ndarray:
 
     res = linprog(
         c=np.zeros(problem.n_coef),
-        A_ub=-A if problem.n_ineq else None,
-        b_ub=np.zeros(problem.n_ineq) if problem.n_ineq else None,
+        A_ub=-A,
+        b_ub=np.zeros(problem.n_ineq),
         A_eq=c[None, :],
         b_eq=np.array([1.0]),
         bounds=(None, None),
@@ -220,12 +215,8 @@ def _package(problem, v, s, lam, mu, iterations, ridge, warnings_, stop_reason):
     alpha = v / s
     resid = problem.y - problem.Z @ alpha
     ssr_raw = float(resid @ resid)
-    ssr = ssr_raw / (2.0 * problem.objective_scale)
-    if problem.n_ineq:
-        gx = problem.A_ineq @ alpha
-        max_viol = float(max(0.0, -gx.min()))
-    else:
-        max_viol = 0.0
+    ssr = ssr_raw / (2.0 * problem.Z.shape[0])
+    max_viol = float(max(0.0, -(problem.A_ineq @ alpha).min()))
     eq_violation = float(problem.c_eq @ alpha - 1.0)
     sol = CLSSolution(
         alpha=alpha,
@@ -410,28 +401,20 @@ def solve_cls_stack(
     start = None
     for i, (problem, a0) in enumerate(zip(problems, x0)):
         Zs = problem.Z / s
-        H[i] = Zs.T @ Zs / problem.objective_scale
+        m = problem.Z.shape[0]
+        H[i] = Zs.T @ Zs / m
         if ridge:
             H[i] += ridge * np.eye(B)
-        b[i] = Zs.T @ problem.y / problem.objective_scale
+        b[i] = Zs.T @ problem.y / m
         del Zs
         if a0 is not None:
             a0 = np.asarray(a0, dtype=float)
             if a0.shape != (B,) or not np.all(np.isfinite(a0)):
                 warnings_[i].append("malformed warm start ignored")
                 a0 = None
-        if (a0 is None or R == 0) and start is None:
+        if a0 is None and start is None:
             start = feasible_start(first)  # raises when infeasible
         v[i] = (start if a0 is None else a0) * s
-
-    if R == 0:
-        # equality-constrained least squares; one bordered solve each
-        K = [np.block([[Hi, cs[:, None]], [cs, 0.0]]) for Hi in H]
-        sols = [_solve_kkt(Ki, np.append(bi, 1.0)) for Ki, bi in zip(K, b)]
-        return [
-            _package(p, x[:B], s, np.zeros(0), x[B], 1, ridge, w, "converged")
-            for p, x, w in zip(problems, sols, warnings_)
-        ]
 
     At = first.A_ineq / s
     t = np.maximum(At.max(axis=1), -At.min(axis=1))
@@ -670,24 +653,15 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     s = _column_scale(problem)
     v = alpha * s
     Zs = problem.Z / s
-    grad = Zs.T @ (Zs @ v - problem.y) / problem.objective_scale
+    grad = Zs.T @ (Zs @ v - problem.y) / problem.Z.shape[0]
     if solution.ridge:
         grad = grad + solution.ridge * v
-    stat = grad + solution.mu_eq * (problem.c_eq / s)
-    if problem.n_ineq:
-        stat = stat - (problem.A_ineq.T @ lam) / s
-        gx = problem.A_ineq @ alpha
-        primal_ineq = float(max(0.0, -gx.min()))
-        dual = float(max(0.0, -lam.min()))
-        complementarity = float(np.max(np.abs(lam * gx)))
-    else:
-        primal_ineq = 0.0
-        dual = 0.0
-        complementarity = 0.0
+    stat = grad + solution.mu_eq * (problem.c_eq / s) - (problem.A_ineq.T @ lam) / s
+    gx = problem.A_ineq @ alpha
     return {
         "stationarity": float(np.max(np.abs(stat))),
-        "primal_ineq": primal_ineq,
+        "primal_ineq": float(max(0.0, -gx.min())),
         "primal_eq": float(abs(problem.c_eq @ alpha - 1.0)),
-        "dual": dual,
-        "complementarity": complementarity,
+        "dual": float(max(0.0, -lam.min())),
+        "complementarity": float(np.max(np.abs(lam * gx))),
     }

@@ -50,7 +50,7 @@ from .hiergrid import (
     refinable_points,
     refine,
 )
-from .quasirand import DEFAULT_BURN_IN, DrawSet, halton_draws
+from .quasirand import DEFAULT_BURN_IN, halton_draws
 
 DENSITY_FLOOR = -1e-8
 LOGLIK_CLAMP = 1e-12
@@ -322,33 +322,6 @@ def _column_scores(
 def _refinable_scores(grid: SparseGrid, scores: np.ndarray) -> dict:
     """Scores of the refinable points of ``grid``, keyed by point."""
     return {p: float(scores[grid.position(p)]) for p in refinable_points(grid)}
-
-
-def criterion_surplus(fit: FitResult) -> dict:
-    """Score refinable grid points by the magnitude of their coefficient."""
-    if fit.grid is None:
-        raise ValueError("surplus criterion needs a hierarchical-grid fit")
-    return _refinable_scores(fit.grid, _column_scores("surplus", fit.alpha))
-
-
-def criterion_local_error(
-    fit: FitResult,
-    data: ChoiceDataset,
-    draws: DrawSet,
-    design: DesignMatrix | None = None,
-) -> dict:
-    """Score refinable points by their share of the squared in-sample error.
-
-    The score of point ``p`` is ``|alpha_p| * sum_{n,j} Z[(n,j),p] *
-    resid_{n,j}^2``; a zero coefficient or a perfect fit makes it zero.
-    """
-    if fit.grid is None:
-        raise ValueError("local-error criterion needs a hierarchical-grid fit")
-    if design is None:
-        basis = BasisSet(fit.grid, fit.domain)
-        design = build_design_matrix(data, draws, basis)
-    scores = _column_scores("local_error", fit.alpha, design, data.y_flat)
-    return _refinable_scores(fit.grid, scores)
 
 
 def _aic_value(ssr_raw: float, n_rows: int, n_parameters: int) -> float:
@@ -626,61 +599,18 @@ def _fit_hierarchical(
     )
 
 
-def _point_list_json(points) -> list:
-    return [{"levels": list(p.levels), "indices": list(p.indices)} for p in points]
-
-
-def _trace_to_json(trace: RefinementTrace) -> dict:
-    return {
-        "selected_step": trace.selected_step,
-        "terminated_early": trace.terminated_early,
-        "n_clamped_loglik": trace.n_clamped_loglik,
-        "records": [
-            {
-                "step": r.step,
-                "refined_points": _point_list_json(r.refined_points),
-                "added_points": _point_list_json(r.added_points),
-                "n_parameters": r.n_parameters,
-                "in_sample_mse": r.in_sample_mse,
-                "aic": r.aic,
-                "oos_mse_folds": list(r.oos_mse_folds) if r.oos_mse_folds else None,
-                "oos_mse_mean": r.oos_mse_mean,
-                "oos_loglik_folds": list(r.oos_loglik_folds) if r.oos_loglik_folds else None,
-                "oos_loglik_mean": r.oos_loglik_mean,
-            }
-            for r in trace.records
-        ],
-    }
-
-
 def _trace_from_json(obj: dict) -> RefinementTrace:
-    records = [
-        StepRecord(
-            step=r["step"],
-            refined_points=tuple(
-                GridPoint(tuple(p["levels"]), tuple(p["indices"]))
-                for p in r["refined_points"]
-            ),
-            added_points=tuple(
-                GridPoint(tuple(p["levels"]), tuple(p["indices"]))
-                for p in r["added_points"]
-            ),
-            n_parameters=r["n_parameters"],
-            in_sample_mse=r["in_sample_mse"],
-            aic=r["aic"],
-            oos_mse_folds=tuple(r["oos_mse_folds"]) if r["oos_mse_folds"] else None,
-            oos_mse_mean=r["oos_mse_mean"],
-            oos_loglik_folds=tuple(r["oos_loglik_folds"]) if r["oos_loglik_folds"] else None,
-            oos_loglik_mean=r["oos_loglik_mean"],
-        )
-        for r in obj["records"]
-    ]
-    return RefinementTrace(
-        records=records,
-        selected_step=obj["selected_step"],
-        terminated_early=obj["terminated_early"],
-        n_clamped_loglik=obj.get("n_clamped_loglik", 0),
-    )
+    """Rebuild the trace that ``asdict`` wrote; JSON written before traces
+    recorded ``n_clamped_loglik`` gets the field's default."""
+    records = []
+    for r in obj["records"]:
+        r = dict(r)
+        for key in ("refined_points", "added_points"):
+            r[key] = tuple(GridPoint(tuple(p["levels"]), tuple(p["indices"])) for p in r[key])
+        for key in ("oos_mse_folds", "oos_loglik_folds"):
+            r[key] = tuple(r[key]) if r[key] else None
+        records.append(StepRecord(**r))
+    return RefinementTrace(**{**obj, "records": records})
 
 
 def fit_to_json(fit: FitResult) -> dict:
@@ -700,7 +630,7 @@ def fit_to_json(fit: FitResult) -> dict:
             k: (list(v) if isinstance(v, (list, tuple)) else v)
             for k, v in fit.diagnostics.items()
         },
-        "trace": _trace_to_json(fit.trace) if fit.trace is not None else None,
+        "trace": asdict(fit.trace) if fit.trace is not None else None,
     }
 
 
@@ -735,7 +665,7 @@ def fit_from_json(obj: dict) -> FitResult:
         or config.get("refinement", {}).get("max_level")
         or max(5, config["level"])
     )
-    grid = grid_from_json(obj["grid"], base_level=0, max_level=max_level)
+    grid = grid_from_json(obj["grid"], max_level=max_level)
     draws = halton_draws(
         config["draws"]["r"],
         domain.dim,

@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 DEFAULT_MAX_LEVEL = 5
+# Largest full tensor grid :func:`build_full_grid` builds.
+FULL_GRID_CAP = 2_000_000
 
 
 class CapacityError(ValueError):
@@ -122,13 +124,12 @@ class SparseGrid:
     returns a new grid whose point list starts with the old one.
     """
 
-    __slots__ = ("dim", "points", "base_level", "max_level", "_pos")
+    __slots__ = ("dim", "points", "max_level", "_pos")
 
     def __init__(
         self,
         dim: int,
         points,
-        base_level: int = 0,
         max_level: int = DEFAULT_MAX_LEVEL,
         validate: bool = True,
     ):
@@ -137,7 +138,6 @@ class SparseGrid:
             raise ValueError("grid must contain at least one point")
         self.dim = int(dim)
         self.points = points
-        self.base_level = int(base_level)
         self.max_level = int(max_level)
         self._pos = {p: k for k, p in enumerate(points)}
         if validate:
@@ -177,7 +177,7 @@ class SparseGrid:
     def __repr__(self) -> str:
         return (
             f"SparseGrid(dim={self.dim}, n_points={len(self.points)}, "
-            f"base_level={self.base_level}, max_level={self.max_level})"
+            f"max_level={self.max_level})"
         )
 
     def position(self, point: GridPoint) -> int:
@@ -240,29 +240,24 @@ def build_classical_sparse_grid(
         for idx in itertools.product(*(index_set(l) for l in lv)):
             points.append(GridPoint(lv, idx))
     points.sort(key=GridPoint.sort_key)
-    return SparseGrid(dim, points, base_level=level, max_level=max_level, validate=False)
+    return SparseGrid(dim, points, max_level=max_level, validate=False)
 
 
-def build_full_grid(
-    dim: int,
-    level: int,
-    max_level: int | None = None,
-    size_cap: int = 2_000_000,
-) -> SparseGrid:
+def build_full_grid(dim: int, level: int, max_level: int | None = None) -> SparseGrid:
     """The full tensor grid with per-dimension levels up to ``level``.
 
     Contains ``(2**level - 1)**dim`` points; raises :class:`CapacityError`
-    when that count exceeds ``size_cap``.
+    when that count exceeds ``FULL_GRID_CAP``.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     count = (2**level - 1) ** dim
-    if count > size_cap:
+    if count > FULL_GRID_CAP:
         raise CapacityError(
             f"full grid with dim={dim}, level={level} has {count} points, "
-            f"exceeding the cap of {size_cap}"
+            f"exceeding the cap of {FULL_GRID_CAP}"
         )
     if max_level is None:
         max_level = max(DEFAULT_MAX_LEVEL, level)
@@ -273,7 +268,7 @@ def build_full_grid(
         for idx in itertools.product(*(index_set(l) for l in lv)):
             points.append(GridPoint(lv, idx))
     points.sort(key=GridPoint.sort_key)
-    return SparseGrid(dim, points, base_level=level, max_level=max_level, validate=False)
+    return SparseGrid(dim, points, max_level=max_level, validate=False)
 
 
 def refinable_points(grid: SparseGrid) -> list[GridPoint]:
@@ -350,11 +345,7 @@ def refine(grid: SparseGrid, targets) -> tuple[SparseGrid, RefinementReport]:
                 queue.append(parent)
     added = sorted(children + ancestors, key=GridPoint.sort_key)
     new_grid = SparseGrid(
-        grid.dim,
-        grid.points + tuple(added),
-        base_level=0,
-        max_level=grid.max_level,
-        validate=False,
+        grid.dim, grid.points + tuple(added), max_level=grid.max_level, validate=False
     )
     report = RefinementReport(
         children=tuple(sorted(children, key=GridPoint.sort_key)),
@@ -369,15 +360,11 @@ def grid_to_json(grid: SparseGrid) -> list[dict]:
     return [{"levels": list(p.levels), "indices": list(p.indices)} for p in grid.points]
 
 
-def grid_from_json(
-    items: list[dict],
-    base_level: int = 0,
-    max_level: int | None = None,
-) -> SparseGrid:
+def grid_from_json(items: list[dict], max_level: int | None = None) -> SparseGrid:
     """Rebuild a grid from :func:`grid_to_json` output."""
     points = [GridPoint(tuple(it["levels"]), tuple(it["indices"])) for it in items]
     if not points:
         raise ValueError("empty grid serialization")
     if max_level is None:
         max_level = max(DEFAULT_MAX_LEVEL, max(max(p.levels) for p in points))
-    return SparseGrid(points[0].dim, points, base_level=base_level, max_level=max_level)
+    return SparseGrid(points[0].dim, points, max_level=max_level)

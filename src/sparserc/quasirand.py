@@ -105,17 +105,9 @@ def halton_draws(
     return DrawSet(draws=domain.from_unit(unit), domain=domain, burn_in=burn_in)
 
 
-def write_draws_csv(drawset: DrawSet, path) -> None:
-    """Dump draws as CSV with headers ``beta_1 .. beta_D``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"beta_{d + 1}" for d in range(drawset.dim)])
-        for row in drawset.draws:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def read_draws_csv(path) -> np.ndarray:
-    """Read a draws CSV back into an ``(R, D)`` array."""
+    """Read a CSV of points (a header, then one point per row) into an
+    ``(R, D)`` array; malformed rows raise with their line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -124,5 +116,10 @@ def read_draws_csv(path) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != dim:
                 raise ValueError(f"{path}: line {lineno}: expected {dim} columns")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

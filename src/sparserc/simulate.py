@@ -127,11 +127,6 @@ def dgp_from_json(obj: dict) -> MixtureDgp:
     )
 
 
-def draw_coefficients(dgp: MixtureDgp, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample coefficient vectors from the mixture."""
-    return dgp.sample(n, rng)
-
-
 def simulate_choices(
     betas: np.ndarray, n_alts: int, rng: np.random.Generator
 ) -> ChoiceDataset:

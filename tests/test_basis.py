@@ -107,14 +107,14 @@ class TestBasisSet:
     def test_center_normalization(self):
         grid = build_classical_sparse_grid(2, 3)
         basis = BasisSet(grid, Domain.cube(2))
-        centers = basis.centers()
+        centers = basis.domain.from_unit(np.array([p.unit_coords() for p in grid.points]))
         vals = basis.evaluate(centers)
         np.testing.assert_allclose(np.diag(vals), 1.0, atol=1e-14)
 
     def test_collocation_matrix_unit_lower_triangular(self):
         grid = build_classical_sparse_grid(3, 3)
         basis = BasisSet(grid, Domain.cube(3))
-        mat = basis.evaluate(basis.centers())
+        mat = basis.evaluate(basis.domain.from_unit([p.unit_coords() for p in grid.points]))
         np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-14)
         upper = np.triu(mat, k=1)
         assert np.abs(upper).max() == 0.0

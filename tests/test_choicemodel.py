@@ -264,7 +264,7 @@ class TestBuildDesignMatrix:
         design = build_design_matrix(data, draws, _root_basis())
         assert data.row_slice([2])[1] == 7
         assert data.y_flat[7] == data.y[2, 1]
-        assert design.n_rows == data.n_rows
+        assert design.Z.shape[0] == data.n_rows
 
 
 class _CountingKernel:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from sparserc.choicemodel import read_dataset_csv
-from sparserc.cli import (
-    EXIT_OK,
-    EXIT_USAGE,
-    main,
-    read_cdf_csv,
-    read_marginals_csv,
-    read_weights_csv,
-)
+from sparserc.cli import EXIT_OK, EXIT_USAGE, main
 from sparserc.estimator import fit_from_json
 from sparserc.simulate import report_from_json
 
@@ -37,6 +30,22 @@ def simulated(tmp_path):
     )
     assert main(["simulate", cfg]) == EXIT_OK
     return tmp_path
+
+
+@pytest.fixture
+def fitted(simulated):
+    cfg = write_config(
+        simulated / "est.json",
+        {"estimator": "sg", "level": 2, "draws": {"r": 300}},
+    )
+    out = simulated / "fit.json"
+    assert main(["estimate", cfg, str(simulated / "data.csv"), "--out", str(out)]) == EXIT_OK
+    return simulated
+
+
+def read_table(path):
+    """A CSV the CLI wrote, without its header, as a 2-D array."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 class TestSimulateCommand:
@@ -154,9 +163,10 @@ class TestEstimateCommand:
             )
             == EXIT_OK
         )
-        support, w = read_weights_csv(weights)
-        assert support.shape == (300, 2)
-        assert w.sum() == pytest.approx(1.0, abs=1e-8)
+        table = read_table(weights)
+        assert weights.read_text().splitlines()[0] == "beta_1,beta_2,weight"
+        assert table.shape == (300, 3)
+        assert table[:, 2].sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_fkrb_requires_q(self, simulated):
         cfg = write_config(simulated / "est.json", {"estimator": "fkrb"})
@@ -192,16 +202,6 @@ class TestEstimateCommand:
 
 
 class TestEvaluateCommand:
-    @pytest.fixture
-    def fitted(self, simulated):
-        cfg = write_config(
-            simulated / "est.json",
-            {"estimator": "sg", "level": 2, "draws": {"r": 300}},
-        )
-        out = simulated / "fit.json"
-        assert main(["estimate", cfg, str(simulated / "data.csv"), "--out", str(out)]) == EXIT_OK
-        return simulated
-
     def test_outputs_parse_and_are_consistent(self, fitted):
         code = main(
             ["evaluate", str(fitted / "fit.json"),
@@ -212,13 +212,15 @@ class TestEvaluateCommand:
              "--out-summary", str(fitted / "summary.json")]
         )
         assert code == EXIT_OK
-        pts, vals = read_cdf_csv(fitted / "cdf.csv")
-        assert pts.shape == (100, 2)
+        assert (fitted / "cdf.csv").read_text().splitlines()[0] == "beta_1,beta_2,F_hat"
+        cdf = read_table(fitted / "cdf.csv")
+        assert cdf.shape == (100, 3)
+        vals = cdf[:, 2]
         assert vals.min() >= -1e-9 and vals.max() <= 1 + 1e-9
-        marg = read_marginals_csv(fitted / "marg.csv")
-        assert set(marg) == {1, 2}
-        for _, (ts, fs) in marg.items():
-            assert (np.diff(fs) >= -1e-12).all()
+        marg = read_table(fitted / "marg.csv")
+        assert set(marg[:, 0]) == {1, 2}
+        for d in (1, 2):
+            assert (np.diff(marg[marg[:, 0] == d, 2]) >= -1e-12).all()
         summary = json.loads((fitted / "summary.json").read_text())
         assert summary["n_parameters"] == 5
         assert summary["ise"] is not None and summary["ise"] >= 0
@@ -235,9 +237,9 @@ class TestEvaluateCommand:
              "--out-summary", str(tmp_path / "s.json")]
         )
         assert code == EXIT_OK
-        pts, vals = read_cdf_csv(tmp_path / "cdf.csv")
-        assert pts.shape == (2, 2)
-        assert vals[1] == pytest.approx(1.0, abs=1e-9)
+        cdf = read_table(tmp_path / "cdf.csv")
+        assert cdf.shape == (2, 3)
+        assert cdf[1, 2] == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self, fitted, tmp_path):
         pts_file = tmp_path / "pts.csv"
@@ -247,8 +249,41 @@ class TestEvaluateCommand:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [("beta_1,beta_2\n", "no data rows"), ("beta_1,beta_2\n0.0,x\n", "line 2")],
+        ids=["header-only", "not-a-number"],
+    )
+    def test_malformed_points_csv(self, fitted, tmp_path, capsys, content, expected):
+        pts_file = tmp_path / "pts.csv"
+        pts_file.write_text(content)
+        code = main(
+            ["evaluate", str(fitted / "fit.json"), "--points", str(pts_file),
+             "--out-cdf", str(tmp_path / "cdf.csv"),
+             "--out-marginals", str(tmp_path / "marg.csv"),
+             "--out-summary", str(tmp_path / "s.json")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pts.csv" in err and expected in err
+
     def test_missing_fit_file(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "nope.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--truth-samples", "0"), ("--points-per-dim", "-1")]
+    )
+    def test_nonpositive_count_is_usage_error(self, fitted, capsys, flag, value):
+        code = main(
+            ["evaluate", str(fitted / "fit.json"),
+             "--truth", str(fitted / "truth.json"), flag, value,
+             "--out-cdf", str(fitted / "cdf.csv"),
+             "--out-marginals", str(fitted / "marg.csv"),
+             "--out-summary", str(fitted / "summary.json")]
+        )
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (fitted / "summary.json").exists()
 
 
 class TestReplicateCommand:
@@ -321,3 +356,44 @@ class TestUsage:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == EXIT_USAGE
+
+
+# Bad values that only the library detects (ValueError, CapacityError, OSError):
+# (command, config); the evaluate case writes its CDF into a missing directory.
+LIBRARY_ERRORS = {
+    "n_units-not-a-number": ("simulate", {"preset": "two-normals-d2", "n_units": "abc"}),
+    "level-not-a-number": ("estimate", {"estimator": "sg", "level": "x"}),
+    "tol-not-a-number": ("estimate", {"estimator": "sg", "level": 2, "solver": {"tol": "x"}}),
+    "zero-draws": ("estimate", {"estimator": "sg", "level": 2, "draws": {"r": 0}}),
+    "more-folds-than-units": (
+        "estimate",
+        {"estimator": "asg", "level": 2, "draws": {"r": 300},
+         "refinement": {"steps": 0, "k_folds": 1000}},
+    ),
+    "fkrb-over-capacity": ("estimate", {"estimator": "fkrb", "q": 40}),
+    "unwritable-cdf": ("evaluate", None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config", LIBRARY_ERRORS.values(), ids=list(LIBRARY_ERRORS)
+)
+def test_library_error_exits_one_without_traceback(fitted, capsys, command, config):
+    out = fitted / "out"
+    out.mkdir()
+    if command == "simulate":
+        config = {**config, "out_data": str(out / "d.csv"), "out_truth": str(out / "t.json")}
+        argv = [command, write_config(out / "bad.json", config)]
+    elif command == "estimate":
+        argv = [command, write_config(out / "bad.json", config),
+                str(fitted / "data.csv"), "--out", str(out / "fit.json")]
+    else:
+        argv = [command, str(fitted / "fit.json"),
+                "--out-cdf", str(out / "missing" / "cdf.csv"),
+                "--out-marginals", str(out / "marg.csv"),
+                "--out-summary", str(out / "summary.json")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

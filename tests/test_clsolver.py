@@ -55,8 +55,8 @@ def enumerate_face_optimum(problem, feas_tol=1e-9):
     """
     Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
     B, R = problem.n_coef, problem.n_ineq
-    H = Z.T @ Z / problem.objective_scale
-    b = Z.T @ y / problem.objective_scale
+    H = Z.T @ Z / Z.shape[0]
+    b = Z.T @ y / Z.shape[0]
     best = np.inf
     best_x = None
     for size in range(0, min(B, R) + 1):
@@ -72,7 +72,7 @@ def enumerate_face_optimum(problem, feas_tol=1e-9):
             x = sol[:B]
             if abs(c @ x - 1.0) > 1e-7:
                 continue
-            if R and (A @ x).min() < -feas_tol:
+            if (A @ x).min() < -feas_tol:
                 continue
             val = objective(problem, x)
             if val < best:
@@ -103,10 +103,10 @@ def grid_search_optimum(problem, rounds=7, points=31, width=8.0):
         axes = [np.linspace(center[k] - w, center[k] + w, points) for k in range(B - 1)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, B - 1)
         full = assemble(mesh)
-        feas = (full @ A.T).min(axis=1) >= -1e-9 if problem.n_ineq else np.ones(len(full), bool)
+        feas = (full @ A.T).min(axis=1) >= -1e-9
         if feas.any():
             resid = y[None, :] - full[feas] @ Z.T
-            vals = (resid**2).sum(axis=1) / (2.0 * problem.objective_scale)
+            vals = (resid**2).sum(axis=1) / (2.0 * Z.shape[0])
             k = int(np.argmin(vals))
             if vals[k] < best:
                 best = float(vals[k])
@@ -142,11 +142,8 @@ class TestTrivialSolves:
         rng = np.random.default_rng(2)
         Z = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        c = np.ones(3)
-        problem = CLSProblem(Z=Z, y=y, A_ineq=np.zeros((0, 3)), c_eq=c)
-        sol = solve_cls(problem)
-        assert abs(sol.eq_violation) < 1e-10
-        assert sol.kkt_residual < 1e-8
+        with pytest.raises(ValueError, match="A_ineq"):
+            CLSProblem(Z=Z, y=y, A_ineq=np.zeros((0, 3)), c_eq=np.ones(3))
 
 
 class TestBruteForceAgreement:
@@ -176,7 +173,7 @@ class TestBruteForceAgreement:
         full[:, pivot] = (1.0 - mesh @ c[others]) / c[pivot]
         feas = (full @ A.T).min(axis=1) >= -1e-9
         resid = y[None, :] - full[feas] @ Z.T
-        vals = (resid**2).sum(axis=1) / (2.0 * problem.objective_scale)
+        vals = (resid**2).sum(axis=1) / (2.0 * Z.shape[0])
         assert sol.ssr <= vals.min() + 1e-5
 
     def test_kkt_certificates_on_random_instances(self):
@@ -198,15 +195,6 @@ class TestSolverContracts:
         b = solve_cls(problem)
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert a.iterations == b.iterations
-
-    def test_scale_invariance_of_minimizer(self):
-        base = random_instance(12)
-        scaled = CLSProblem(
-            Z=base.Z, y=base.y, A_ineq=base.A_ineq, c_eq=base.c_eq, objective_scale=1.0
-        )
-        a = solve_cls(base)
-        b = solve_cls(scaled)
-        np.testing.assert_allclose(a.alpha, b.alpha, atol=1e-6)
 
     def test_warm_starts_agree(self):
         problem = random_instance(13, nonneg_rows=True)

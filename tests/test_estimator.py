@@ -12,9 +12,8 @@ from sparserc.estimator import (
     RefineOptions,
     SolverOptions,
     _column_scores,
+    _refinable_scores,
     aic,
-    criterion_local_error,
-    criterion_surplus,
     fit_asg,
     fit_fkrb,
     fit_from_json,
@@ -115,19 +114,16 @@ class TestCriteria:
 
     def test_surplus_scores_are_coefficient_magnitudes(self):
         _, fit, _, _ = self._fitted()
-        scores = criterion_surplus(fit)
+        scores = _refinable_scores(fit.grid, _column_scores("surplus", fit.alpha))
+        assert scores
         for p, v in scores.items():
             assert v == abs(float(fit.alpha[fit.grid.position(p)]))
 
-    def test_surplus_requires_grid_fit(self):
-        data = _data(n=40, d=2, seed=10)
-        fk = fit_fkrb(data, Domain.cube(2), 3)
-        with pytest.raises(ValueError):
-            criterion_surplus(fk)
-
     def test_local_error_zero_for_zero_coefficient(self):
         data, fit, draws, design = self._fitted()
-        scores = criterion_local_error(fit, data, draws, design=design)
+        scores = _refinable_scores(
+            fit.grid, _column_scores("local_error", fit.alpha, design, data.y_flat)
+        )
         for p, v in scores.items():
             if fit.alpha[fit.grid.position(p)] == 0.0:
                 assert v == 0.0
@@ -136,7 +132,9 @@ class TestCriteria:
         data, fit, draws, design = self._fitted()
         one = ChoiceDataset(data.x[:1], data.y[:1], data.unit_ids[:1])
         one_design = build_design_matrix(one, draws, design.basis)
-        scores = criterion_local_error(fit, one, draws, design=one_design)
+        scores = _refinable_scores(
+            fit.grid, _column_scores("local_error", fit.alpha, one_design, one.y_flat)
+        )
         resid_sq = float((one.y_flat - one_design.Z @ fit.alpha) ** 2 @ np.ones(one.n_rows))
         for p, v in scores.items():
             b = fit.grid.position(p)

@@ -316,8 +316,7 @@ class TestSerialization:
     def test_round_trip(self):
         grid = build_classical_sparse_grid(3, 3)
         blob = json.dumps(grid_to_json(grid))
-        back = grid_from_json(json.loads(blob), base_level=grid.base_level,
-                              max_level=grid.max_level)
+        back = grid_from_json(json.loads(blob), max_level=grid.max_level)
         assert back.points == grid.points
         assert back.dim == grid.dim
 

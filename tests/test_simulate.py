@@ -10,7 +10,6 @@ from sparserc.simulate import (
     MixtureDgp,
     dgp_from_json,
     dgp_to_json,
-    draw_coefficients,
     four_normal_mixture,
     make_dataset,
     report_from_json,
@@ -64,12 +63,12 @@ class TestDrawCoefficients:
         dgp = MixtureDgp(
             components=(MixtureComponent(1.0, np.array([2.0, -1.0]), np.eye(2) * 1e-18),)
         )
-        draws = draw_coefficients(dgp, 100, np.random.default_rng(0))
+        draws = dgp.sample(100, np.random.default_rng(0))
         np.testing.assert_allclose(draws, np.tile([2.0, -1.0], (100, 1)), atol=1e-6)
 
     def test_symmetric_means_average_to_zero(self):
         dgp = two_normal_mixture(2)
-        draws = draw_coefficients(dgp, 1_000_000, np.random.default_rng(1))
+        draws = dgp.sample(1_000_000, np.random.default_rng(1))
         # per-dimension variance is 0.4 + 1.5^2, so 3 SE is ~0.0049
         se = np.sqrt((0.4 + 1.5**2) / 1_000_000)
         assert np.abs(draws.mean(axis=0)).max() < 3 * se
@@ -77,14 +76,14 @@ class TestDrawCoefficients:
     def test_component_covariance_recovered(self):
         comp = two_normal_mixture(3).components[0]
         dgp = MixtureDgp(components=(MixtureComponent(1.0, comp.mean, comp.cov),))
-        draws = draw_coefficients(dgp, 1_000_000, np.random.default_rng(2))
+        draws = dgp.sample(1_000_000, np.random.default_rng(2))
         cov = np.cov(draws.T)
         # moment SEs at this sample size are below 0.002
         np.testing.assert_allclose(cov, comp.cov, atol=0.006)
 
     def test_coverage_of_estimation_box(self):
         for dgp in (two_normal_mixture(2), four_normal_mixture(2)):
-            draws = draw_coefficients(dgp, 1_000_000, np.random.default_rng(3))
+            draws = dgp.sample(1_000_000, np.random.default_rng(3))
             inside = (np.abs(draws) <= 4.0).all(axis=1).mean()
             assert inside >= 0.998
 
