@@ -58,6 +58,10 @@ class Domain:
         u = np.asarray(u, dtype=float)
         return self.lower + u * self.width
 
+    def axes(self, points_per_dim: int) -> list[np.ndarray]:
+        """``points_per_dim`` evenly spaced coordinates per axis, bounds included."""
+        return [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
+
 
 def hat(t):
     """The reference hat ``max(0, 1 - |t|)``; accepts scalars or arrays."""

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
+import types
 
 import numpy as np
 
 from .basis import Domain
 from .choicemodel import read_dataset_csv, write_dataset_csv
 from .distribution import (
+    TRUTH_SAMPLES,
     DiscreteDistribution,
     joint_cdf,
     lattice_points,
@@ -31,13 +34,14 @@ from .estimator import (
     FitResult,
     RefineOptions,
     SolverOptions,
+    check_fields,
     fit_asg,
     fit_fkrb,
     fit_from_json,
     fit_sg,
     fit_to_json,
 )
-from .quasirand import read_draws_csv
+from .quasirand import DEFAULT_BURN_IN, read_draws_csv
 from .simulate import (
     McConfig,
     MixtureDgp,
@@ -95,6 +99,13 @@ def _get(obj: dict, key: str, default):
     return default if value is None else value
 
 
+def _count(obj: dict, key: str, default, low: int = 1):
+    """``obj[key]`` (``default`` if absent or null), checked as an integer ``>= low``."""
+    setting = types.SimpleNamespace(**{key: _get(obj, key, default)})
+    check_fields(setting, int, key, low=low, optional=True)
+    return getattr(setting, key)
+
+
 def _parse_domain(obj: dict | None, dim: int) -> Domain:
     if obj is None:
         return Domain.cube(dim)
@@ -108,33 +119,22 @@ def _parse_domain(obj: dict | None, dim: int) -> Domain:
     return domain
 
 
-def _parse_solver(obj: dict | None) -> SolverOptions:
-    obj = obj or {}
-    _check_keys(obj, {"tol", "max_iter", "ridge"}, "solver")
-    return SolverOptions(
-        tol=float(_get(obj, "tol", 1e-8)),
-        max_iter=int(_get(obj, "max_iter", 10_000)),
-        ridge=float(_get(obj, "ridge", 0.0)),
-        strict=False,
-    )
+def _options(cls, obj: dict | None, where: str, skip=(), **given):
+    """Build option dataclass ``cls`` from config object ``obj`` by field name.
 
-
-def _parse_refinement(obj: dict | None, seed: int) -> RefineOptions:
+    The caller sets the ``given`` fields and reads the ``skip`` keys; every
+    other key must name a field.  A null value leaves its field at the
+    default, and a bad value is a usage error that names it.
+    """
     obj = obj or {}
-    _check_keys(
-        obj,
-        {"steps", "points_per_step", "criterion", "selection", "k_folds", "max_level"},
-        "refinement",
-    )
-    return RefineOptions(
-        steps=int(_get(obj, "steps", 10)),
-        points_per_step=int(_get(obj, "points_per_step", 1)),
-        criterion=_get(obj, "criterion", "local_error"),
-        selection=_get(obj, "selection", "cv_mse"),
-        k_folds=int(_get(obj, "k_folds", 5)),
-        max_level=int(_get(obj, "max_level", 5)),
-        cv_seed=seed,
-    )
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    fields = {f.name for f in dataclasses.fields(cls)} - set(given)
+    _check_keys(obj, fields | set(skip), where)
+    try:
+        return cls(**{k: v for k, v in obj.items() if k in fields and v is not None}, **given)
+    except ValueError as exc:
+        raise UsageError(f"invalid {where}: {exc}") from None
 
 
 _DGP_PRESET = re.compile(r"^(two|four)-normals-d(\d+)$")
@@ -152,9 +152,9 @@ def _dgp_from_preset(name: str) -> MixtureDgp:
     return two_normal_mixture(dim) if m.group(1) == "two" else four_normal_mixture(dim)
 
 
-def _parse_dgp(config: dict) -> MixtureDgp:
-    if config.get("preset"):
-        return _dgp_from_preset(config["preset"])
+def _parse_dgp(config: dict, preset_key: str = "preset") -> MixtureDgp:
+    if config.get(preset_key):
+        return _dgp_from_preset(config[preset_key])
     if config.get("dgp"):
         try:
             return dgp_from_json(config["dgp"])
@@ -178,8 +178,7 @@ def write_marginals_csv(fit: FitResult, path, points_per_dim: int = 201) -> None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dim", "t", "F_hat"])
-        for d in range(fit.domain.dim):
-            grid = np.linspace(fit.domain.lower[d], fit.domain.upper[d], points_per_dim)
+        for d, grid in enumerate(fit.domain.axes(points_per_dim)):
             vals = marginal_cdf(dist, d, grid)
             for t, v in zip(grid, vals):
                 writer.writerow([d + 1, repr(float(t)), repr(float(v))])
@@ -194,11 +193,9 @@ def cmd_simulate(args) -> int:
         "simulate config",
     )
     dgp = _parse_dgp(config)
-    n_units = int(_get(config, "n_units", 1000))
-    n_alts = int(_get(config, "n_alts", 5))
-    seed = int(_get(config, "seed", 0))
-    if n_units < 1 or n_alts < 1:
-        raise UsageError("n_units and n_alts must be positive")
+    n_units = _count(config, "n_units", McConfig.n_units)
+    n_alts = _count(config, "n_alts", McConfig.n_alts)
+    seed = _count(config, "seed", 0, low=0)
     out_data = _get(config, "out_data", "data.csv")
     out_truth = _get(config, "out_truth", "truth.json")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -223,42 +220,48 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# The config keys each estimator reads besides the common ones.
+_ESTIMATOR_KEYS = {
+    "sg": {"level", "draws"}, "asg": {"level", "draws", "refinement"}, "fkrb": {"q"},
+}
+
+
 def cmd_estimate(args) -> int:
     config = _load_config(args.config)
-    _check_keys(
-        config,
-        {"schema_version", "estimator", "level", "q", "domain", "draws",
-         "solver", "refinement", "seed"},
-        "estimate config",
-    )
-    data = read_dataset_csv(args.data)
     estimator = _get(config, "estimator", "sg")
     if estimator not in ("sg", "asg", "fkrb"):
         raise UsageError(f"unknown estimator {estimator!r}")
+    _check_keys(
+        config,
+        {"schema_version", "estimator", "domain", "solver", "seed"} | _ESTIMATOR_KEYS[estimator],
+        f"{estimator} estimate config",
+    )
+    data = read_dataset_csv(args.data)
     domain = _parse_domain(config.get("domain"), data.dim)
-    solver = _parse_solver(config.get("solver"))
-    seed = int(_get(config, "seed", 0))
+    solver = _options(SolverOptions, config.get("solver"), "solver", strict=False)
+    seed = _count(config, "seed", 0, low=0)
     draws_cfg = config.get("draws") or {}
     _check_keys(draws_cfg, {"rule", "r", "burn_in"}, "draws")
     if _get(draws_cfg, "rule", "halton") != "halton":
         raise UsageError("only the halton draw rule is supported")
-    r_draws = draws_cfg.get("r")
-    r_draws = int(r_draws) if r_draws is not None else None
-    burn_in = int(_get(draws_cfg, "burn_in", 20))
+    r_draws = _count(draws_cfg, "r", None)
+    burn_in = _count(draws_cfg, "burn_in", DEFAULT_BURN_IN, low=0)
 
     if estimator == "fkrb":
-        q = config.get("q")
+        q = _count(config, "q", None)
         if q is None:
             raise UsageError("fkrb estimation requires \"q\"")
-        fit = fit_fkrb(data, domain, int(q), solver=solver)
+        fit = fit_fkrb(data, domain, q, solver=solver)
     else:
-        level = int(_get(config, "level", 4))
+        level = _count(config, "level", 4)
         if estimator == "sg":
             fit = fit_sg(
                 data, domain, level, r_draws=r_draws, solver=solver, burn_in=burn_in
             )
         else:
-            refinement = _parse_refinement(config.get("refinement"), seed)
+            refinement = _options(
+                RefineOptions, config.get("refinement"), "refinement", cv_seed=seed
+            )
             fit = fit_asg(
                 data, domain, level, r_draws=r_draws,
                 refine_opts=refinement, solver=solver, burn_in=burn_in,
@@ -305,11 +308,7 @@ def cmd_evaluate(args) -> int:
                 f"points have dimension {points.shape[1]}, fit has {fit.domain.dim}"
             )
     else:
-        axes = [
-            np.linspace(fit.domain.lower[d], fit.domain.upper[d], args.points_per_dim)
-            for d in range(fit.domain.dim)
-        ]
-        points = lattice_points(axes)
+        points = lattice_points(fit.domain.axes(args.points_per_dim))
     values = joint_cdf(dist, points)
     write_points_csv(points, values, "F_hat", args.out_cdf)
     write_marginals_csv(fit, args.out_marginals)
@@ -350,8 +349,6 @@ def cmd_evaluate(args) -> int:
 _REPLICATE_PRESETS = {
     "table2-d2-n1000-scaled": {
         "preset_dgp": "two-normals-d2",
-        "n_units": 1000,
-        "replicates": 20,
         "seed": 20240,
         "sg_levels": [3],
         "asg_levels": [3],
@@ -359,12 +356,9 @@ _REPLICATE_PRESETS = {
     },
     "adaptive-d2-n1000-scaled": {
         "preset_dgp": "four-normals-d2",
-        "n_units": 1000,
-        "replicates": 20,
         "seed": 20241,
         "sg_levels": [2],
         "asg_levels": [2],
-        "fkrb_q": [],
     },
     "smoke": {
         "preset_dgp": "two-normals-d2",
@@ -372,24 +366,14 @@ _REPLICATE_PRESETS = {
         "replicates": 1,
         "seed": 7,
         "sg_levels": [2],
-        "asg_levels": [],
-        "fkrb_q": [],
         "r_draws": 500,
         "truth_samples": 200_000,
     },
 }
 
-_REPLICATE_KEYS = {
-    "schema_version", "preset", "preset_dgp", "dgp", "n_units", "n_alts",
-    "replicates", "seed", "r_draws", "burn_in", "sg_levels", "asg_levels",
-    "fkrb_q", "refinement", "solver", "domain", "eval_points_per_dim",
-    "eval_subsample", "truth_samples", "workers",
-}
-
 
 def cmd_replicate(args) -> int:
     config = _load_config(args.config)
-    _check_keys(config, _REPLICATE_KEYS, "replicate config")
     if config.get("preset"):
         preset = _REPLICATE_PRESETS.get(config["preset"])
         if preset is None:
@@ -397,42 +381,22 @@ def cmd_replicate(args) -> int:
                 f"unknown replicate preset {config['preset']!r}; "
                 f"available: {', '.join(sorted(_REPLICATE_PRESETS))}"
             )
-        merged = dict(preset)
-        merged.update({k: v for k, v in config.items() if k not in ("schema_version", "preset")})
-        config = {"schema_version": SCHEMA_VERSION, **merged}
-    if config.get("preset_dgp"):
-        dgp = _dgp_from_preset(config["preset_dgp"])
-    else:
-        dgp = _parse_dgp(config)
-    seed = int(_get(config, "seed", 0))
-    workers = config.get("workers")
-    if args.workers is not None:
-        workers = args.workers
-    domain = None
-    if config.get("domain"):
-        domain = _parse_domain(config["domain"], dgp.dim)
-    mc = McConfig(
-        dgp=dgp,
-        n_units=int(_get(config, "n_units", 1000)),
-        replicates=int(_get(config, "replicates", 20)),
-        seed=seed,
-        n_alts=int(_get(config, "n_alts", 5)),
-        r_draws=(int(config["r_draws"]) if config.get("r_draws") else None),
-        burn_in=int(_get(config, "burn_in", 20)),
-        sg_levels=tuple(_get(config, "sg_levels", [])),
-        asg_levels=tuple(_get(config, "asg_levels", [])),
-        fkrb_q=tuple(_get(config, "fkrb_q", [])),
-        refine=_parse_refinement(config.get("refinement"), seed),
-        solver=_parse_solver(config.get("solver")),
-        domain=domain,
-        eval_points_per_dim=int(_get(config, "eval_points_per_dim", 10)),
-        eval_subsample=(
-            int(config["eval_subsample"]) if config.get("eval_subsample") else None
+        config = {**preset, **{k: v for k, v in config.items() if k != "preset"}}
+    dgp = _parse_dgp(config, "preset_dgp")
+    domain = _parse_domain(config["domain"], dgp.dim) if config.get("domain") else None
+    # the CLI uses every core unless the config or --workers says otherwise
+    workers = args.workers if args.workers is not None else config.get("workers")
+    mc = _options(
+        McConfig, config, "replicate config",
+        skip=("schema_version", "preset", "preset_dgp", "dgp", "domain", "refinement",
+              "solver", "workers"),
+        dgp=dgp, domain=domain, workers=workers,
+        refine=_options(
+            RefineOptions, config.get("refinement"), "refinement",
+            cv_seed=_count(config, "seed", McConfig.seed, low=0),
         ),
-        truth_samples=int(_get(config, "truth_samples", 2_000_000)),
-        workers=(int(workers) if workers else None),
+        solver=_options(SolverOptions, config.get("solver"), "solver", strict=False),
     )
-    mc.run_labels()  # no estimator configured: fail before the truth table
     report = run_experiment(mc)
     try:
         with open(args.report, "w") as fh:
@@ -471,7 +435,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--truth", default=None, help="truth JSON for error metrics")
     p_eval.add_argument("--points", default=None, help="CSV of evaluation points")
     p_eval.add_argument("--points-per-dim", type=int, default=10)
-    p_eval.add_argument("--truth-samples", type=int, default=2_000_000)
+    p_eval.add_argument("--truth-samples", type=int, default=TRUTH_SAMPLES)
     p_eval.add_argument("--out-cdf", default="cdf.csv")
     p_eval.add_argument("--out-marginals", default="marginals.csv")
     p_eval.add_argument("--out-summary", default="summary.json")

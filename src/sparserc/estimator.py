@@ -17,6 +17,7 @@ code needs.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -32,6 +33,8 @@ from .choicemodel import (
     incremental_columns,
 )
 from .clsolver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     CLSProblem,
     CLSSolution,
     NonConvergenceError,
@@ -41,6 +44,7 @@ from .clsolver import (
     solve_simplex_cls,
 )
 from .hiergrid import (
+    DEFAULT_MAX_LEVEL,
     CapacityError,
     GridPoint,
     SparseGrid,
@@ -55,6 +59,46 @@ from .quasirand import DEFAULT_BURN_IN, halton_draws
 DENSITY_FLOOR = -1e-8
 LOGLIK_CLAMP = 1e-12
 AIC_SENTINEL = -1e300
+# Halton draws per dimension when a fit is given no draw count.
+DRAWS_PER_DIM = 2000
+
+_NUMBER_TYPES = {int: int, float: (int, float)}
+# Largest magnitude of each: a 64-bit integer, a finite float (NaN fails too).
+_NUMBER_MAX = {int: 2**63 - 1, float: sys.float_info.max}
+
+
+def check_fields(obj, kind: type, *names: str, low=None, exclusive: bool = False,
+                 choices=None, optional: bool = False, each: bool = False) -> None:
+    """Check fields ``names`` of dataclass ``obj`` (with ``each``, the entries
+    of these lists): ``int`` admits Python and NumPy 64-bit integers and
+    ``float`` finite reals, neither a bool; values must be ``>= low`` (``> low``
+    when ``exclusive``) and in ``choices``; None passes when ``optional``.  Stores
+    numbers as Python ``int``/``float`` and lists as tuples; a ValueError
+    names the first bad field."""
+    need = {int: "a 64-bit integer", float: "a finite number"}.get(kind, f"a {kind.__name__}")
+    if low is not None:
+        need += f" {'>' if exclusive else '>='} {low}"
+    if choices is not None:
+        need = f"one of {', '.join(choices)}"
+    for name in names:
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if each and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        items = list(value) if each else [value]
+        for i, v in enumerate(items):
+            v = v.item() if isinstance(v, np.generic) else v  # NumPy scalar to Python
+            if not (
+                isinstance(v, _NUMBER_TYPES.get(kind, kind))
+                and not (kind in _NUMBER_TYPES and isinstance(v, bool))
+                and (kind not in _NUMBER_MAX or abs(v) <= _NUMBER_MAX[kind])
+                and (low is None or (v > low if exclusive else v >= low))
+                and (choices is None or v in choices)
+            ):
+                raise ValueError(f"{name}{' entries' * each} must be {need}, got {v!r}")
+            items[i] = kind(v) if kind in _NUMBER_TYPES else v
+        object.__setattr__(obj, name, tuple(items) if each else items[0])
 
 
 @dataclass(frozen=True)
@@ -62,10 +106,16 @@ class SolverOptions:
     """Solver settings; ``strict=False`` downgrades nonconvergence from an
     error to a warning carrying the best iterate."""
 
-    tol: float = 1e-8
-    max_iter: int = 10_000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     ridge: float = 0.0
     strict: bool = True
+
+    def __post_init__(self):
+        check_fields(self, float, "tol", low=0.0, exclusive=True)
+        check_fields(self, int, "max_iter", low=1)
+        check_fields(self, float, "ridge", low=0.0)
+        check_fields(self, bool, "strict")
 
 
 @dataclass(frozen=True)
@@ -82,18 +132,15 @@ class RefineOptions:
     criterion: str = "local_error"
     selection: str = "cv_mse"
     k_folds: int = 5
-    max_level: int = 5
+    max_level: int = DEFAULT_MAX_LEVEL
     cv_seed: int = 0
 
     def __post_init__(self):
-        if self.criterion not in ("surplus", "local_error"):
-            raise ValueError(f"unknown refinement criterion {self.criterion!r}")
-        if self.selection not in ("cv_mse", "cv_ll", "aic"):
-            raise ValueError(f"unknown selection rule {self.selection!r}")
-        if self.steps < 0 or self.points_per_step < 1:
-            raise ValueError("steps must be >= 0 and points_per_step >= 1")
-        if self.k_folds < 2:
-            raise ValueError("k_folds must be >= 2")
+        check_fields(self, int, "steps", "cv_seed", low=0)
+        check_fields(self, int, "points_per_step", "max_level", low=1)
+        check_fields(self, int, "k_folds", low=2)
+        check_fields(self, str, "criterion", choices=("surplus", "local_error"))
+        check_fields(self, str, "selection", choices=("cv_mse", "cv_ll", "aic"))
 
 
 @dataclass
@@ -137,7 +184,6 @@ class FitResult:
     diagnostics: dict
     config: dict
     grid: SparseGrid | None = None
-    fixed_grid: np.ndarray | None = None
     trace: RefinementTrace | None = None
 
     def __post_init__(self):
@@ -146,10 +192,13 @@ class FitResult:
         self.density_at_draws = np.asarray(self.density_at_draws, dtype=float)
         if self.kind not in ("sg", "asg", "fkrb"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        if not np.isfinite(self.alpha).all():
+            raise ValueError("alpha has non-finite entries")
         dens = self.density_at_draws
-        if dens.min() < DENSITY_FLOOR:
+        # written so that a NaN weight fails them
+        if not dens.min() >= DENSITY_FLOOR:
             raise ValueError(f"density weight {dens.min():.3e} below {DENSITY_FLOOR}")
-        if abs(dens.sum() - 1.0) > 1e-8:
+        if not abs(dens.sum() - 1.0) <= 1e-8:
             raise ValueError(f"density weights sum to {dens.sum()}, not 1")
         if self.diagnostics.get("n_parameters") != self.alpha.shape[0]:
             raise ValueError("n_parameters must equal the coefficient count")
@@ -242,7 +291,7 @@ def fit_sg(
 
     This is the adaptive pipeline of :func:`fit_asg` with zero refinement
     steps and no step selection.  The number of integration draws defaults
-    to ``2000 * D``.
+    to ``DRAWS_PER_DIM * D``.
     """
     return _fit_hierarchical(data, domain, level, r_draws, solver, burn_in, max_level)
 
@@ -298,7 +347,6 @@ def fit_fkrb(
         density_at_draws=sol.alpha,
         diagnostics=_diagnostics(sol, data.n_rows),
         config=_config("fkrb", {"q": q_per_dim}, domain, solver),
-        fixed_grid=points,
     )
 
 
@@ -478,7 +526,7 @@ def _fit_hierarchical(
     """
     if data.dim != domain.dim:
         raise ValueError("data and domain dimensions differ")
-    r = r_draws if r_draws is not None else 2000 * data.dim
+    r = r_draws if r_draws is not None else DRAWS_PER_DIM * data.dim
     y = data.y_flat
 
     grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
@@ -656,14 +704,13 @@ def fit_from_json(obj: dict) -> FitResult:
             density_at_draws=alpha,
             diagnostics=obj["diagnostics"],
             config=config,
-            fixed_grid=points,
         )
     # Fit JSON written before sg configs recorded ``max_level`` falls back
     # to the default cap.
     max_level = (
         config.get("max_level")
         or config.get("refinement", {}).get("max_level")
-        or max(5, config["level"])
+        or max(DEFAULT_MAX_LEVEL, config["level"])
     )
     grid = grid_from_json(obj["grid"], max_level=max_level)
     draws = halton_draws(

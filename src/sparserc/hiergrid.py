@@ -220,7 +220,7 @@ def build_classical_sparse_grid(
         that level.
     max_level : int, optional
         Per-dimension level cap carried by the grid for later refinement.
-        Defaults to ``max(5, level)``.
+        Defaults to ``max(DEFAULT_MAX_LEVEL, level)``.
 
     Returns
     -------

@@ -22,11 +22,14 @@ import numpy as np
 from .basis import Domain
 from .choicemodel import ChoiceDataset
 from .distribution import (
+    TRUTH_SAMPLES,
     DiscreteDistribution,
     joint_cdf_lattice,
     mixture_cdf_lattice,
 )
-from .estimator import RefineOptions, SolverOptions, fit_asg, fit_fkrb, fit_sg
+from .estimator import DRAWS_PER_DIM, RefineOptions, SolverOptions, check_fields
+from .estimator import fit_asg, fit_fkrb, fit_sg
+from .quasirand import DEFAULT_BURN_IN
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,18 @@ def make_dataset(
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo experiment: a truth, a sample size, estimator settings."""
+    """One Monte Carlo experiment: a truth, a sample size, estimator settings.
+
+    ``r_draws=None`` means ``DRAWS_PER_DIM * D`` draws, ``eval_subsample=None``
+    scores every lattice point and ``workers=None`` uses every core."""
 
     dgp: MixtureDgp
-    n_units: int
-    replicates: int
-    seed: int
+    n_units: int = 1000
+    replicates: int = 20
+    seed: int = 0
     n_alts: int = 5
     r_draws: int | None = None
-    burn_in: int = 20
+    burn_in: int = DEFAULT_BURN_IN
     sg_levels: tuple = ()
     asg_levels: tuple = ()
     fkrb_q: tuple = ()
@@ -176,8 +182,20 @@ class McConfig:
     domain: Domain | None = None
     eval_points_per_dim: int = 10
     eval_subsample: int | None = None
-    truth_samples: int = 2_000_000
+    truth_samples: int = TRUTH_SAMPLES
     workers: int | None = 1
+
+    def __post_init__(self):
+        check_fields(self, MixtureDgp, "dgp")
+        counts = ("n_units", "replicates", "n_alts", "eval_points_per_dim", "truth_samples")
+        check_fields(self, int, *counts, low=1)
+        check_fields(self, int, "seed", "burn_in", low=0)
+        check_fields(self, int, "r_draws", "eval_subsample", "workers", low=1, optional=True)
+        check_fields(self, int, "sg_levels", "asg_levels", "fkrb_q", low=1, each=True)
+        check_fields(self, RefineOptions, "refine")
+        check_fields(self, SolverOptions, "solver")
+        check_fields(self, Domain, "domain", optional=True)
+        self.run_labels()
 
     def resolved_domain(self) -> Domain:
         return self.domain if self.domain is not None else Domain.cube(self.dgp.dim)
@@ -195,10 +213,10 @@ class McConfig:
 class ReplicateOutcome:
     kind: str
     setting: int
-    ise: float | None
-    n_parameters: int | None
-    selected_step: int | None
-    kkt_residual: float | None
+    ise: float | None = None
+    n_parameters: int | None = None
+    selected_step: int | None = None
+    kkt_residual: float | None = None
     failed: bool = False
     error: str | None = None
 
@@ -226,23 +244,12 @@ class McReport:
     eval_points: int
 
 
-def _eval_axes(domain: Domain, points_per_dim: int) -> list[np.ndarray]:
-    return [
-        np.linspace(domain.lower[d], domain.upper[d], points_per_dim)
-        for d in range(domain.dim)
-    ]
-
-
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
 def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray,
                    subset: np.ndarray | None) -> list[ReplicateOutcome]:
     domain = config.resolved_domain()
-    rng = _replicate_rng(config.seed, rep)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,)))
     data = make_dataset(config.dgp, config.n_units, config.n_alts, rng)
-    axes = _eval_axes(domain, config.eval_points_per_dim)
+    axes = domain.axes(config.eval_points_per_dim)
     outcomes = []
     for kind, setting in config.run_labels():
         try:
@@ -279,13 +286,9 @@ def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray,
                 )
             )
         except Exception as exc:  # recorded, never silently dropped
-            outcomes.append(
-                ReplicateOutcome(
-                    kind=kind, setting=setting, ise=None, n_parameters=None,
-                    selected_step=None, kkt_residual=None,
-                    failed=True, error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            outcomes.append(ReplicateOutcome(
+                kind=kind, setting=setting, failed=True, error=f"{type(exc).__name__}: {exc}"
+            ))
     return outcomes
 
 
@@ -297,7 +300,7 @@ def run_experiment(config: McConfig) -> McReport:
     the report with their error text, and excluded from the averages.
     """
     domain = config.resolved_domain()
-    axes = _eval_axes(domain, config.eval_points_per_dim)
+    axes = domain.axes(config.eval_points_per_dim)
     truth_table = mixture_cdf_lattice(
         config.dgp, axes, n_samples=config.truth_samples, seed=config.seed
     )
@@ -352,7 +355,7 @@ def run_experiment(config: McConfig) -> McReport:
         "dim": config.dgp.dim,
         "replicates": config.replicates,
         "seed": config.seed,
-        "r_draws": config.r_draws or 2000 * config.dgp.dim,
+        "r_draws": config.r_draws or DRAWS_PER_DIM * config.dgp.dim,
         "eval_points_per_dim": config.eval_points_per_dim,
         "eval_subsample": config.eval_subsample,
         "dgp": dgp_to_json(config.dgp),

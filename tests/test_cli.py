@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserc.choicemodel import read_dataset_csv
 from sparserc.cli import EXIT_OK, EXIT_USAGE, main
@@ -97,6 +104,21 @@ class TestSimulateCommand:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {"preset": "two-normals-d2", "bogus": 1})
         assert main(["simulate", cfg]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_units", 0), ("n_alts", 2.5), ("seed", True), ("n_units", 10**400)]
+    )
+    def test_bad_count_exits_one_naming_it(self, tmp_path, capsys, key, value):
+        out = tmp_path / "d.csv"
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"preset": "two-normals-d2", key: value, "out_data": str(out),
+             "out_truth": str(tmp_path / "t.json")},
+        )
+        assert main(["simulate", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_schema_version(self, tmp_path):
         path = tmp_path / "sim.json"
@@ -397,3 +419,168 @@ def test_library_error_exits_one_without_traceback(fitted, capsys, command, conf
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# A replicate config small enough that a valid run takes a fraction of a second.
+TINY_REPLICATE = {
+    "preset_dgp": "two-normals-d2",
+    "n_units": 60,
+    "replicates": 1,
+    "seed": 3,
+    "sg_levels": [2],
+    "r_draws": 200,
+    "truth_samples": 5000,
+    "workers": 1,
+}
+
+# Values that earlier meant a default, failed every replicate or crashed:
+# (command, key path, value).
+BAD_SETTINGS = {
+    "replicates-zero": ("replicate", "replicates", 0),
+    "truth_samples-zero": ("replicate", "truth_samples", 0),
+    "r_draws-zero": ("replicate", "r_draws", 0),
+    "eval_subsample-zero": ("replicate", "eval_subsample", 0),
+    "workers-zero": ("replicate", "workers", 0),
+    "n_units-zero": ("replicate", "n_units", 0),
+    "eval_points_per_dim-zero": ("replicate", "eval_points_per_dim", 0),
+    "burn_in-negative": ("replicate", "burn_in", -1),
+    "sg_levels-zero": ("replicate", "sg_levels", [0]),
+    "n_alts-zero": ("replicate", "n_alts", 0),
+    "tol-negative": ("estimate", "solver.tol", -1),
+    "max_iter-zero": ("estimate", "solver.max_iter", 0),
+    "ridge-negative": ("estimate", "solver.ridge", -1),
+    # too large for a float or a 64-bit integer (OverflowError tracebacks)
+    "tol-huge": ("estimate", "solver.tol", 10**400),
+    "n_units-huge": ("replicate", "n_units", 10**400),
+    # read by every estimator, so checked for sg too
+    "seed-negative": ("estimate", "seed", -1),
+    "seed-string": ("estimate", "seed", "abc"),
+    # truncated or coerced by int(...) before
+    "level-bool": ("estimate", "level", True),
+    "r-float": ("estimate", "draws.r", 300.9),
+    "burn_in-negative-estimate": ("estimate", "draws.burn_in", -1),
+}
+
+
+def _set(config: dict, path: str, value) -> dict:
+    """A copy of ``config`` with the dotted key ``path`` set to ``value``."""
+    config = copy.deepcopy(config)
+    *blocks, key = path.split(".")
+    obj = config
+    for block in blocks:
+        obj = obj.setdefault(block, {})
+    obj[key] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, path, value", BAD_SETTINGS.values(), ids=list(BAD_SETTINGS)
+)
+def test_bad_setting_exits_one_naming_it(simulated, capsys, command, path, value):
+    out = simulated / "out"
+    out.mkdir()
+    if command == "replicate":
+        config = _set(TINY_REPLICATE, path, value)
+        argv = [command, write_config(out / "bad.json", config),
+                "--report", str(out / "r.json"), "--table", str(out / "t.csv")]
+    else:
+        config = _set({"estimator": "sg", "level": 2, "draws": {"r": 300}}, path, value)
+        argv = [command, write_config(out / "bad.json", config),
+                str(simulated / "data.csv"), "--out", str(out / "fit.json")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path.split(".")[-1] in err
+    assert "Traceback" not in err
+    assert not (out / "r.json").exists() and not (out / "fit.json").exists()
+
+
+def test_zero_workers_flag_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path / "rep.json", TINY_REPLICATE)
+    code = main(["replicate", cfg, "--workers", "0", "--report", str(tmp_path / "r.json"),
+                 "--table", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"estimator": "sg", "level": 2, "refinement": {"max_level": 0}}, "refinement"),
+        ({"estimator": "sg", "level": 2, "q": 3}, "q"),
+        ({"estimator": "asg", "level": 2, "q": 3}, "q"),
+        ({"estimator": "fkrb", "q": 3, "level": 2}, "level"),
+        ({"estimator": "fkrb", "q": 3, "draws": {"r": 300}}, "draws"),
+    ],
+    ids=["sg-refinement", "sg-q", "asg-q", "fkrb-level", "fkrb-draws"],
+)
+def test_estimate_rejects_keys_its_estimator_ignores(simulated, capsys, config, key):
+    cfg = write_config(simulated / "est.json", config)
+    code = main(["estimate", cfg, str(simulated / "data.csv"),
+                 "--out", str(simulated / "never.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (simulated / "never.json").exists()
+
+
+# Valid values of the fuzzed replicate, solver and refinement keys: at most
+# 60 units, 300 draws and 200 solver iterations.
+VALID_SETTINGS = {
+    "n_units": st.integers(20, 60),
+    "replicates": st.integers(1, 2),
+    "seed": st.integers(0, 5),
+    "n_alts": st.integers(1, 4),
+    "r_draws": st.integers(50, 300),
+    "burn_in": st.integers(0, 30),
+    "sg_levels": st.lists(st.integers(1, 2), min_size=1, max_size=2),
+    "asg_levels": st.lists(st.just(1), max_size=1),
+    "fkrb_q": st.lists(st.integers(1, 3), max_size=1),
+    "eval_points_per_dim": st.integers(1, 6),
+    "eval_subsample": st.integers(1, 40),
+    "truth_samples": st.integers(1, 5000),
+    "workers": st.just(1),
+    "solver.tol": st.floats(1e-10, 1e-4),
+    "solver.max_iter": st.integers(1, 200),
+    "solver.ridge": st.floats(0.0, 1e-3),
+    "refinement.steps": st.integers(0, 2),
+    "refinement.points_per_step": st.integers(1, 2),
+    "refinement.criterion": st.sampled_from(["surplus", "local_error"]),
+    "refinement.selection": st.sampled_from(["cv_mse", "cv_ll", "aic"]),
+    "refinement.k_folds": st.integers(2, 4),
+    "refinement.max_level": st.integers(1, 4),
+}
+# Zero, negatives, strings, bools, nulls, floats for ints, non-finite numbers
+# and an integer too large for a float.
+BAD_VALUES = st.sampled_from(
+    [0, -1, -2.5, "3", "", True, False, None, 2.0, 1.5, math.nan, math.inf, 10**400, [], [0]]
+)
+
+
+@st.composite
+def fuzzed_replicate_configs(draw):
+    config = {"preset_dgp": "two-normals-d2"}
+    for path, valid in VALID_SETTINGS.items():
+        config = _set(config, path, draw(valid))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(sorted(VALID_SETTINGS)))
+        # a null means "all cores" for workers, which this property does not spawn
+        bad = BAD_VALUES.filter(lambda v: v is not None) if path == "workers" else BAD_VALUES
+        config = _set(config, path, draw(bad))
+    return config
+
+
+@settings(max_examples=100)
+@given(config=fuzzed_replicate_configs())
+def test_fuzzed_replicate_config_never_crashes(config):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        tmp = Path(tmp)
+        argv = ["replicate", write_config(tmp / "rep.json", config),
+                "--report", str(tmp / "r.json"), "--table", str(tmp / "t.csv")]
+        # an exception escaping main fails the property with its traceback
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

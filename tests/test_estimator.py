@@ -499,7 +499,7 @@ class TestFitSerialization:
         fit = fit_fkrb(data, Domain.cube(2), 3)
         back = fit_from_json(json.loads(json.dumps(fit_to_json(fit))))
         np.testing.assert_array_equal(back.alpha, fit.alpha)
-        np.testing.assert_array_equal(back.fixed_grid, fit.fixed_grid)
+        np.testing.assert_array_equal(back.support, fit.support)
 
     def test_asg_round_trip_keeps_trace(self):
         data = _data(n=80, d=2, seed=25)
@@ -514,3 +514,61 @@ class TestFitSerialization:
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             fit_from_json({"schema_version": 2})
+
+
+class TestFitResultContracts:
+    @pytest.mark.parametrize("field", ["alpha", "density_at_draws"])
+    def test_nan_fit_rejected(self, field):
+        fit = fit_fkrb(_data(n=60, d=2, seed=24), Domain.cube(2), 3)
+        arrays = {"alpha": fit.alpha.copy(), "density_at_draws": fit.density_at_draws.copy()}
+        arrays[field][0] = np.nan
+        with pytest.raises(ValueError):
+            estimator.FitResult(
+                kind=fit.kind, domain=fit.domain, support=fit.support,
+                diagnostics=fit.diagnostics, config=fit.config, **arrays,
+            )
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SolverOptions, "tol", 0.0),
+            (SolverOptions, "tol", -1.0),
+            (SolverOptions, "tol", float("nan")),
+            (SolverOptions, "tol", "1e-8"),
+            (SolverOptions, "tol", 10**400),
+            (SolverOptions, "max_iter", 0),
+            (SolverOptions, "max_iter", 10.0),
+            (SolverOptions, "max_iter", True),
+            (SolverOptions, "max_iter", 2**63),
+            (SolverOptions, "ridge", -1e-3),
+            (SolverOptions, "ridge", float("inf")),
+            (SolverOptions, "ridge", 10**400),
+            (SolverOptions, "strict", 1),
+            (RefineOptions, "steps", -1),
+            (RefineOptions, "points_per_step", 0),
+            (RefineOptions, "k_folds", 1),
+            (RefineOptions, "max_level", 0),
+            (RefineOptions, "cv_seed", -1),
+            (RefineOptions, "criterion", "largest"),
+            (RefineOptions, "selection", None),
+        ],
+    )
+    def test_bad_value_names_its_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls(**{field: value})
+
+    def test_numbers_stored_as_python_numbers(self):
+        opts = SolverOptions(tol=np.float32(1e-6), max_iter=np.int64(50), ridge=0)
+        assert type(opts.tol) is float and type(opts.ridge) is float
+        assert type(opts.max_iter) is int and opts.max_iter == 50
+        assert type(RefineOptions(k_folds=np.int32(3)).k_folds) is int
+
+    def test_defaults_come_from_the_layers(self):
+        from sparserc.clsolver import DEFAULT_MAX_ITER, DEFAULT_TOL
+        from sparserc.hiergrid import DEFAULT_MAX_LEVEL
+
+        assert SolverOptions().tol == DEFAULT_TOL
+        assert SolverOptions().max_iter == DEFAULT_MAX_ITER
+        assert RefineOptions().max_level == DEFAULT_MAX_LEVEL

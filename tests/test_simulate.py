@@ -221,3 +221,30 @@ class TestMakeDataset:
         data = make_dataset(two_normal_mixture(2), 50, 4, np.random.default_rng(8))
         assert data.x.shape == (50, 4, 2)
         assert data.y.shape == (50, 4)
+
+
+class TestMcConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_units", 0), ("replicates", 0), ("n_alts", 0), ("seed", -1),
+            ("r_draws", 0), ("burn_in", -1), ("eval_points_per_dim", 0),
+            ("eval_subsample", 0), ("truth_samples", 0), ("workers", 0),
+            ("n_units", 10.0), ("replicates", True), ("truth_samples", "100"),
+            ("n_units", 10**400), ("replicates", 2**63),
+            ("sg_levels", (0,)), ("sg_levels", (2.0,)), ("fkrb_q", 3),
+            ("solver", {"tol": 1e-8}), ("dgp", None),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            _tiny_config(**{field: value})
+
+    def test_lists_and_numpy_ints_normalized(self):
+        config = _tiny_config(sg_levels=[np.int64(2)], n_units=np.int32(50))
+        assert config.sg_levels == (2,) and type(config.sg_levels[0]) is int
+        assert type(config.n_units) is int
+
+    def test_none_keeps_its_meaning(self):
+        config = _tiny_config(r_draws=None, eval_subsample=None, workers=None)
+        assert config.r_draws is None and config.workers is None
