@@ -9,6 +9,7 @@ from sparserc import (
     Domain,
     fit_fkrb,
     fit_sg,
+    ise,
     joint_cdf,
     lattice_points,
     marginal_cdf,
@@ -43,9 +44,8 @@ points = lattice_points(axes)
 truth = true_mixture_cdf(dgp, points, n_samples=500_000, seed=0)
 print("\nintegrated squared error of the joint distribution function:")
 for fit in (sg, fkrb):
-    est = joint_cdf(DiscreteDistribution.from_fit(fit), points)
-    ise = float(np.mean((est - truth.values) ** 2))
-    print(f"  {fit.kind}: {ise:.6f}  (rmise {np.sqrt(ise):.4f})")
+    err = ise(joint_cdf(DiscreteDistribution.from_fit(fit), points), truth)
+    print(f"  {fit.kind}: {err:.6f}  (rmise {np.sqrt(err):.4f})")
 
 # first-coordinate marginal at a few cut points
 cuts = np.array([-2.0, 0.0, 2.0])

@@ -10,6 +10,7 @@ from sparserc import (
     RefineOptions,
     fit_asg,
     fit_sg,
+    ise,
     joint_cdf,
     lattice_points,
     four_normal_mixture,
@@ -42,8 +43,7 @@ axes = [np.linspace(-4, 4, 10)] * 2
 points = lattice_points(axes)
 truth = true_mixture_cdf(dgp, points, n_samples=500_000, seed=0)
 for fit, label in ((sg, "fixed level-2 grid"), (asg, "adaptively refined")):
-    est = joint_cdf(DiscreteDistribution.from_fit(fit), points)
-    rmise = float(np.sqrt(np.mean((est - truth.values) ** 2)))
+    rmise = np.sqrt(ise(joint_cdf(DiscreteDistribution.from_fit(fit), points), truth))
     print(f"\n{label}: {fit.n_parameters} parameters, rmise {rmise:.4f}")
 
 levels = sorted({max(p.levels) for p in asg.grid.points})

@@ -25,15 +25,14 @@ from .clsolver import (
     solve_simplex_cls,
 )
 from .distribution import (
-    CdfEvaluation,
     DiscreteDistribution,
+    ise,
     joint_cdf,
     joint_cdf_lattice,
     lattice_points,
     marginal_cdf,
     mean,
     mixture_cdf_lattice,
-    rmise,
     true_mixture_cdf,
 )
 from .estimator import (
@@ -41,7 +40,6 @@ from .estimator import (
     RefineOptions,
     RefinementTrace,
     SolverOptions,
-    aic,
     fit_asg,
     fit_fkrb,
     fit_from_json,

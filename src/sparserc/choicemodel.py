@@ -3,8 +3,10 @@
 The design matrix has one row per (unit, alternative) pair and one column per
 basis function: entry ``Z[(n, j), b] = sum_r g(x_nj, beta_r) phi_b(beta_r)``,
 the kernel-weighted sum of the basis function over the integration draws.
-The outside option is never a column; its probability is the remainder
-``1 - sum_j g_j``.
+Every such sum, design columns and predicted probabilities alike, is a
+:func:`kernel_sweep`; the fixed-grid baseline's columns are the kernel values
+themselves.  The outside option is never a column; its probability is the
+remainder ``1 - sum_j g_j``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .basis import BasisSet, evaluate_basis_columns
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
 
-# Draws processed per block during design assembly.  Fixed (never adaptive)
-# so results are bit-identical regardless of memory or worker count.
+# Points per block of a kernel sweep.  Fixed (never adaptive) so results are
+# bit-identical regardless of memory or worker count.
 DESIGN_CHUNK = 2048
 
 # Bytes of kernel output per tile of units: small enough that a tile stays in
@@ -138,8 +140,9 @@ def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
     each (one unit when a unit's ``J * M`` values are larger), and each tile
     takes its utilities, max shift, ``exp`` and divide in place while it is
     in cache.  A tile holds whole units, so a unit's shift and normalization
-    see only its own utilities.  Memory grows with ``N * J * M``; callers
-    with many coefficient rows should chunk over ``betas``.
+    see only its own utilities.  Memory grows with ``N * J * M``:
+    :func:`kernel_sweep` passes at most ``DESIGN_CHUNK`` rows per call, and
+    the fixed-grid baseline passes its ``M <= N * J`` points in one call.
     """
     x = np.asarray(x, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
@@ -179,29 +182,35 @@ class DesignMatrix:
         return self.Z.shape[1]
 
 
-def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMatrix:
-    """The columns of ``points`` appended to ``existing`` (None: no columns yet).
+def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_r g(x, points_r) weights[r]``: the ``(N * J, K)`` kernel-weighted
+    sums of the ``K`` columns of ``weights`` (one row per point).
 
-    ``Z`` and ``Phi`` columns are accumulated in fixed chunks over the draws;
-    ``basis`` is the basis of the resulting design.  Within a chunk the kernel
-    sees only the live draws, those where at least one of ``points`` is
-    nonzero: a draw outside every new support adds nothing to ``Z``.  A chunk
-    with no live draw makes no kernel call.
+    Runs in fixed blocks of ``DESIGN_CHUNK`` points; within a block the kernel
+    sees only the points whose weight row is not all zero, and a block with
+    none makes no kernel call.
     """
-    if kernel is None:
-        kernel = choice_probabilities
-    n_pts = draws.n_draws
-    Z = np.zeros((data.n_rows, len(points)))
-    phi = np.empty((n_pts, len(points)))
-    for start in range(0, n_pts, DESIGN_CHUNK):
-        block = slice(start, min(start + DESIGN_CHUNK, n_pts))
-        phi[block] = evaluate_basis_columns(points, basis.domain, draws.draws[block])
-        live = np.flatnonzero(phi[block].any(axis=1))
+    n, j = x.shape[:2]
+    out = np.zeros((n * j, weights.shape[1]))
+    for start in range(0, points.shape[0], DESIGN_CHUNK):
+        w = weights[start:start + DESIGN_CHUNK]
+        live = np.flatnonzero(w.any(axis=1))
         if live.size:
-            g = kernel(data.x, draws.draws[block][live]).reshape(data.n_rows, -1)
-            Z += g @ phi[block][live]
+            g = choice_probabilities(x, points[start:start + DESIGN_CHUNK][live])
+            out += g.reshape(n * j, -1) @ w[live]
             # two blocks' kernel outputs alive at once would set the peak memory
             del g
+    return out
+
+
+def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
+    """The columns of ``points`` appended to ``existing`` (None: no columns yet).
+
+    ``Z`` is the :func:`kernel_sweep` of the columns' ``Phi`` over the draws;
+    ``basis`` is the basis of the resulting design.
+    """
+    phi = evaluate_basis_columns(points, basis.domain, draws.draws)
+    Z = kernel_sweep(data.x, draws.draws, phi)
     column_mass = phi.sum(axis=0)
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:
@@ -213,24 +222,16 @@ def _assemble_columns(existing, points, basis, draws, data, kernel) -> DesignMat
     return DesignMatrix(Z=Z, column_mass=column_mass, basis_at_draws=phi, basis=basis)
 
 
-def build_design_matrix(
-    data: ChoiceDataset,
-    draws: DrawSet,
-    basis: BasisSet,
-    kernel=None,
-) -> DesignMatrix:
+def build_design_matrix(data: ChoiceDataset, draws: DrawSet, basis: BasisSet) -> DesignMatrix:
     """Assemble the simulated design matrix for a basis.
 
-    ``kernel`` defaults to :func:`choice_probabilities`; tests may inject a
-    stub with the same ``(x, betas) -> (N, J, M)`` signature.  In each chunk
-    of draws the kernel receives only the draws where some basis function is
-    nonzero; with the level-1 root hat in the basis that is every draw.  Raises
-    :class:`DeadColumnError` when some basis function has no draw in its
-    support, which would create an identically zero column.
+    With the level-1 root hat in the basis every draw reaches the kernel.
+    Raises :class:`DeadColumnError` when some basis function has no draw in
+    its support, which would create an identically zero column.
     """
     if data.dim != draws.dim or draws.dim != basis.domain.dim:
         raise ValueError("data, draws and basis dimensions must agree")
-    return _assemble_columns(None, basis.grid.points, basis, draws, data, kernel)
+    return _assemble_columns(None, basis.grid.points, basis, draws, data)
 
 
 def incremental_columns(
@@ -238,7 +239,6 @@ def incremental_columns(
     new_points,
     draws: DrawSet,
     data: ChoiceDataset,
-    kernel=None,
 ) -> DesignMatrix:
     """Extend a design matrix with columns for newly added grid points.
 
@@ -260,7 +260,7 @@ def incremental_columns(
         old_grid.dim, old_grid.points + tuple(new_points), max_level=old_grid.max_level
     )
     basis = BasisSet(new_grid, existing.basis.domain)
-    return _assemble_columns(existing, new_points, basis, draws, data, kernel)
+    return _assemble_columns(existing, new_points, basis, draws, data)
 
 
 def write_dataset_csv(data: ChoiceDataset, path) -> None:

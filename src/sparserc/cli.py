@@ -24,6 +24,7 @@ from .choicemodel import read_dataset_csv, write_dataset_csv
 from .distribution import (
     TRUTH_SAMPLES,
     DiscreteDistribution,
+    ise,
     joint_cdf,
     lattice_points,
     marginal_cdf,
@@ -332,11 +333,8 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"cannot load truth: {exc}") from None
         if dgp.dim != fit.domain.dim:
             raise UsageError("truth and fit dimensions differ")
-        truth_eval = true_mixture_cdf(
-            dgp, points, n_samples=args.truth_samples, seed=0
-        )
-        diff = values - truth_eval.values
-        summary["ise"] = float(diff @ diff) / points.shape[0]
+        truth = true_mixture_cdf(dgp, points, n_samples=args.truth_samples, seed=0)
+        summary["ise"] = ise(values, truth)
     with open(args.out_summary, "w") as fh:
         json.dump(summary, fh, indent=2)
     print(

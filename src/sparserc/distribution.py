@@ -66,20 +66,6 @@ class DiscreteDistribution:
         return cls(support=fit.support, weights=fit.density_at_draws)
 
 
-@dataclass
-class CdfEvaluation:
-    """Distribution-function values at a fixed set of evaluation points."""
-
-    eval_points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.eval_points = np.atleast_2d(np.asarray(self.eval_points, dtype=float))
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.eval_points.shape[0],):
-            raise ValueError("one value per evaluation point required")
-
-
 def joint_cdf(dist: DiscreteDistribution, points) -> np.ndarray:
     """Joint distribution function at each query point.
 
@@ -147,23 +133,15 @@ def mean(dist: DiscreteDistribution) -> np.ndarray:
     return dist.weights @ dist.support
 
 
-def rmise(estimates: Sequence[CdfEvaluation], truth: CdfEvaluation) -> float:
-    """Root mean integrated squared error against the true distribution.
-
-    Averages the per-replicate mean squared deviation over evaluation points,
-    then over replicates, and takes the square root.  All evaluations must
-    share the truth's exact point set.
-    """
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("need at least one replicate evaluation")
-    acc = 0.0
-    for est in estimates:
-        if not np.array_equal(est.eval_points, truth.eval_points):
-            raise ValueError("evaluation point sets differ")
-        diff = est.values - truth.values
-        acc += float(diff @ diff) / diff.shape[0]
-    return float(np.sqrt(acc / len(estimates)))
+def ise(values, truth_values) -> float:
+    """Integrated squared error of distribution-function values against the
+    truth's at the same points: the mean squared deviation over the points.
+    The RMISE of a set of replicates is the square root of their mean ISE."""
+    values, truth_values = np.asarray(values, float), np.asarray(truth_values, float)
+    if values.shape != truth_values.shape:
+        raise ValueError("evaluation point sets differ")
+    diff = values - truth_values
+    return float(diff @ diff) / diff.shape[0]
 
 
 def _sample_chunks(dgp, n_samples: int, seed: int):
@@ -178,7 +156,7 @@ def true_mixture_cdf(
     points,
     n_samples: int = TRUTH_SAMPLES,
     seed: int = 0,
-) -> CdfEvaluation:
+) -> np.ndarray:
     """Monte Carlo evaluation of a generator's joint distribution function.
 
     ``dgp`` must expose ``dim`` and ``sample(n, rng)``.
@@ -194,7 +172,7 @@ def true_mixture_cdf(
             counts[start:stop] += np.all(
                 x[None, :, :] <= block[:, None, :], axis=2
             ).sum(axis=1)
-    return CdfEvaluation(eval_points=points, values=counts / n_samples)
+    return counts / n_samples
 
 
 def mixture_cdf_lattice(

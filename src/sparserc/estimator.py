@@ -27,10 +27,10 @@ from .basis import BasisSet, Domain
 from .choicemodel import (
     ChoiceDataset,
     DesignMatrix,
-    DESIGN_CHUNK,
     build_design_matrix,
     choice_probabilities,
     incremental_columns,
+    kernel_sweep,
 )
 from .clsolver import (
     DEFAULT_MAX_ITER,
@@ -309,14 +309,6 @@ def fkrb_grid(domain: Domain, q_per_dim: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, domain.dim)
 
 
-def _kernel_columns(x: np.ndarray, points: np.ndarray, n_rows: int) -> np.ndarray:
-    cols = np.empty((n_rows, points.shape[0]))
-    for start in range(0, points.shape[0], DESIGN_CHUNK):
-        block = slice(start, min(start + DESIGN_CHUNK, points.shape[0]))
-        cols[:, block] = choice_probabilities(x, points[block]).reshape(n_rows, -1)
-    return cols
-
-
 def fit_fkrb(
     data: ChoiceDataset,
     domain: Domain,
@@ -337,7 +329,7 @@ def fit_fkrb(
             f"{n_params} parameters, exceeding the {data.n_rows} regression rows"
         )
     points = fkrb_grid(domain, q_per_dim)
-    cols = _kernel_columns(data.x, points, data.n_rows)
+    cols = choice_probabilities(data.x, points).reshape(data.n_rows, -1)
     sol = _solve(solve_simplex_cls, solver, cols, data.y_flat)
     return FitResult(
         kind="fkrb",
@@ -379,13 +371,6 @@ def _aic_value(ssr_raw: float, n_rows: int, n_parameters: int) -> float:
     return n_rows * math.log(ssr_raw / n_rows) + 2.0 * n_parameters
 
 
-def aic(fit: FitResult, data: ChoiceDataset) -> float:
-    """Gaussian least-squares AIC of a fit on its own estimation data."""
-    if fit.diagnostics.get("n_rows") != data.n_rows:
-        raise ValueError("fit was produced on data with a different row count")
-    return _aic_value(fit.diagnostics["ssr_raw"], data.n_rows, fit.n_parameters)
-
-
 def fold_assignments(unit_ids, k: int, seed: int = 0) -> dict:
     """Deterministic unit-to-fold map, invariant to unit ordering.
 
@@ -410,12 +395,8 @@ def predict_probabilities(fit: FitResult, data: ChoiceDataset) -> np.ndarray:
     The prediction only needs the discrete density: ``P_nj = sum_r
     g(x_nj, support_r) * density_r``.
     """
-    pred = np.zeros((data.n_units, data.n_alts))
-    sup, dens = fit.support, fit.density_at_draws
-    for start in range(0, sup.shape[0], DESIGN_CHUNK):
-        block = slice(start, min(start + DESIGN_CHUNK, sup.shape[0]))
-        pred += choice_probabilities(data.x, sup[block]) @ dens[block]
-    return pred
+    pred = kernel_sweep(data.x, fit.support, fit.density_at_draws[:, None])
+    return pred.reshape(data.n_units, data.n_alts)
 
 
 def heldout_mse(pred: np.ndarray, y: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from .choicemodel import ChoiceDataset
 from .distribution import (
     TRUTH_SAMPLES,
     DiscreteDistribution,
+    ise,
     joint_cdf_lattice,
     mixture_cdf_lattice,
 )
@@ -195,6 +196,14 @@ class McConfig:
         check_fields(self, RefineOptions, "refine")
         check_fields(self, SolverOptions, "solver")
         check_fields(self, Domain, "domain", optional=True)
+        cap, rows = self.refine.max_level, self.n_units * self.n_alts
+        for name in ("sg_levels", "asg_levels"):
+            if max(getattr(self, name), default=0) > cap:
+                raise ValueError(f"{name} entries must be <= refine.max_level = {cap}, "
+                                 f"got {max(getattr(self, name))}")
+        if any(q**self.dgp.dim > rows for q in self.fkrb_q):
+            raise ValueError(f"fkrb_q entries must have q**{self.dgp.dim} <= n_units * n_alts "
+                             f"= {rows}, got {max(self.fkrb_q)}")
         self.run_labels()
 
     def resolved_domain(self) -> Domain:
@@ -271,13 +280,11 @@ def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray,
             values = joint_cdf_lattice(dist, axes).reshape(-1)
             if subset is not None:
                 values = values[subset]
-            diff = values - truth_values
-            ise = float(diff @ diff) / truth_values.shape[0]
             outcomes.append(
                 ReplicateOutcome(
                     kind=kind,
                     setting=setting,
-                    ise=ise,
+                    ise=ise(values, truth_values),
                     n_parameters=fit.n_parameters,
                     selected_step=(
                         fit.trace.selected_step if fit.trace is not None else None
@@ -372,13 +379,6 @@ def report_to_json(report: McReport) -> dict:
         "eval_points": report.eval_points,
         "runs": [asdict(r) for r in report.runs],
     }
-
-
-def report_from_json(obj: dict) -> McReport:
-    if obj.get("schema_version") != 1:
-        raise ValueError("unsupported report schema version")
-    runs = [EstimatorRun(**r) for r in obj["runs"]]
-    return McReport(config=obj["config"], runs=runs, eval_points=obj["eval_points"])
 
 
 def write_table_csv(report: McReport, path) -> None:

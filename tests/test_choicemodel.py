@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from sparserc import choicemodel
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import (
+    DESIGN_CHUNK,
     KERNEL_TILE_BYTES,
     ChoiceDataset,
     DeadColumnError,
     build_design_matrix,
     choice_probabilities,
     incremental_columns,
+    kernel_sweep,
     logit_kernel,
     read_dataset_csv,
     write_dataset_csv,
@@ -213,7 +216,7 @@ class TestBuildDesignMatrix:
         assert (design.Z > 0).all()
         assert design.column_mass[0] > 0
 
-    def test_constant_kernel_factors_out(self):
+    def test_constant_kernel_factors_out(self, monkeypatch):
         data = _tiny_data()
         draws = halton_draws(32, 1, domain=Domain.cube(1))
         basis = BasisSet(build_classical_sparse_grid(1, 2), Domain.cube(1))
@@ -221,11 +224,12 @@ class TestBuildDesignMatrix:
         def ones_kernel(x, betas):
             return np.ones((x.shape[0], x.shape[1], betas.shape[0]))
 
-        design = build_design_matrix(data, draws, basis, kernel=ones_kernel)
+        monkeypatch.setattr(choicemodel, "choice_probabilities", ones_kernel)
+        design = build_design_matrix(data, draws, basis)
         for row in design.Z:
             np.testing.assert_allclose(row, design.column_mass, atol=1e-12)
 
-    def test_two_draw_hand_sum(self):
+    def test_two_draw_hand_sum(self, monkeypatch):
         # root hat at unit coords 0.25, 0.75 evaluates to 0.5; with kernel
         # values 0.3 and 0.6 the single entry is 0.3*0.5 + 0.6*0.5 = 0.45
         data = ChoiceDataset(np.zeros((1, 1, 1)), np.zeros((1, 1)))
@@ -237,7 +241,8 @@ class TestBuildDesignMatrix:
             vals = {0.25: 0.3, 0.75: 0.6}
             return np.array([[[vals[b[0]] for b in betas]]])
 
-        design = build_design_matrix(data, draws, basis, kernel=stub_kernel)
+        monkeypatch.setattr(choicemodel, "choice_probabilities", stub_kernel)
+        design = build_design_matrix(data, draws, basis)
         assert design.Z[0, 0] == pytest.approx(0.45, abs=1e-15)
         assert design.column_mass[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -278,6 +283,41 @@ class _CountingKernel:
         return choice_probabilities(x, betas)
 
 
+@pytest.fixture
+def counting_kernel(monkeypatch):
+    kernel = _CountingKernel()
+    monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
+    return kernel
+
+
+class TestKernelSweep:
+    def test_matches_logit_kernel_oracle_over_chunks(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 2, 2))
+        points = rng.uniform(-4, 4, size=(2 * DESIGN_CHUNK + 1, 2))
+        weights = rng.uniform(size=(points.shape[0], 2))
+        out = kernel_sweep(x, points, weights)
+        expected = np.zeros((6, 2))
+        for r in range(points.shape[0]):
+            g = np.concatenate([logit_kernel(x[n], points[r]) for n in range(3)])
+            expected += np.outer(g, weights[r])
+        assert out.shape == (6, 2)
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
+
+    def test_zero_weight_rows_reach_no_kernel_call(self, counting_kernel):
+        x = np.random.default_rng(22).normal(size=(2, 3, 1))
+        points = np.linspace(-3, 3, 2 * DESIGN_CHUNK + 1)[:, None]
+        weights = np.zeros((points.shape[0], 1))
+        live = np.append(np.arange(10, DESIGN_CHUNK, 7), 2 * DESIGN_CHUNK)
+        weights[live, 0] = 1.0
+        out = kernel_sweep(x, points, weights)
+        # the middle block has no live point and makes no call
+        assert len(counting_kernel.calls) == 2
+        np.testing.assert_array_equal(np.concatenate(counting_kernel.calls), points[live])
+        expected = choice_probabilities(x, points[live]).reshape(6, -1).sum(axis=1)
+        np.testing.assert_allclose(out[:, 0], expected, rtol=1e-12)
+
+
 class TestKernelSeesLiveDraws:
     # sorted draws, so each DESIGN_CHUNK block covers its own part of [0, 1]
     def _setup(self):
@@ -286,33 +326,34 @@ class TestKernelSeesLiveDraws:
         draws = DrawSet(draws=np.linspace(0.0001, 0.9999, 5000)[:, None], domain=dom, burn_in=0)
         return data, dom, draws
 
-    def test_root_design_passes_every_draw(self):
+    def test_root_design_passes_every_draw(self, counting_kernel):
         data, _, draws = self._setup()
-        kernel = _CountingKernel()
-        build_design_matrix(data, draws, _root_basis(), kernel=kernel)
-        assert len(kernel.calls) == 3
-        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws)
+        build_design_matrix(data, draws, _root_basis())
+        assert len(counting_kernel.calls) == 3
+        np.testing.assert_array_equal(np.concatenate(counting_kernel.calls), draws.draws)
 
-    def test_new_columns_pass_only_their_live_draws(self):
+    def test_new_columns_pass_only_their_live_draws(self, monkeypatch):
         data, dom, draws = self._setup()
         root = SparseGrid(1, [GridPoint((1,), (1,))], max_level=5)
         design = build_design_matrix(data, draws, BasisSet(root, dom))
         kernel = _CountingKernel()
+        monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         # support (0, 0.5): the first block is all live, the second partly,
         # the third not at all
-        inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data, kernel=kernel)
+        inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data)
         live = inc.basis_at_draws[:, 1] != 0.0
         assert 0 < live.sum() < draws.n_draws
         assert len(kernel.calls) == 2
         np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])
 
-    def test_incremental_columns_on_halton_draws(self):
+    def test_incremental_columns_on_halton_draws(self, monkeypatch):
         data, draws, design = TestIncrementalColumns()._design()
         grid = design.basis.grid
         new_grid, _ = refine(grid, [grid.points[1]])
         added = new_grid.points[len(grid):]
         kernel = _CountingKernel()
-        inc = incremental_columns(design, added, draws, data, kernel=kernel)
+        monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
+        inc = incremental_columns(design, added, draws, data)
         live = (inc.basis_at_draws[:, len(grid):] != 0.0).any(axis=1)
         assert live.sum() < draws.n_draws
         np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])

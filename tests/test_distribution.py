@@ -1,18 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from sparserc.basis import Domain
 from sparserc.distribution import (
-    CdfEvaluation,
     DiscreteDistribution,
+    ise,
     joint_cdf,
     joint_cdf_lattice,
     lattice_points,
     marginal_cdf,
     mean,
     mixture_cdf_lattice,
-    rmise,
     true_mixture_cdf,
 )
 from sparserc.estimator import fit_sg
@@ -181,45 +182,44 @@ class TestMean:
 
 
 class TestRmise:
-    def _eval(self, values):
-        pts = np.arange(len(values), dtype=float)[:, None]
-        return CdfEvaluation(eval_points=pts, values=np.asarray(values, dtype=float))
+    """The RMISE of replicates is the square root of their mean :func:`ise`."""
+
+    @staticmethod
+    def _root_mean_ise(estimates, truth):
+        return math.sqrt(np.mean([ise(est, truth) for est in estimates]))
 
     def test_zero_when_equal(self):
-        truth = self._eval([0.1, 0.5, 0.9])
-        assert rmise([truth, truth], truth) == 0.0
+        truth = [0.1, 0.5, 0.9]
+        assert ise(truth, truth) == 0.0
+        assert self._root_mean_ise([truth, truth], truth) == 0.0
 
     def test_constant_error_single_replicate(self):
-        truth = self._eval([0.1, 0.5, 0.9])
-        est = self._eval([0.2, 0.6, 1.0])
-        assert rmise([est], truth) == pytest.approx(0.1, abs=1e-12)
+        truth = np.array([0.1, 0.5, 0.9])
+        assert ise(truth + 0.1, truth) == pytest.approx(0.01, abs=1e-12)
+        assert self._root_mean_ise([truth + 0.1], truth) == pytest.approx(0.1, abs=1e-12)
 
     def test_two_replicate_hand_value(self):
-        truth = self._eval([0.0, 0.0])
-        perfect = self._eval([0.0, 0.0])
-        off = self._eval([0.1, 0.1])
-        assert rmise([perfect, off], truth) == pytest.approx(np.sqrt(0.005), abs=1e-12)
+        truth = perfect = [0.0, 0.0]
+        off = [0.1, 0.1]
+        rmise = self._root_mean_ise([perfect, off], truth)
+        assert rmise == pytest.approx(np.sqrt(0.005), abs=1e-12)
 
     def test_replicate_order_invariant(self):
         rng = np.random.default_rng(11)
-        truth = self._eval(rng.uniform(size=20))
-        reps = [self._eval(rng.uniform(size=20)) for _ in range(5)]
-        assert rmise(reps, truth) == rmise(reps[::-1], truth)
+        truth = rng.uniform(size=20)
+        reps = [rng.uniform(size=20) for _ in range(5)]
+        assert self._root_mean_ise(reps, truth) == self._root_mean_ise(reps[::-1], truth)
 
     def test_mismatched_points_error(self):
-        truth = self._eval([0.1, 0.2])
-        bad = CdfEvaluation(
-            eval_points=np.array([[9.0], [10.0]]), values=np.array([0.1, 0.2])
-        )
         with pytest.raises(ValueError, match="point sets differ"):
-            rmise([bad], truth)
+            ise([0.1, 0.2], [0.1])
 
 
 class TestTrueMixtureCdf:
     def test_upper_corner_is_one(self):
         dgp = two_normal_mixture(2)
         out = true_mixture_cdf(dgp, np.array([[40.0, 40.0]]), n_samples=100_000, seed=0)
-        assert out.values[0] == 1.0
+        assert out[0] == 1.0
 
     def test_symmetry_of_two_component_design(self):
         # means are mirrored and covariances equal, so F(0) computed from
@@ -234,7 +234,7 @@ class TestTrueMixtureCdf:
                 return -dgp.sample(n, rng)
 
         b = true_mixture_cdf(Mirrored(), np.zeros((1, 2)), n_samples=400_000, seed=2)
-        assert a.values[0] == pytest.approx(b.values[0], abs=2e-3)
+        assert a[0] == pytest.approx(b[0], abs=2e-3)
 
     def test_single_component_matches_product_of_normals(self):
         dgp = MixtureDgp(
@@ -249,11 +249,11 @@ class TestTrueMixtureCdf:
         exact = norm.cdf((pts[:, 0] - 0.5) / np.sqrt(0.4)) * norm.cdf(
             (pts[:, 1] + 0.25) / np.sqrt(0.9)
         )
-        np.testing.assert_allclose(out.values, exact, atol=2e-3)
+        np.testing.assert_allclose(out, exact, atol=2e-3)
 
     def test_lattice_version_matches_pointwise(self):
         dgp = two_normal_mixture(2)
         axes = [np.linspace(-4, 4, 6)] * 2
         table = mixture_cdf_lattice(dgp, axes, n_samples=200_000, seed=4)
         direct = true_mixture_cdf(dgp, lattice_points(axes), n_samples=200_000, seed=4)
-        np.testing.assert_allclose(table.reshape(-1), direct.values, atol=1e-12)
+        np.testing.assert_allclose(table.reshape(-1), direct, atol=1e-12)

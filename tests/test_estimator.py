@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserc import estimator
 from sparserc.basis import BasisSet, Domain
@@ -11,9 +12,9 @@ from sparserc.clsolver import NonConvergenceError, check_kkt, solve_cls
 from sparserc.estimator import (
     RefineOptions,
     SolverOptions,
+    _aic_value,
     _column_scores,
     _refinable_scores,
-    aic,
     fit_asg,
     fit_fkrb,
     fit_from_json,
@@ -155,29 +156,24 @@ class TestCriteria:
 
 class TestAic:
     def test_hand_value(self):
-        data = _data(n=5, j=2, d=1, seed=11)  # 10 rows
-        fit = fit_sg(data, Domain.cube(1), 2, r_draws=200)
-        fit.alpha = fit.alpha[:3]
-        fit.diagnostics["ssr_raw"] = 2.5
-        fit.diagnostics["n_parameters"] = 3
-        value = aic(fit, data)
+        value = _aic_value(2.5, 10, 3)  # 10 rows, 3 parameters
         assert value == pytest.approx(10 * math.log(0.25) + 6, abs=1e-9)
         assert value == pytest.approx(-7.863, abs=1e-3)
 
     def test_extra_parameter_costs_two(self):
         data = _data(n=5, j=2, d=1, seed=12)
-        fit = fit_sg(data, Domain.cube(1), 2, r_draws=200)
-        base = aic(fit, data)
-        fit.diagnostics["n_parameters"] += 1
-        fit.alpha = np.concatenate([fit.alpha, [0.0]])
-        assert aic(fit, data) == pytest.approx(base + 2.0, abs=1e-9)
+        fit = fit_asg(data, Domain.cube(1), 2, r_draws=200,
+                      refine_opts=RefineOptions(steps=1, selection="aic"))
+        record = fit.trace.records[fit.trace.selected_step]
+        base = _aic_value(fit.diagnostics["ssr_raw"], data.n_rows, fit.n_parameters)
+        assert record.aic == base
+        assert _aic_value(fit.diagnostics["ssr_raw"], data.n_rows, fit.n_parameters + 1) == (
+            pytest.approx(base + 2.0, abs=1e-9)
+        )
 
     def test_zero_ssr_sentinel(self):
-        data = _data(n=5, j=2, d=1, seed=13)
-        fit = fit_sg(data, Domain.cube(1), 2, r_draws=200)
-        fit.diagnostics["ssr_raw"] = 0.0
         with pytest.warns(UserWarning):
-            assert aic(fit, data) < -1e200
+            assert _aic_value(0.0, 10, 3) < -1e200
 
 
 class TestFoldAssignments:
@@ -514,6 +510,40 @@ class TestFitSerialization:
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             fit_from_json({"schema_version": 2})
+
+
+@st.composite
+def _tiny_fit(draw):
+    """A fit of a random small sg, asg or fkrb configuration on simulated data."""
+    kind = draw(st.sampled_from(["sg", "asg", "fkrb"]))
+    dim, n, j = draw(st.integers(1, 2)), draw(st.integers(6, 40)), draw(st.integers(1, 3))
+    data = _data(n=n, j=j, d=dim, seed=draw(st.integers(0, 2**32 - 1)))
+    domain = Domain.cube(dim)
+    if kind == "fkrb":
+        q = draw(st.integers(1, 7).filter(lambda q: q**dim <= n * j))
+        return fit_fkrb(data, domain, q)
+    r = draw(st.integers(100, 300))
+    if kind == "sg":
+        return fit_sg(data, domain, draw(st.integers(1, 3)), r_draws=r)
+    opts = RefineOptions(
+        steps=draw(st.integers(0, 3)),
+        points_per_step=draw(st.integers(1, 2)),
+        criterion=draw(st.sampled_from(["surplus", "local_error"])),
+        selection=draw(st.sampled_from(["cv_mse", "cv_ll", "aic"])),
+        k_folds=draw(st.integers(2, 3)),
+    )
+    return fit_asg(data, domain, draw(st.integers(1, 2)), r_draws=r, refine_opts=opts)
+
+
+@settings(max_examples=25)
+@given(fit=_tiny_fit())
+def test_pipeline_contracts_hold_on_random_configs(fit):
+    """Every fit, whatever its estimator and size, keeps the library's contracts."""
+    back = fit_from_json(json.loads(json.dumps(fit_to_json(fit))))
+    np.testing.assert_array_equal(back.density_at_draws, fit.density_at_draws)
+    assert abs(fit.density_at_draws.sum() - 1.0) <= 1e-8
+    assert fit.density_at_draws.min() >= -1e-8
+    assert fit.diagnostics["kkt_residual"] <= 1e-8
 
 
 class TestFitResultContracts:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparserc.choicemodel import logit_kernel
+from sparserc.distribution import ise
 from sparserc.simulate import (
     McConfig,
     MixtureComponent,
@@ -12,7 +13,6 @@ from sparserc.simulate import (
     dgp_to_json,
     four_normal_mixture,
     make_dataset,
-    report_from_json,
     report_to_json,
     run_experiment,
     simulate_choices,
@@ -175,9 +175,9 @@ class TestRunExperiment:
 
     def test_report_json_round_trip(self):
         report = run_experiment(_tiny_config())
-        back = report_from_json(json.loads(json.dumps(report_to_json(report))))
-        assert back.runs[0].rmise == report.runs[0].rmise
-        assert back.config == report.config
+        obj = report_to_json(report)
+        assert json.loads(json.dumps(obj)) == obj
+        assert obj["runs"][0]["rmise"] == report.runs[0].rmise
 
     def test_eval_subsample(self):
         report = run_experiment(_tiny_config(eval_subsample=20))
@@ -197,19 +197,13 @@ class TestRunExperiment:
         assert all("NonConvergenceError" in e for e in run.errors)
 
     def test_rmise_matches_definition(self):
-        from sparserc.distribution import CdfEvaluation, rmise
-
         report = run_experiment(_tiny_config())
-        pts = np.zeros((report.eval_points, 1))
-        truth = CdfEvaluation(eval_points=pts, values=np.zeros(report.eval_points))
-        evals = [
-            CdfEvaluation(eval_points=pts, values=np.full(report.eval_points, np.sqrt(i)))
-            for i in (1, 2)
-        ]
+        zeros = np.zeros(report.eval_points)
+        ises = [ise(np.full(report.eval_points, np.sqrt(i)), zeros) for i in (1, 2)]
         # rmise of constant per-replicate errors sqrt(1), sqrt(2) is sqrt(1.5)
-        assert rmise(evals, truth) == pytest.approx(np.sqrt(1.5), abs=1e-12)
-        ise = report.runs[0].ise
-        assert report.runs[0].rmise == pytest.approx(np.sqrt(np.mean(ise)), abs=1e-15)
+        assert np.sqrt(np.mean(ises)) == pytest.approx(np.sqrt(1.5), abs=1e-12)
+        run = report.runs[0]
+        assert run.rmise == pytest.approx(np.sqrt(np.mean(run.ise)), abs=1e-15)
 
     def test_no_estimators_rejected(self):
         with pytest.raises(ValueError, match="no estimators"):
@@ -234,6 +228,8 @@ class TestMcConfigChecks:
             ("n_units", 10**400), ("replicates", 2**63),
             ("sg_levels", (0,)), ("sg_levels", (2.0,)), ("fkrb_q", 3),
             ("solver", {"tol": 1e-8}), ("dgp", None),
+            # above refine.max_level (5), or more fkrb points than the 600 rows
+            ("sg_levels", (6,)), ("asg_levels", (2, 6)), ("fkrb_q", (25,)),
         ],
     )
     def test_bad_value_names_its_field(self, field, value):
