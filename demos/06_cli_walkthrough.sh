@@ -26,7 +26,7 @@ cat > estimate.json <<'EOF'
   "estimator": "sg",
   "level": 3,
   "draws": {"rule": "halton", "r": 4000, "burn_in": 20},
-  "solver": {"tol": 1e-8, "max_iter": 10000, "ridge": 0.0}
+  "solver": {"tol": 1e-8, "max_iter": 10000}
 }
 EOF
 sparserc estimate estimate.json data.csv --out fit.json --weights-csv weights.csv

@@ -149,7 +149,6 @@ class CLSSolution:
     iterations: int
     lambda_ineq: np.ndarray
     mu_eq: float
-    ridge: float = 0.0
     warnings: list = field(default_factory=list)
     stop_reason: str = "converged"
 
@@ -211,7 +210,7 @@ def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _package(problem, v, s, lam, mu, iterations, ridge, warnings_, stop_reason):
+def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
     alpha = v / s
     resid = problem.y - problem.Z @ alpha
     ssr_raw = float(resid @ resid)
@@ -228,7 +227,6 @@ def _package(problem, v, s, lam, mu, iterations, ridge, warnings_, stop_reason):
         iterations=iterations,
         lambda_ineq=lam,
         mu_eq=float(mu),
-        ridge=ridge,
         warnings=list(warnings_),
         stop_reason=stop_reason,
     )
@@ -344,7 +342,6 @@ def solve_cls(
     problem: CLSProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    ridge: float = 0.0,
     x0: np.ndarray | None = None,
 ) -> CLSSolution:
     """Interior-point solve of the density-constrained least squares.
@@ -360,7 +357,7 @@ def solve_cls(
     ``iteration cap (max_iter=N)``.  This is :func:`solve_cls_stack` of one
     problem.
     """
-    (sol,) = solve_cls_stack([problem], tol, max_iter, ridge, [x0])
+    (sol,) = solve_cls_stack([problem], tol, max_iter, [x0])
     if sol.stop_reason != "converged":
         raise nonconvergence(sol, max_iter)
     return sol
@@ -370,7 +367,6 @@ def solve_cls_stack(
     problems: list,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    ridge: float = 0.0,
     x0: list | None = None,
 ) -> list:
     """Interior-point solves of problems that share ``A_ineq`` and ``c_eq``.
@@ -403,8 +399,6 @@ def solve_cls_stack(
         Zs = problem.Z / s
         m = problem.Z.shape[0]
         H[i] = Zs.T @ Zs / m
-        if ridge:
-            H[i] += ridge * np.eye(B)
         b[i] = Zs.T @ problem.y / m
         del Zs
         if a0 is not None:
@@ -476,7 +470,7 @@ def solve_cls_stack(
             i = ids[j]
             lam_orig = np.maximum(lam[j], 0.0) / t
             out[i] = _package(
-                problems[i], v[j], s, lam_orig, mu[j], it, ridge, warnings_[i], str(stop[j])
+                problems[i], v[j], s, lam_orig, mu[j], it, warnings_[i], str(stop[j])
             )
         if done.all():
             return out
@@ -539,7 +533,6 @@ def solve_simplex_cls(
     y: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    ridge: float = 0.0,
 ) -> CLSSolution:
     """Least squares over the probability simplex (weights >= 0, sum one).
 
@@ -557,8 +550,6 @@ def solve_simplex_cls(
     problem = CLSProblem(Z=Z, y=y, A_ineq=np.eye(B), c_eq=np.ones(B))
 
     H = Z.T @ Z / scale
-    if ridge:
-        H = H + ridge * np.eye(B)
     b = Z.T @ y / scale
     eps = _PROX_EPS * max(1.0, float(np.max(np.diag(H))))
     H_in = H + eps * np.eye(B)
@@ -631,7 +622,7 @@ def solve_simplex_cls(
     lam = np.maximum(grad + mu, 0.0)
     lam[np.asarray(free, dtype=int)] = 0.0
     stop_reason = "converged" if converged else "iteration_cap"
-    packaged = _package(problem, w, np.ones(B), lam, mu, iterations, ridge, [], stop_reason)
+    packaged = _package(problem, w, np.ones(B), lam, mu, iterations, [], stop_reason)
     if not converged:
         raise NonConvergenceError(
             f"simplex active-set iteration limit {max_iter} reached", best=packaged
@@ -654,8 +645,6 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     v = alpha * s
     Zs = problem.Z / s
     grad = Zs.T @ (Zs @ v - problem.y) / problem.Z.shape[0]
-    if solution.ridge:
-        grad = grad + solution.ridge * v
     stat = grad + solution.mu_eq * (problem.c_eq / s) - (problem.A_ineq.T @ lam) / s
     gx = problem.A_ineq @ alpha
     return {

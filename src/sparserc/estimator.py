@@ -108,13 +108,11 @@ class SolverOptions:
 
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    ridge: float = 0.0
     strict: bool = True
 
     def __post_init__(self):
         check_fields(self, float, "tol", low=0.0, exclusive=True)
         check_fields(self, int, "max_iter", low=1)
-        check_fields(self, float, "ridge", low=0.0)
         check_fields(self, bool, "strict")
 
 
@@ -217,9 +215,7 @@ def _solve(solve, solver: SolverOptions | None, *args, **kwargs):
     """
     solver = solver or SolverOptions()
     try:
-        out = solve(
-            *args, tol=solver.tol, max_iter=solver.max_iter, ridge=solver.ridge, **kwargs
-        )
+        out = solve(*args, tol=solver.tol, max_iter=solver.max_iter, **kwargs)
     except NonConvergenceError as exc:
         if solver.strict:
             raise
@@ -247,15 +243,10 @@ def _diagnostics(sol: CLSSolution, n_rows: int) -> dict:
     }
 
 
-def _design_problem(
-    design: DesignMatrix, y: np.ndarray, rows=slice(None), cols=slice(None)
-) -> CLSProblem:
-    """The CLS problem of a design's selected columns on the selected regression rows."""
+def _design_problem(design: DesignMatrix, y: np.ndarray, rows=slice(None)) -> CLSProblem:
+    """The CLS problem of a design on the selected regression rows."""
     return CLSProblem(
-        Z=design.Z[rows, cols],
-        y=y[rows],
-        A_ineq=design.basis_at_draws[:, cols],
-        c_eq=design.column_mass[cols],
+        Z=design.Z[rows], y=y[rows], A_ineq=design.basis_at_draws, c_eq=design.column_mass
     )
 
 
@@ -475,13 +466,14 @@ def fit_asg(
 ) -> FitResult:
     """Fit the spatially adaptive sparse-grid estimator.
 
-    Full-search refinement: starting from the classical grid of ``level``,
-    each step scores the refinable points on the current full-data fit,
-    refines the best ones, and refits.  Every step's grid is then evaluated
-    under the configured selection rule (per-fold refits reuse these grids;
-    the k fold refits of one step are solved together, each warm-started from
-    its fold's solution at the previous step), and the fit at the best step
-    is returned together with the whole trace.
+    Full-search refinement in one pass: from the classical grid of
+    ``level``, each of ``refine_opts.steps`` steps scores the refinable
+    points on the previous step's full-data fit, refines the best ones and
+    refits.
+    Each step, the base grid included, is scored under the configured
+    selection rule as it is fitted (its k fold refits are solved together,
+    each warm-started from its fold's solution at the previous step), and
+    the fit at the best step is returned together with the whole trace.
     """
     opts = refine_opts or RefineOptions()
     return _fit_hierarchical(data, domain, level, r_draws, solver, burn_in, opts.max_level, opts)
@@ -499,116 +491,92 @@ def _fit_hierarchical(
 ) -> FitResult:
     """The sparse-grid pipeline of :func:`fit_sg` and :func:`fit_asg`.
 
-    Builds the classical grid of ``level``, the draws, the design and the
-    first solve, then runs ``opts.steps`` refinement steps and selects one
-    of them under ``opts.selection``.  Without ``opts`` no step runs and
-    none is selected: that is the classical estimator, recorded as "sg"
-    with no trace.
+    One loop over steps ``0..opts.steps`` on the classical grid of ``level``
+    and its draws.  A step after 0 refines the previous step's grid and
+    appends the new columns to the design.  Every step then solves the
+    full-data problem, warm-started from the previous step; under a
+    cross-validated ``opts.selection`` it solves and scores its fold refits;
+    and it appends its :class:`StepRecord`.  The step that minimizes the
+    selection criterion is returned.  Without ``opts`` only step 0 runs and
+    none is selected: that is the classical estimator, recorded as "sg" with
+    no trace.
     """
     if data.dim != domain.dim:
         raise ValueError("data and domain dimensions differ")
     r = r_draws if r_draws is not None else DRAWS_PER_DIM * data.dim
     y = data.y_flat
+    cv = opts is not None and opts.selection in ("cv_mse", "cv_ll")
+    if cv:
+        folds = list(_folds(data, opts.k_folds, opts.cv_seed))
+        train_rows = [data.row_slice(train_pos) for train_pos, _ in folds]
 
     grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
     draws = halton_draws(r, data.dim, burn_in=burn_in, domain=domain)
     design = build_design_matrix(data, draws, BasisSet(grid, domain))
-    sol = _solve(solve_cls, solver, _design_problem(design, y))
-
-    # a refinement step appends columns, so each step's design is a column
-    # prefix of the last one, and only the last one is kept
-    grids = [grid]
-    sols = [sol]
-    refined_log: list[tuple] = [()]
-    added_log: list[tuple] = [()]
+    # (grid, full-data solution) of each step; a step appends columns, so its
+    # design is a column prefix of the last one, and only the last one is kept
+    path, records = [], []
+    targets, added, sol, fold_sols = (), (), None, None
+    clamped_total = 0
     terminated_early = False
-
-    for _ in range(opts.steps if opts is not None else 0):
-        scores = _refinable_scores(grid, _column_scores(opts.criterion, sol.alpha, design, y))
-        if not scores:
-            terminated_early = True
-            break
-        ranked = sorted(scores, key=lambda p: (-scores[p], grid.position(p)))
-        targets = ranked[: opts.points_per_step]
-        new_grid, _report = refine(grid, targets)
-        added = new_grid.points[len(grid):]
-        design = incremental_columns(design, added, draws, data)
-        warm = np.concatenate([sol.alpha, np.zeros(len(added))])
+    for step in range(opts.steps + 1 if opts is not None else 1):
+        if step:
+            scores = _refinable_scores(grid, _column_scores(opts.criterion, sol.alpha, design, y))
+            if not scores:
+                terminated_early = True
+                break
+            ranked = sorted(scores, key=lambda p: (-scores[p], grid.position(p)))
+            targets = tuple(ranked[: opts.points_per_step])
+            new_grid, _report = refine(grid, targets)
+            added = new_grid.points[len(grid):]
+            design = incremental_columns(design, added, draws, data)
+            grid = new_grid
+        pad = np.zeros(len(added))
+        warm = None if sol is None else np.concatenate([sol.alpha, pad])
         sol = _solve(solve_cls, solver, _design_problem(design, y), x0=warm)
-        grid = new_grid
-        grids.append(grid)
-        sols.append(sol)
-        refined_log.append(tuple(targets))
-        added_log.append(tuple(added))
+        path.append((grid, sol))
+        if opts is None:
+            break
+        record = StepRecord(
+            step=step,
+            refined_points=targets,
+            added_points=added,
+            n_parameters=len(grid),
+            in_sample_mse=sol.ssr_raw / data.n_rows,
+            aic=_aic_value(sol.ssr_raw, data.n_rows, len(grid)),
+        )
+        records.append(record)
+        if not cv:
+            continue
+        # the k fold refits share Phi, so they run as one stack
+        problems = [_design_problem(design, y, rows) for rows in train_rows]
+        warm = None if fold_sols is None else [np.concatenate([f.alpha, pad]) for f in fold_sols]
+        fold_sols = _solve(solve_cls_stack, solver, problems, x0=warm)
+        del problems  # the next step's k copies of Z replace these
+        mse, ll = [], []
+        for (_, test_pos), fold_sol in zip(folds, fold_sols):
+            pred = design.Z[data.row_slice(test_pos)] @ fold_sol.alpha
+            pred = pred.reshape(test_pos.shape[0], data.n_alts)
+            y_test = data.y[test_pos]
+            mse.append(heldout_mse(pred, y_test))
+            fold_ll, clamped = heldout_loglik(pred, y_test)
+            ll.append(fold_ll)
+            clamped_total += clamped
+        record.oos_mse_folds, record.oos_mse_mean = tuple(mse), float(np.mean(mse))
+        record.oos_loglik_folds, record.oos_loglik_mean = tuple(ll), float(np.mean(ll))
 
     selected, trace = 0, None
     if opts is not None:
-        n_steps = len(grids) - 1
-        in_sample = [s.ssr_raw / data.n_rows for s in sols]
-        aics = [_aic_value(s.ssr_raw, data.n_rows, s.alpha.shape[0]) for s in sols]
-
-        oos_mse = [None] * (n_steps + 1)
-        oos_ll = [None] * (n_steps + 1)
-        clamped_total = 0
-        if opts.selection in ("cv_mse", "cv_ll"):
-            mse_folds = np.empty((opts.k_folds, n_steps + 1))
-            ll_folds = np.empty((opts.k_folds, n_steps + 1))
-            folds = list(_folds(data, opts.k_folds, opts.cv_seed))
-            train_rows = [data.row_slice(train_pos) for train_pos, _ in folds]
-            warm = None
-            for s, step_grid in enumerate(grids):
-                # the k fold refits of a step share Phi, so they run as one stack
-                cols = slice(len(step_grid))
-                problems = [_design_problem(design, y, rows, cols) for rows in train_rows]
-                fold_sols = _solve(solve_cls_stack, solver, problems, x0=warm)
-                del problems  # the next step's k copies of Z replace these
-                for f, ((_, test_pos), fold_sol) in enumerate(zip(folds, fold_sols)):
-                    pred = (design.Z[data.row_slice(test_pos), cols] @ fold_sol.alpha).reshape(
-                        test_pos.shape[0], data.n_alts
-                    )
-                    y_test = data.y[test_pos]
-                    mse_folds[f, s] = heldout_mse(pred, y_test)
-                    ll, clamped = heldout_loglik(pred, y_test)
-                    ll_folds[f, s] = ll
-                    clamped_total += clamped
-                if s < n_steps:
-                    pad = len(grids[s + 1]) - len(grids[s])
-                    warm = [np.concatenate([fs.alpha, np.zeros(pad)]) for fs in fold_sols]
-            oos_mse = [tuple(mse_folds[:, s]) for s in range(n_steps + 1)]
-            oos_ll = [tuple(ll_folds[:, s]) for s in range(n_steps + 1)]
-
-        if opts.selection == "cv_mse":
-            criterion_values = [float(np.mean(v)) for v in oos_mse]
-        elif opts.selection == "cv_ll":
-            criterion_values = [-float(np.mean(v)) for v in oos_ll]
-        else:
-            criterion_values = list(aics)
-        selected = int(np.argmin(criterion_values))
-
-        records = [
-            StepRecord(
-                step=s,
-                refined_points=refined_log[s],
-                added_points=added_log[s],
-                n_parameters=len(grids[s]),
-                in_sample_mse=in_sample[s],
-                aic=aics[s],
-                oos_mse_folds=oos_mse[s],
-                oos_mse_mean=float(np.mean(oos_mse[s])) if oos_mse[s] else None,
-                oos_loglik_folds=oos_ll[s],
-                oos_loglik_mean=float(np.mean(oos_ll[s])) if oos_ll[s] else None,
-            )
-            for s in range(n_steps + 1)
-        ]
-        trace = RefinementTrace(
-            records=records,
-            selected_step=selected,
-            terminated_early=terminated_early,
-            n_clamped_loglik=clamped_total,
-        )
+        criterion = {
+            "cv_mse": lambda rec: rec.oos_mse_mean,
+            "cv_ll": lambda rec: -rec.oos_loglik_mean,
+            "aic": lambda rec: rec.aic,
+        }[opts.selection]
+        selected = int(np.argmin([criterion(rec) for rec in records]))
+        trace = RefinementTrace(records, selected, terminated_early, clamped_total)
 
     kind = "sg" if opts is None else "asg"
-    best_sol = sols[selected]
+    best_grid, best_sol = path[selected]
     draws_config = {"rule": "halton", "r": r, "burn_in": burn_in}
     setting = {"level": level}
     if opts is None:
@@ -620,10 +588,10 @@ def _fit_hierarchical(
         domain=domain,
         alpha=best_sol.alpha,
         support=draws.draws,
-        density_at_draws=design.basis_at_draws[:, : len(grids[selected])] @ best_sol.alpha,
+        density_at_draws=design.basis_at_draws[:, : len(best_grid)] @ best_sol.alpha,
         diagnostics=_diagnostics(best_sol, data.n_rows),
         config=config,
-        grid=grids[selected],
+        grid=best_grid,
         trace=trace,
     )
 

@@ -107,7 +107,8 @@ def halton_draws(
 
 def read_draws_csv(path) -> np.ndarray:
     """Read a CSV of points (a header, then one point per row) into an
-    ``(R, D)`` array; malformed rows raise with their line number."""
+    ``(R, D)`` array; malformed rows and NaN coordinates raise with their
+    line number (infinite ones are kept: the CDF is defined there)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -120,6 +121,8 @@ def read_draws_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if np.isnan(rows[-1]).any():
+                raise ValueError(f"{path}: line {lineno}: NaN coordinate")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

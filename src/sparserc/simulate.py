@@ -204,6 +204,10 @@ class McConfig:
         if any(q**self.dgp.dim > rows for q in self.fkrb_q):
             raise ValueError(f"fkrb_q entries must have q**{self.dgp.dim} <= n_units * n_alts "
                              f"= {rows}, got {max(self.fkrb_q)}")
+        cv = self.asg_levels and self.refine.selection in ("cv_mse", "cv_ll")
+        if cv and self.refine.k_folds > self.n_units:
+            raise ValueError(f"refine.k_folds must be <= n_units = {self.n_units} under "
+                             f"{self.refine.selection} selection, got {self.refine.k_folds}")
         self.run_labels()
 
     def resolved_domain(self) -> Domain:

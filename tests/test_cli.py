@@ -272,8 +272,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "content, expected",
-        [("beta_1,beta_2\n", "no data rows"), ("beta_1,beta_2\n0.0,x\n", "line 2")],
-        ids=["header-only", "not-a-number"],
+        [("beta_1,beta_2\n", "no data rows"), ("beta_1,beta_2\n0.0,x\n", "line 2"),
+         ("beta_1,beta_2\n0.0,nan\n", "line 2: NaN")],
+        ids=["header-only", "not-a-number", "nan"],
     )
     def test_malformed_points_csv(self, fitted, tmp_path, capsys, content, expected):
         pts_file = tmp_path / "pts.csv"
@@ -450,7 +451,6 @@ BAD_SETTINGS = {
     "fkrb_q-beyond-rows": ("replicate", "fkrb_q", [18]),
     "tol-negative": ("estimate", "solver.tol", -1),
     "max_iter-zero": ("estimate", "solver.max_iter", 0),
-    "ridge-negative": ("estimate", "solver.ridge", -1),
     # too large for a float or a 64-bit integer (OverflowError tracebacks)
     "tol-huge": ("estimate", "solver.tol", 10**400),
     "n_units-huge": ("replicate", "n_units", 10**400),
@@ -495,6 +495,17 @@ def test_bad_setting_exits_one_naming_it(simulated, capsys, command, path, value
     assert err.startswith("error: ") and path.split(".")[-1] in err
     assert "Traceback" not in err
     assert not (out / "r.json").exists() and not (out / "fit.json").exists()
+
+
+def test_more_folds_than_units_exits_one(tmp_path, capsys):
+    config = {**TINY_REPLICATE, "n_units": 4, "asg_levels": [1], "refinement": {"k_folds": 5}}
+    cfg = write_config(tmp_path / "rep.json", config)
+    code = main(["replicate", cfg, "--report", str(tmp_path / "r.json"),
+                 "--table", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid replicate config: ") and "k_folds" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_zero_workers_flag_rejected(tmp_path, capsys):
@@ -544,7 +555,6 @@ VALID_SETTINGS = {
     "workers": st.just(1),
     "solver.tol": st.floats(1e-10, 1e-4),
     "solver.max_iter": st.integers(1, 200),
-    "solver.ridge": st.floats(0.0, 1e-3),
     "refinement.steps": st.integers(0, 2),
     "refinement.points_per_step": st.integers(1, 2),
     "refinement.criterion": st.sampled_from(["surplus", "local_error"]),

@@ -261,19 +261,6 @@ class TestSolverContracts:
                 solve_cls(problem)
         assert exc_info.value.best.iterations <= 2
 
-    def test_ridge_zero_matches_default(self):
-        problem = random_instance(16)
-        a = solve_cls(problem)
-        b = solve_cls(problem, ridge=0.0)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-
-    def test_ridge_shrinks_solution_norm(self):
-        problem = random_instance(17, nonneg_rows=True)
-        plain = solve_cls(problem)
-        ridged = solve_cls(problem, ridge=10.0)
-        s = problem.c_eq
-        assert np.linalg.norm(ridged.alpha * s) <= np.linalg.norm(plain.alpha * s) + 1e-9
-
 
 class TestThreadedSize:
     """An instance large enough for OpenBLAS to run its level-3 calls threaded."""

@@ -121,3 +121,8 @@ class TestDrawSet:
         path.write_text("\n".join(["beta_1,beta_2,beta_3"] + rows) + "\n")
         back = read_draws_csv(path)
         np.testing.assert_array_equal(back, draws.draws)
+
+    def test_csv_keeps_infinite_coordinates(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("beta_1,beta_2\n-inf,inf\n")
+        np.testing.assert_array_equal(read_draws_csv(path), [[-np.inf, np.inf]])

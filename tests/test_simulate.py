@@ -5,6 +5,7 @@ import pytest
 
 from sparserc.choicemodel import logit_kernel
 from sparserc.distribution import ise
+from sparserc.estimator import RefineOptions
 from sparserc.simulate import (
     McConfig,
     MixtureComponent,
@@ -235,6 +236,13 @@ class TestMcConfigChecks:
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):
             _tiny_config(**{field: value})
+
+    def test_more_folds_than_units_rejected_under_cv(self):
+        with pytest.raises(ValueError, match=r"^refine\.k_folds must be <= n_units = 4"):
+            _tiny_config(n_units=4, asg_levels=(1,), refine=RefineOptions(k_folds=5))
+        # AIC selection makes no folds, and neither does a config without asg
+        _tiny_config(n_units=4, asg_levels=(1,), refine=RefineOptions(k_folds=5, selection="aic"))
+        _tiny_config(n_units=4, refine=RefineOptions(k_folds=5))
 
     def test_lists_and_numpy_ints_normalized(self):
         config = _tiny_config(sg_levels=[np.int64(2)], n_units=np.int32(50))
