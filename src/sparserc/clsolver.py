@@ -8,13 +8,13 @@ Three entry points share one contract:
   has at least one row: every fit has at least one draw.
 * :func:`solve_cls_stack` solves several such problems that share ``A_ineq``
   and ``c_eq`` in one iteration; :func:`solve_cls` is its one-problem case.
-* :func:`solve_simplex_cls` is the special case ``A_ineq = I``,
-  ``c_eq = 1`` used by fixed-grid weights.
+* :func:`solve_simplex_cls` is the identity-constrained case ``A_ineq = I``,
+  ``c_eq = 1`` of fixed-grid weights, started from uniform weights.
 
 The general solve runs a primal-dual interior-point iteration (Mehrotra
 predictor-corrector).  That choice is deliberate: refined grids produce
 large regions of exactly zero density, so hundreds of draw constraints are
-active and mutually dependent at the optimum, which makes working-set
+active and mutually dependent at the optimum, which makes active-set
 methods cycle on degenerate vertices, while the interior-point iteration
 is indifferent to constraint redundancy.  Inequality constraints enter
 only through matrix-vector products and a ``B x B`` normal matrix, never
@@ -46,14 +46,9 @@ solve (row-wise operations, its own ``syrk``, Cholesky and ``cho_solve``),
 except that the products with the constraints are one ``gemm`` for the whole
 stack, so it can differ from its own solve in the last bits.
 
-The simplex variant keeps a working-set (NNLS-style) iteration: its
-constraint rows are orthonormal, so the degeneracy above cannot occur,
-and the vertex solutions it returns carry exact zeros.  A proximal outer
-loop keeps its subproblems strictly convex.
-
 Every solution carries multipliers and its ``stop_reason``, and
 :func:`check_kkt` re-derives all optimality residuals from the problem data
-alone.  Both solvers are deterministic for fixed inputs.
+alone.  The interior point is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -73,8 +68,6 @@ ROW_BLOCK = 256
 # 62 columns packs into a nonnegative int64 key.
 _PATTERN_COLUMNS = 62
 
-_PROX_EPS = 1e-6
-_MAX_OUTER = 1_000
 _IPM_STEP_DAMP = 0.9995
 
 
@@ -194,20 +187,6 @@ def feasible_start(problem: CLSProblem) -> np.ndarray:
     if res.status != 0 or res.x is None:
         raise InfeasibleError(f"no feasible point: {res.message}")
     return np.asarray(res.x, dtype=float)
-
-
-def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a KKT system, falling back to least squares when singular."""
-    try:
-        sol = np.linalg.solve(K, rhs)
-        if np.all(np.isfinite(sol)):
-            res = K @ sol - rhs
-            if np.max(np.abs(res)) <= 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-                return sol
-    except np.linalg.LinAlgError:
-        pass
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol
 
 
 def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
@@ -534,100 +513,12 @@ def solve_simplex_cls(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CLSSolution:
-    """Least squares over the probability simplex (weights >= 0, sum one).
-
-    Working-set iteration on the bound constraints: the subproblem runs on
-    the free variables only, starting from the best single-weight vertex,
-    growing or shrinking one variable at a time (ties to the lowest column
-    index).  A proximal outer loop keeps every subproblem strictly convex;
-    at its fixed point the true stationarity residual is the (driven to
-    negligible) proximal gap.
-    """
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m_rows, B = Z.shape
-    scale = float(m_rows)
+    """Least squares over the probability simplex: :func:`solve_cls` with
+    ``A_ineq = I`` and ``c_eq = 1``, started from uniform weights (from its
+    default start, a one-column vertex, the iteration can stall here)."""
+    B = np.shape(Z)[1]
     problem = CLSProblem(Z=Z, y=y, A_ineq=np.eye(B), c_eq=np.ones(B))
-
-    H = Z.T @ Z / scale
-    b = Z.T @ y / scale
-    eps = _PROX_EPS * max(1.0, float(np.max(np.diag(H))))
-    H_in = H + eps * np.eye(B)
-
-    start_obj = 0.5 * np.diag(H) - b
-    free = [int(np.argmin(start_obj))]
-    w = np.zeros(B)
-    w[free[0]] = 1.0
-    mu = 0.0
-
-    iterations = 0
-    converged = False
-    w_prev = w.copy()
-    for _outer in range(_MAX_OUTER):
-        b_in = b + eps * w_prev
-        inner_done = False
-        while iterations < max_iter:
-            # restore nonnegativity on the free set
-            while True:
-                iterations += 1
-                if iterations > max_iter:
-                    break
-                F = np.asarray(free, dtype=int)
-                k = F.size
-                K = np.zeros((k + 1, k + 1))
-                K[:k, :k] = H_in[np.ix_(F, F)]
-                K[:k, k] = 1.0
-                K[k, :k] = 1.0
-                rhs = np.concatenate([b_in[F], [1.0]])
-                sol = _solve_kkt(K, rhs)
-                w_f, mu = sol[:k], float(sol[k])
-                if w_f.min() >= -1e-12:
-                    w = np.zeros(B)
-                    w[F] = w_f
-                    break
-                cur = w[F]
-                neg = np.flatnonzero(w_f < -1e-12)
-                ratios = cur[neg] / (cur[neg] - w_f[neg])
-                theta = float(ratios.min())
-                upd = cur + theta * (w_f - cur)
-                hit = set(F[neg[ratios <= theta * (1.0 + 1e-12) + 1e-15]].tolist())
-                hit |= set(F[np.flatnonzero(upd <= 1e-14)].tolist())
-                w = np.zeros(B)
-                w[F] = upd
-                for j in hit:
-                    w[j] = 0.0
-                total = w.sum()
-                if total > 0:
-                    w /= total
-                free = sorted(set(free) - hit)
-            if iterations > max_iter:
-                break
-            grad_in = H_in @ w - b_in
-            price = grad_in + mu
-            price[np.asarray(free, dtype=int)] = np.inf
-            enter = int(np.argmin(price))
-            if not np.isfinite(price[enter]) or price[enter] >= -tol:
-                inner_done = True
-                break
-            free = sorted(free + [enter])
-        if not inner_done:
-            break
-        gap = eps * float(np.max(np.abs(w - w_prev)))
-        w_prev = w.copy()
-        if gap <= 0.1 * tol * (1.0 + float(np.max(np.abs(w)))):
-            converged = True
-            break
-
-    grad = H @ w - b
-    lam = np.maximum(grad + mu, 0.0)
-    lam[np.asarray(free, dtype=int)] = 0.0
-    stop_reason = "converged" if converged else "iteration_cap"
-    packaged = _package(problem, w, np.ones(B), lam, mu, iterations, [], stop_reason)
-    if not converged:
-        raise NonConvergenceError(
-            f"simplex active-set iteration limit {max_iter} reached", best=packaged
-        )
-    return packaged
+    return solve_cls(problem, tol, max_iter, x0=np.full(B, 1.0 / B))
 
 
 def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:

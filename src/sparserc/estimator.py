@@ -372,7 +372,7 @@ def fold_assignments(unit_ids, k: int, seed: int = 0) -> dict:
         raise ValueError("k must be >= 2")
     ids = np.sort(np.asarray(unit_ids))
     if k > ids.shape[0]:
-        raise ValueError("more folds than units")
+        raise ValueError(f"k_folds = {k} exceeds the {ids.shape[0]} units of the data")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ids.shape[0])
     folds = np.empty(ids.shape[0], dtype=int)

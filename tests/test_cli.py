@@ -508,6 +508,24 @@ def test_more_folds_than_units_exits_one(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_estimate_more_folds_than_units_names_k_folds(tmp_path, capsys):
+    sim = write_config(tmp_path / "sim.json", {
+        "preset": "two-normals-d2", "n_units": 4, "n_alts": 3, "seed": 5,
+        "out_data": str(tmp_path / "data.csv"), "out_truth": str(tmp_path / "truth.json"),
+    })
+    assert main(["simulate", sim]) == EXIT_OK
+    cfg = write_config(tmp_path / "est.json", {
+        "estimator": "asg", "level": 1, "refinement": {"steps": 1, "k_folds": 5},
+    })
+    capsys.readouterr()
+    code = main(["estimate", cfg, str(tmp_path / "data.csv"),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k_folds" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_zero_workers_flag_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "rep.json", TINY_REPLICATE)
     code = main(["replicate", cfg, "--workers", "0", "--report", str(tmp_path / "r.json"),
@@ -537,6 +555,8 @@ def test_estimate_rejects_keys_its_estimator_ignores(simulated, capsys, config, 
     assert not (simulated / "never.json").exists()
 
 
+# Valid levels and grid sizes of each estimator.
+SG_LEVEL, ASG_LEVEL, FKRB_Q = st.integers(1, 2), st.just(1), st.integers(1, 3)
 # Valid values of the fuzzed replicate, solver and refinement keys: at most
 # 60 units, 300 draws and 200 solver iterations.
 VALID_SETTINGS = {
@@ -546,9 +566,9 @@ VALID_SETTINGS = {
     "n_alts": st.integers(1, 4),
     "r_draws": st.integers(50, 300),
     "burn_in": st.integers(0, 30),
-    "sg_levels": st.lists(st.integers(1, 2), min_size=1, max_size=2),
-    "asg_levels": st.lists(st.just(1), max_size=1),
-    "fkrb_q": st.lists(st.integers(1, 3), max_size=1),
+    "sg_levels": st.lists(SG_LEVEL, min_size=1, max_size=2),
+    "asg_levels": st.lists(ASG_LEVEL, max_size=1),
+    "fkrb_q": st.lists(FKRB_Q, max_size=1),
     "eval_points_per_dim": st.integers(1, 6),
     "eval_subsample": st.integers(1, 40),
     "truth_samples": st.integers(1, 5000),
@@ -592,6 +612,55 @@ def test_fuzzed_replicate_config_never_crashes(config):
                 "--report", str(tmp / "r.json"), "--table", str(tmp / "t.csv")]
         # an exception escaping main fails the property with its traceback
         code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """One simulated dataset of 30 units and 3 alternatives, shared by the
+    examples of the estimate fuzz."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    cfg = write_config(tmp / "sim.json", {
+        "preset": "two-normals-d2", "n_units": 30, "n_alts": 3, "seed": 7,
+        "out_data": str(tmp / "data.csv"), "out_truth": str(tmp / "truth.json"),
+    })
+    assert main(["simulate", cfg]) == EXIT_OK
+    return tmp / "data.csv"
+
+
+@st.composite
+def fuzzed_estimate_configs(draw):
+    """A valid estimate config: the keys its estimator reads, each drawn from
+    the strategy of the matching replicate key."""
+    estimator = draw(st.sampled_from(["sg", "asg", "fkrb"]))
+    size_key, size = {"sg": ("level", SG_LEVEL), "asg": ("level", ASG_LEVEL),
+                      "fkrb": ("q", FKRB_Q)}[estimator]
+    config = {"estimator": estimator, size_key: draw(size)}
+    paths = {"solver.tol": "solver.tol", "solver.max_iter": "solver.max_iter"}
+    if estimator != "fkrb":
+        paths["draws.r"] = "r_draws"
+    if estimator == "asg":
+        paths.update({path: path for path in VALID_SETTINGS if path.startswith("refinement.")})
+    for path, key in paths.items():
+        config = _set(config, path, draw(VALID_SETTINGS[key]))
+    return config
+
+
+@settings(max_examples=25)
+@given(config=fuzzed_estimate_configs())
+def test_fuzzed_estimate_config_never_crashes(tiny_data, config):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp) / "fit.json"
+        argv = ["estimate", write_config(Path(tmp) / "est.json", config),
+                str(tiny_data), "--out", str(out)]
+        # an exception escaping main fails the property with its traceback
+        code = main(argv)
+        if code in (0, 2):
+            fit_from_json(json.loads(out.read_text()))
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 1:

@@ -529,7 +529,7 @@ class TestSimplexSolver:
         sol = solve_simplex_cls(Z, rng.normal(size=10))
         assert sol.alpha[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_identical_columns_deterministic_lowest_index(self):
+    def test_identical_columns_deterministic(self):
         rng = np.random.default_rng(21)
         col = rng.normal(size=30)
         Z = np.column_stack([col, col, rng.normal(size=30)])
@@ -537,8 +537,21 @@ class TestSimplexSolver:
         a = solve_simplex_cls(Z, y)
         b = solve_simplex_cls(Z, y)
         np.testing.assert_array_equal(a.alpha, b.alpha)
-        assert a.alpha[1] == 0.0  # mass lands on the lower twin index
         assert a.ssr <= enumerate_simplex_optimum(Z, y) + 1e-8
+
+    def test_two_weights_from_uniform_start(self):
+        # from the one-column vertex (1, 0) the interior point stalls at the
+        # iteration cap on this instance; the uniform start reaches the optimum
+        H = np.array([[0.0963567, 0.01030278], [0.01030278, 0.1244384]])
+        b = np.array([0.05103921, 0.06901823])
+        L = np.linalg.cholesky(H)
+        # two rows with Z'Z / 2 = H and Z'y / 2 = b
+        Z = np.sqrt(2.0) * L.T
+        y = np.sqrt(2.0) * np.linalg.solve(L, b)
+        sol = solve_simplex_cls(Z, y)
+        assert sol.stop_reason == "converged"
+        np.testing.assert_allclose(sol.alpha, [0.4803278, 0.5196722], atol=1e-6)
+        assert sol.ssr <= enumerate_simplex_optimum(Z, y) + 1e-8
 
     def test_matches_enumeration_on_random_instances(self):
         for seed in range(12):

@@ -86,12 +86,16 @@ class TestFitFkrb:
         data = _data(n=50, j=5, d=2, seed=5)
         fit = fit_fkrb(data, Domain.cube(2), 15)
         assert fit.n_parameters == 225
+        assert fit.diagnostics["stop_reason"] == "converged"
+        assert fit.diagnostics["kkt_residual"] <= 1e-8
 
     def test_six_dim_three_point_grid(self):
         data = _data(n=200, j=5, d=6, seed=6)
         fit = fit_fkrb(data, Domain.cube(6), 3)
         assert fit.n_parameters == 729
         assert fit.density_at_draws.sum() == pytest.approx(1.0, abs=1e-8)
+        assert fit.diagnostics["stop_reason"] == "converged"
+        assert fit.diagnostics["kkt_residual"] <= 1e-8
 
     def test_capacity_guard(self):
         data = _data(n=100, j=5, d=4, seed=7)  # 500 rows < 15**4
