@@ -18,7 +18,6 @@ from .choicemodel import (
 from .clsolver import (
     CLSProblem,
     CLSSolution,
-    InfeasibleError,
     NonConvergenceError,
     check_kkt,
     solve_cls,

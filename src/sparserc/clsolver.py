@@ -5,11 +5,14 @@ Three entry points share one contract:
 * :func:`solve_cls` minimizes ``||y - Z a||^2 / (2 m)``, ``m`` the rows of
   ``Z``, subject to ``A_ineq a >= 0`` row-wise and ``c_eq' a = 1``
   (nonnegative implied density at every draw, total mass one).  ``A_ineq``
-  has at least one row: every fit has at least one draw.
+  has at least one row (every fit has at least one draw) and no negative
+  entry (hat-basis values), and every mass in ``c_eq`` is positive, so the
+  point spreading unit mass evenly, ``a_b = 1 / (B c_b)``, is always
+  feasible; a cold solve starts there.
 * :func:`solve_cls_stack` solves several such problems that share ``A_ineq``
   and ``c_eq`` in one iteration; :func:`solve_cls` is its one-problem case.
 * :func:`solve_simplex_cls` is the identity-constrained case ``A_ineq = I``,
-  ``c_eq = 1`` of fixed-grid weights, started from uniform weights.
+  ``c_eq = 1`` of fixed-grid weights.
 
 The general solve runs a primal-dual interior-point iteration (Mehrotra
 predictor-corrector).  That choice is deliberate: refined grids produce
@@ -71,10 +74,6 @@ _PATTERN_COLUMNS = 62
 _IPM_STEP_DAMP = 0.9995
 
 
-class InfeasibleError(RuntimeError):
-    """The constraint set admits no solution."""
-
-
 class NonConvergenceError(RuntimeError):
     """Iteration limit reached; ``best`` holds the last iterate."""
 
@@ -88,7 +87,8 @@ class CLSProblem:
     """Data of one constrained least-squares instance.
 
     The objective is ``||y - Z a||^2 / (2 m)`` with ``m`` the number of rows
-    of ``Z``; ``A_ineq`` needs at least one row.
+    of ``Z``; ``A_ineq`` needs at least one row and no negative entry, and
+    ``c_eq`` positive entries.
     """
 
     Z: np.ndarray
@@ -109,16 +109,16 @@ class CLSProblem:
             raise ValueError("A_ineq needs at least one row")
         if self.c_eq.shape != (self.Z.shape[1],):
             raise ValueError("c_eq must have one entry per coefficient")
-        if not np.any(self.c_eq > 0):
-            raise ValueError("c_eq needs at least one positive entry")
-        for name in ("Z", "y", "A_ineq", "c_eq"):
+        checks = [(name, "be finite", np.isfinite) for name in ("Z", "y", "A_ineq", "c_eq")]
+        checks += [("A_ineq", "be >= 0", lambda a: a >= 0.0)]
+        checks += [("c_eq", "be > 0", lambda a: a > 0.0)]
+        for name, rule, ok in checks:
             arr = getattr(self, name)
-            if not np.isfinite(arr).all():
-                idx = np.argwhere(~np.isfinite(arr))[0]
+            bad = ~ok(arr)
+            if bad.any():
+                idx = np.argwhere(bad)[0]
                 where = int(idx[0]) if idx.size == 1 else tuple(int(i) for i in idx)
-                raise ValueError(
-                    f"{name} must be finite: entry {where} is {arr[tuple(idx)]}"
-                )
+                raise ValueError(f"{name} must {rule}: entry {where} is {arr[tuple(idx)]}")
 
     @property
     def n_coef(self) -> int:
@@ -150,43 +150,6 @@ def objective(problem: CLSProblem, alpha: np.ndarray) -> float:
     """The objective ``||y - Z a||^2 / (2 m)``."""
     r = problem.y - problem.Z @ np.asarray(alpha, dtype=float)
     return float(r @ r) / (2.0 * problem.Z.shape[0])
-
-
-def _column_scale(problem: CLSProblem) -> np.ndarray:
-    c = problem.c_eq
-    if np.all(c > 0):
-        return c.astype(float)
-    return np.ones_like(c)
-
-
-def feasible_start(problem: CLSProblem) -> np.ndarray:
-    """A feasible point, preferring a one-column vertex.
-
-    Any column whose inequality entries are all nonnegative and whose
-    equality coefficient is positive yields one (the lowest such index is
-    used); otherwise a linear-programming feasibility phase runs.  Raises
-    :class:`InfeasibleError` when no feasible point exists.
-    """
-    A, c = problem.A_ineq, problem.c_eq
-    idx = np.flatnonzero((A.min(axis=0) >= 0.0) & (c > 0))
-    if idx.size:
-        x = np.zeros(problem.n_coef)
-        x[idx[0]] = 1.0 / c[idx[0]]
-        return x
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.zeros(problem.n_coef),
-        A_ub=-A,
-        b_ub=np.zeros(problem.n_ineq),
-        A_eq=c[None, :],
-        b_eq=np.array([1.0]),
-        bounds=(None, None),
-        method="highs",
-    )
-    if res.status != 0 or res.x is None:
-        raise InfeasibleError(f"no feasible point: {res.message}")
-    return np.asarray(res.x, dtype=float)
 
 
 def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
@@ -325,16 +288,17 @@ def solve_cls(
 ) -> CLSSolution:
     """Interior-point solve of the density-constrained least squares.
 
-    ``x0`` seeds the iteration when supplied (any point of the right shape
-    works; a feasible one is found otherwise, raising
-    :class:`InfeasibleError` if none exists).  The converged objective is
-    the constrained minimum, so it never exceeds the value at any feasible
-    warm start.  Raises :class:`NonConvergenceError` carrying the best
-    iterate when the iteration stops short of the tolerances; its message
-    names the reason: ``stalled`` (no gap progress), ``factorization
-    failed`` (the normal matrix is non-finite or not factorizable) or
-    ``iteration cap (max_iter=N)``.  This is :func:`solve_cls_stack` of one
-    problem.
+    ``x0`` seeds the iteration when supplied (any finite point of the right
+    shape with nonzero mass ``c_eq' x0`` works, rescaled to mass one);
+    otherwise, or with a warning for any other ``x0``, it starts from
+    uniform mass, ``a_b = 1 / (B c_b)``.
+    The converged objective is the constrained minimum, so it never exceeds
+    the value at any feasible warm start.  Raises
+    :class:`NonConvergenceError` carrying the best iterate when the
+    iteration stops short of the tolerances; its message names the reason:
+    ``stalled`` (no gap progress), ``factorization failed`` (the normal
+    matrix is non-finite or not factorizable) or ``iteration cap
+    (max_iter=N)``.  This is :func:`solve_cls_stack` of one problem.
     """
     (sol,) = solve_cls_stack([problem], tol, max_iter, [x0])
     if sol.stop_reason != "converged":
@@ -367,13 +331,13 @@ def solve_cls_stack(
         raise ValueError("x0 needs one entry per problem")
     warnings_ = [[] for _ in range(k)]
 
-    s = _column_scale(first)
-    cs = first.c_eq / s
+    # scaled coordinates v = a * c_eq: uniform mass is v = 1 / B
+    s = first.c_eq
+    cs = np.ones(B)
     # one problem at a time, so only one scaled copy of a Z is alive
     H = np.empty((k, B, B))
     b = np.empty((k, B))
     v = np.empty((k, B))
-    start = None
     for i, (problem, a0) in enumerate(zip(problems, x0)):
         Zs = problem.Z / s
         m = problem.Z.shape[0]
@@ -382,15 +346,14 @@ def solve_cls_stack(
         del Zs
         if a0 is not None:
             a0 = np.asarray(a0, dtype=float)
-            if a0.shape != (B,) or not np.all(np.isfinite(a0)):
+            # the start is rescaled to mass one, so it needs a mass
+            if a0.shape != (B,) or not np.all(np.isfinite(a0)) or abs(a0 @ s) <= 1e-12:
                 warnings_[i].append("malformed warm start ignored")
                 a0 = None
-        if a0 is None and start is None:
-            start = feasible_start(first)  # raises when infeasible
-        v[i] = (start if a0 is None else a0) * s
+        v[i] = 1.0 / B if a0 is None else a0 * s
 
     At = first.A_ineq / s
-    t = np.maximum(At.max(axis=1), -At.min(axis=1))
+    t = At.max(axis=1)
     # an all-zero row is the vacuous constraint 0 >= 0; scale 1 keeps its
     # multiplier finite
     t[t == 0.0] = 1.0
@@ -401,9 +364,7 @@ def solve_cls_stack(
     # place: many mid-sized temporaries fragment the heap and keep its memory
     work = np.empty((10, k, R))
     sig, lam, r_p, comp, d, q, rc, dsig, dlam, dsig_a = work
-    total = _dots(v, cs)
-    rescale = np.abs(total) > 1e-12
-    v[rescale] /= total[rescale, None]
+    v /= _dots(v, cs)[:, None]
     np.matmul(v, At.T, out=sig)
     floor = np.maximum(1e-8, 1e-3 * np.median(np.abs(sig), axis=1))
     np.maximum(sig, floor[:, None], out=sig)
@@ -514,25 +475,22 @@ def solve_simplex_cls(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CLSSolution:
     """Least squares over the probability simplex: :func:`solve_cls` with
-    ``A_ineq = I`` and ``c_eq = 1``, started from uniform weights (from its
-    default start, a one-column vertex, the iteration can stall here)."""
+    ``A_ineq = I`` and ``c_eq = 1``."""
     B = np.shape(Z)[1]
-    problem = CLSProblem(Z=Z, y=y, A_ineq=np.eye(B), c_eq=np.ones(B))
-    return solve_cls(problem, tol, max_iter, x0=np.full(B, 1.0 / B))
+    return solve_cls(CLSProblem(Z=Z, y=y, A_ineq=np.eye(B), c_eq=np.ones(B)), tol, max_iter)
 
 
 def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     """Recompute all optimality residuals from problem data and multipliers.
 
     Stationarity is measured on mass-scaled columns (each coefficient scaled
-    by its equality weight when those are all positive), which keeps the
-    gradient O(1) regardless of draw counts.  Returns a dict with keys
-    ``stationarity``, ``primal_ineq``, ``primal_eq``, ``dual``, and
-    ``complementarity``.
+    by its equality weight), which keeps the gradient O(1) regardless of
+    draw counts.  Returns a dict with keys ``stationarity``,
+    ``primal_ineq``, ``primal_eq``, ``dual``, and ``complementarity``.
     """
     alpha = np.asarray(solution.alpha, dtype=float)
     lam = np.asarray(solution.lambda_ineq, dtype=float)
-    s = _column_scale(problem)
+    s = problem.c_eq
     v = alpha * s
     Zs = problem.Z / s
     grad = Zs.T @ (Zs @ v - problem.y) / problem.Z.shape[0]

@@ -33,6 +33,18 @@ from .estimator import fit_asg, fit_fkrb, fit_sg
 from .quasirand import DEFAULT_BURN_IN
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; a ``ValueError`` naming the component
+    field ``name`` unless it holds only finite numbers."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting: no numeric array
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"component {name} must hold finite numbers, got {value!r}")
+    return arr.astype(float)
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
@@ -40,10 +52,11 @@ class MixtureComponent:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if self.weight <= 0:
-            raise ValueError("component weight must be positive")
+        weight = _finite("weight", self.weight)
+        mean = np.atleast_1d(_finite("mean", self.mean))
+        cov = np.atleast_2d(_finite("cov", self.cov))
+        if weight.ndim != 0 or weight <= 0:
+            raise ValueError(f"component weight must be a positive number, got {self.weight!r}")
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ValueError("covariance shape must match the mean")
         if not np.allclose(cov, cov.T):
@@ -125,7 +138,7 @@ def dgp_to_json(dgp: MixtureDgp) -> dict:
 def dgp_from_json(obj: dict) -> MixtureDgp:
     return MixtureDgp(
         components=tuple(
-            MixtureComponent(c["weight"], np.asarray(c["mean"]), np.asarray(c["cov"]))
+            MixtureComponent(c["weight"], c["mean"], c["cov"])
             for c in obj["components"]
         )
     )

@@ -119,6 +119,19 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_mixture_mean_exits_one_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        dgp = {"components": [{"weight": 1.0, "mean": [0.0, None], "cov": [[1, 0], [0, 1]]}]}
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"dgp": dgp, "n_units": 200, "out_data": str(out),
+             "out_truth": str(tmp_path / "t.json")},
+        )
+        assert main(["simulate", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "component mean must hold finite numbers" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_schema_version(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"preset": "two-normals-d2"}))

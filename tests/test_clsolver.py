@@ -8,10 +8,8 @@ from sparserc import clsolver
 from sparserc.basis import Domain, evaluate_basis_columns
 from sparserc.clsolver import (
     CLSProblem,
-    InfeasibleError,
     NonConvergenceError,
     check_kkt,
-    feasible_start,
     objective,
     solve_cls,
     solve_cls_stack,
@@ -21,28 +19,21 @@ from sparserc.hiergrid import build_classical_sparse_grid
 from sparserc.quasirand import halton_draws
 
 
-def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None, nonneg_rows=None):
-    """A random feasible instance within the tiny-oracle size bounds.
+def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None):
+    """A random instance within the tiny-oracle size bounds.
 
-    General (signed) constraint rows are sign-flipped so a reference point
-    satisfies them, keeping the polytope nonempty.
+    Constraint rows are nonnegative and masses positive, as for hat-basis
+    values, so uniform mass is feasible.
     """
     rng = np.random.default_rng(seed)
     B = n_coef if n_coef is not None else int(rng.integers(2, 5))
     R = n_ineq if n_ineq is not None else int(rng.integers(4, 17 if B == 4 else 33))
     m = n_rows if n_rows is not None else int(rng.integers(10, 61))
-    nonneg = nonneg_rows if nonneg_rows is not None else bool(seed % 2)
     Z = rng.normal(size=(m, B))
     target = rng.dirichlet(np.ones(B))
     y = Z @ target + 0.3 * rng.normal(size=m)
     c = rng.uniform(0.5, 2.0, size=B)
-    if nonneg:
-        A = np.abs(rng.normal(size=(R, B)))
-    else:
-        A = rng.normal(size=(R, B))
-        anchor = target / (c @ target)
-        flip = A @ anchor < 0
-        A[flip] = -A[flip]
+    A = np.abs(rng.normal(size=(R, B)))
     return CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c)
 
 
@@ -87,8 +78,9 @@ def grid_search_optimum(problem, rounds=7, points=31, width=8.0):
     B = problem.n_coef
     pivot = int(np.argmax(c))
     others = [j for j in range(B) if j != pivot]
-    center = np.zeros(B - 1)
-    start = feasible_start(problem)
+    # centred on the one-column vertex e_0 / c_0, which is feasible
+    start = np.zeros(B)
+    start[0] = 1.0 / c[0]
     center = start[others]
     best, best_free = np.inf, center
 
@@ -197,7 +189,7 @@ class TestSolverContracts:
         assert a.iterations == b.iterations
 
     def test_warm_starts_agree(self):
-        problem = random_instance(13, nonneg_rows=True)
+        problem = random_instance(13)
         rng = np.random.default_rng(99)
         objs = []
         for _ in range(5):
@@ -224,13 +216,24 @@ class TestSolverContracts:
         s2 = solve_cls(p2, x0=np.concatenate([s1.alpha, np.zeros(B2 - B1)]))
         assert s2.ssr <= s1.ssr + 1e-10
 
-    def test_infeasible_raises(self):
-        Z = np.ones((5, 2))
-        y = np.zeros(5)
-        A = np.array([[-1.0, -1.0]])
-        c = np.ones(2)
-        with pytest.raises(InfeasibleError):
-            solve_cls(CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c))
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("A_ineq", (3, 1), -0.2, "A_ineq must be >= 0: entry (3, 1) is -0.2"),
+            ("c_eq", (1,), 0.0, "c_eq must be > 0: entry 1 is 0.0"),
+        ],
+        ids=["negative-constraint-entry", "zero-mass"],
+    )
+    def test_outside_problem_class_rejected(self, name, index, value, message):
+        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
+        arrays = {
+            "Z": problem.Z, "y": problem.y, "A_ineq": problem.A_ineq, "c_eq": problem.c_eq,
+        }
+        arrays[name][index] = value
+        # a later bad entry must not be the one reported
+        arrays[name][(-1,) * len(index)] = -1.0
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            CLSProblem(**arrays)
 
     def test_nonconvergence_carries_best_iterate(self):
         problem = random_instance(15)
@@ -462,11 +465,13 @@ class TestSolveStack:
         self.check_others([problems[i] for i in others], [sols[i] for i in others])
 
     def test_mixed_cold_and_warm_starts(self):
-        problems = shared_constraint_instances(3)
+        problems = shared_constraint_instances(4)
         warm = solve_cls(problems[2]).alpha
-        x0 = [None, np.full(problems[1].n_coef, np.nan), warm]
+        B = problems[1].n_coef
+        # a zero start has no mass to rescale to one
+        x0 = [None, np.full(B, np.nan), warm, np.zeros(B)]
         sols = solve_cls_stack(problems, x0=x0)
-        assert sols[1].warnings == ["malformed warm start ignored"]
+        assert sols[1].warnings == sols[3].warnings == ["malformed warm start ignored"]
         assert sols[2].iterations < sols[0].iterations
         self.check_others(problems, sols, x0)
 
@@ -477,25 +482,6 @@ class TestSolveStack:
         arrays[name] = arrays[name] * 2.0
         with pytest.raises(ValueError, match=name):
             solve_cls_stack([first, CLSProblem(**arrays)])
-
-
-class TestFeasibleStart:
-    def test_prefers_lowest_nonnegative_column(self):
-        A = np.array([[1.0, -0.5, 0.2], [0.3, 1.0, 0.1]])
-        c = np.array([2.0, 1.0, 4.0])
-        problem = CLSProblem(Z=np.ones((4, 3)), y=np.zeros(4), A_ineq=A, c_eq=c)
-        x = feasible_start(problem)
-        np.testing.assert_allclose(x, [0.5, 0.0, 0.0])
-
-    def test_lp_fallback(self):
-        # every column has a negative constraint entry, yet the polytope
-        # is nonempty
-        A = np.array([[1.0, -0.2], [-0.2, 1.0]])
-        c = np.ones(2)
-        problem = CLSProblem(Z=np.ones((4, 2)), y=np.zeros(4), A_ineq=A, c_eq=c)
-        x = feasible_start(problem)
-        assert (A @ x).min() >= -1e-9
-        assert abs(c @ x - 1.0) < 1e-9
 
 
 def enumerate_simplex_optimum(Z, y):
@@ -539,17 +525,27 @@ class TestSimplexSolver:
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert a.ssr <= enumerate_simplex_optimum(Z, y) + 1e-8
 
-    def test_two_weights_from_uniform_start(self):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            solve_simplex_cls,
+            lambda Z, y: solve_cls(CLSProblem(Z=Z, y=y, A_ineq=np.eye(2), c_eq=np.ones(2))),
+        ],
+        ids=["solve_simplex_cls", "solve_cls"],
+    )
+    def test_two_weights_converge(self, solve):
         # from the one-column vertex (1, 0) the interior point stalls at the
-        # iteration cap on this instance; the uniform start reaches the optimum
+        # iteration cap on this instance; the uniform-mass start reaches the
+        # optimum in a few steps
         H = np.array([[0.0963567, 0.01030278], [0.01030278, 0.1244384]])
         b = np.array([0.05103921, 0.06901823])
         L = np.linalg.cholesky(H)
         # two rows with Z'Z / 2 = H and Z'y / 2 = b
         Z = np.sqrt(2.0) * L.T
         y = np.sqrt(2.0) * np.linalg.solve(L, b)
-        sol = solve_simplex_cls(Z, y)
+        sol = solve(Z, y)
         assert sol.stop_reason == "converged"
+        assert sol.iterations <= 10
         np.testing.assert_allclose(sol.alpha, [0.4803278, 0.5196722], atol=1e-6)
         assert sol.ssr <= enumerate_simplex_optimum(Z, y) + 1e-8
 

@@ -530,17 +530,19 @@ class TestFitSerialization:
 
 @st.composite
 def _tiny_fit(draw):
-    """A fit of a random small sg, asg or fkrb configuration on simulated data."""
+    """A call that fits a random small sg, asg or fkrb configuration on
+    simulated data."""
     kind = draw(st.sampled_from(["sg", "asg", "fkrb"]))
     dim, n, j = draw(st.integers(1, 2)), draw(st.integers(6, 40)), draw(st.integers(1, 3))
     data = _data(n=n, j=j, d=dim, seed=draw(st.integers(0, 2**32 - 1)))
     domain = Domain.cube(dim)
     if kind == "fkrb":
         q = draw(st.integers(1, 7).filter(lambda q: q**dim <= n * j))
-        return fit_fkrb(data, domain, q)
+        return lambda: fit_fkrb(data, domain, q)
     r = draw(st.integers(100, 300))
     if kind == "sg":
-        return fit_sg(data, domain, draw(st.integers(1, 3)), r_draws=r)
+        level = draw(st.integers(1, 3))
+        return lambda: fit_sg(data, domain, level, r_draws=r)
     opts = RefineOptions(
         steps=draw(st.integers(0, 3)),
         points_per_step=draw(st.integers(1, 2)),
@@ -548,18 +550,40 @@ def _tiny_fit(draw):
         selection=draw(st.sampled_from(["cv_mse", "cv_ll", "aic"])),
         k_folds=draw(st.integers(2, 3)),
     )
-    return fit_asg(data, domain, draw(st.integers(1, 2)), r_draws=r, refine_opts=opts)
+    level = draw(st.integers(1, 2))
+    return lambda: fit_asg(data, domain, level, r_draws=r, refine_opts=opts)
 
 
 @settings(max_examples=25)
-@given(fit=_tiny_fit())
-def test_pipeline_contracts_hold_on_random_configs(fit):
-    """Every fit, whatever its estimator and size, keeps the library's contracts."""
+@given(make_fit=_tiny_fit())
+def test_pipeline_contracts_hold_on_random_configs(make_fit):
+    """Every fit, whatever its estimator and size, keeps the library's
+    contracts, and so does every solve behind it: each refinement step's
+    full-data solve and every fold refit, not only the selected one."""
+    solutions = []
+
+    def recording(solve):
+        def wrapper(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solutions.extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_cls", "solve_cls_stack", "solve_simplex_cls"):
+            mp.setattr(estimator, name, recording(getattr(estimator, name)))
+        fit = make_fit()
     back = fit_from_json(json.loads(json.dumps(fit_to_json(fit))))
     np.testing.assert_array_equal(back.density_at_draws, fit.density_at_draws)
     assert abs(fit.density_at_draws.sum() - 1.0) <= 1e-8
     assert fit.density_at_draws.min() >= -1e-8
     assert fit.diagnostics["kkt_residual"] <= 1e-8
+    assert solutions
+    for sol in solutions:
+        assert sol.stop_reason == "converged"
+        assert sol.kkt_residual <= 1e-8
+        assert abs(sol.eq_violation) <= 1e-10
+        assert sol.max_ineq_violation <= 1e-8
 
 
 class TestFitResultContracts:

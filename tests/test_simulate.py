@@ -45,6 +45,25 @@ class TestMixtureDgp:
         with pytest.raises(np.linalg.LinAlgError):
             MixtureComponent(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "field, weight, mean, cov",
+        [
+            ("weight", "1", [0.0], [[1.0]]),
+            ("weight", float("nan"), [0.0], [[1.0]]),
+            ("weight", True, [0.0], [[1.0]]),
+            ("mean", 1.0, [0.0, None], np.eye(2)),
+            ("mean", 1.0, [0.0, float("inf")], np.eye(2)),
+            ("mean", 1.0, [0.0, [1.0]], np.eye(2)),
+            ("cov", 1.0, [0.0, 0.0], [[1.0, float("nan")], [0.0, 1.0]]),
+            ("cov", 1.0, [0.0], [["1"]]),
+        ],
+        ids=["weight-string", "weight-nan", "weight-bool", "mean-null", "mean-inf",
+             "mean-ragged", "cov-nan", "cov-string"],
+    )
+    def test_rejects_non_finite_or_non_numeric_field(self, field, weight, mean, cov):
+        with pytest.raises(ValueError, match=f"^component {field} must hold finite numbers"):
+            MixtureComponent(weight, mean, cov)
+
     def test_rejects_bad_weights(self):
         comp = MixtureComponent(0.6, np.zeros(1), np.eye(1))
         with pytest.raises(ValueError, match="sum"):
