@@ -3,7 +3,10 @@
 All basis math happens on the unit cube; an affine :class:`Domain` maps user
 coordinates in once at the data boundary.  Evaluation outside a function's
 support (including outside the domain) is zero by construction, never an
-error.
+error.  The supports of one hierarchical subspace (one level vector) are
+disjoint cells that tile the cube, so :func:`evaluate_basis_columns` finds
+each point's one nonzero per subspace by a cell lookup; :func:`eval_nd` is
+the pointwise definition it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -105,27 +108,61 @@ def evaluate_basis_columns(
 ) -> np.ndarray:
     """Evaluate a list of basis functions at many domain points.
 
-    Returns an ``(n, len(points))`` matrix.  One-dimensional hat values are
-    computed once per distinct (dimension, level, index) triple and reused
-    across basis functions, which keeps the cost linear in the number of
-    distinct one-dimensional factors rather than in ``n * len(points) * D``
-    full re-evaluations.
+    Returns an ``(n, len(points))`` matrix, equal bit for bit to the
+    products of :func:`eval_1d` factors in dimension order.  The supports of
+    one hierarchical subspace (one level vector) tile the unit cube, so a
+    point lies in exactly one of them: per level vector, each point's cell
+    and hat product are computed once and the cell is looked up among the
+    subspace's grid points.  A cell without a grid point (an incomplete
+    subspace of an adaptive grid) and a point outside the cube give zeros.
+    The cost is ``n`` products per level vector, not ``n * len(points)``.
     """
     points = list(points)
     at = np.atleast_2d(np.asarray(at, dtype=float))
     dim = domain.dim
     if at.shape[1] != dim:
         raise ValueError("evaluation points dimension mismatch")
+    bad = np.flatnonzero(~np.isfinite(at).all(axis=1))
+    if bad.size:
+        raise ValueError(f"evaluation points must be finite: row {bad[0]} is {at[bad[0]]}")
     u = domain.to_unit(at)
-    out = np.ones((at.shape[0], len(points)))
-    for d in range(dim):
-        pairs = [(p.levels[d], p.indices[d]) for p in points]
-        uniq = sorted(set(pairs))
-        cols = {pair: k for k, pair in enumerate(uniq)}
-        vals = np.empty((at.shape[0], len(uniq)))
-        for k, (l, i) in enumerate(uniq):
-            vals[:, k] = eval_1d(l, i, u[:, d])
-        out *= vals[:, [cols[pair] for pair in pairs]]
+    out = np.zeros((at.shape[0], len(points)))
+    factors = {}
+
+    def factor(d, l):
+        # each point's level-l cell along dimension d (2**(l-1), one past the
+        # last cell, outside the unit interval) and the hat of that cell there
+        if (d, l) not in factors:
+            t = u[:, d] * 2.0**l
+            c = np.floor(np.where((t >= 0.0) & (t < 2.0**l), t, 2.0**l) * 0.5)
+            factors[d, l] = c, hat(t - (2.0 * c + 1.0))
+        return factors[d, l]
+
+    subspaces = {}
+    for k, p in enumerate(points):
+        subspaces.setdefault(p.levels, []).append(k)
+    for levels, cols in subspaces.items():
+        # cell vectors as mixed-radix keys, l_d bits for dimension d (the
+        # extra bit holds the outside cell); Python ints past 62 bits
+        shifts = np.cumsum((0,) + levels[:-1]).tolist()
+        wide = sum(levels) > 62
+        as_int = np.frompyfunc(int, 1, 1) if wide else (lambda c: c.astype(np.int64))
+        keys = np.array(
+            [sum((points[k].indices[d] // 2) << s for d, s in enumerate(shifts)) for k in cols],
+            dtype=object if wide else np.int64,
+        )
+        order = np.argsort(keys)
+        keys, cols = keys[order], np.asarray(cols)[order]
+        c, value = factor(0, levels[0])
+        key = as_int(c)
+        value = value.copy()
+        for d in range(1, dim):
+            c, h = factor(d, levels[d])
+            key += as_int(c) << shifts[d]
+            value *= h
+        pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        hit = np.flatnonzero(keys[pos] == key)
+        out[hit, cols[pos[hit]]] = value[hit]
     return out
 
 

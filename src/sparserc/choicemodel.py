@@ -7,6 +7,13 @@ Every such sum, design columns and predicted probabilities alike, is a
 :func:`kernel_sweep`; the fixed-grid baseline's columns are the kernel values
 themselves.  The outside option is never a column; its probability is the
 remainder ``1 - sum_j g_j``.
+
+Assembly follows the sparsity of ``Phi``: a draw lies in one support per
+hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
+(84 of 545 at D=6 level 4).  The sweep orders the draws by their zero
+pattern, as the solver orders its constraint rows, and each block of
+``ROW_BLOCK`` draws multiplies only the columns it touches.  The kernel
+drops the max shift for every unit whose utilities cannot overflow.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet, evaluate_basis_columns
+from .clsolver import ROW_BLOCK, pattern_order
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
 
@@ -27,6 +35,10 @@ DESIGN_CHUNK = 2048
 # Bytes of kernel output per tile of units: small enough that a tile stays in
 # cache through the product, shift, exp and divide.
 KERNEL_TILE_BYTES = 1 << 20
+
+# log of the largest double, less one for rounding: a unit whose utilities
+# stay below it less log(J + 1) cannot overflow exp or the row sum unshifted
+_LOG_MAX = float(np.log(np.finfo(float).max)) - 1.0
 
 
 class DeadColumnError(ValueError):
@@ -138,24 +150,43 @@ def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
     ``betas`` of shape ``(M, D)``.  The output is the only array of that
     size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
     each (one unit when a unit's ``J * M`` values are larger), and each tile
-    takes its utilities, max shift, ``exp`` and divide in place while it is
-    in cache.  A tile holds whole units, so a unit's shift and normalization
-    see only its own utilities.  Memory grows with ``N * J * M``:
-    :func:`kernel_sweep` passes at most ``DESIGN_CHUNK`` rows per call, and
-    the fixed-grid baseline passes its ``M <= N * J`` points in one call.
+    takes its utilities, ``exp`` and divide in place while it is in cache.
+    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes at most
+    ``DESIGN_CHUNK`` rows per call, and the fixed-grid baseline passes its
+    ``M <= N * J`` points in one call.
+
+    A unit's utilities are bounded over the box of ``betas`` by
+    ``sum_d max(x_d lo_d, x_d hi_d)``.  A unit whose bound keeps ``exp`` and
+    the row sum finite gets ``e^u / (1 + sum e^u)`` directly; any other unit
+    gets the max shift of :func:`logit_kernel` per coefficient row.  The
+    choice is made per unit and each shift sees only its own unit's
+    utilities, so a unit's probabilities depend on its own covariates alone.
     """
     x = np.asarray(x, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n, j, d = x.shape
     m = betas.shape[0]
     out = np.empty((n, j, m))
+    if m == 0:
+        return out
+    lo, hi = betas.min(axis=0), betas.max(axis=0)
+    # 1e-12 of the largest |x_d beta_d| covers the rounding of both sums
+    bound = np.maximum(x * lo, x * hi).sum(axis=2) + 1e-12 * (
+        np.abs(x) @ np.maximum(-lo, hi)
+    )
+    shifted = bound.max(axis=1) > _LOG_MAX - np.log(j + 1.0)
     units = max(1, KERNEL_TILE_BYTES // max(1, 8 * j * m))
     for start in range(0, n, units):
         u = out[start:start + units]
         rows = u.shape[0] * j
         np.matmul(x[start:start + units].reshape(rows, d), betas.T, out=u.reshape(rows, m))
-        shift = np.maximum(u.max(axis=1, keepdims=True), 0.0)
-        u -= shift
+        over = shifted[start:start + units]
+        shift = 0.0
+        if over.any():
+            # zero for the tile's other units: u - 0 and exp(-0) = 1 are exact
+            shift = np.zeros((u.shape[0], 1, m))
+            shift[over] = np.maximum(u[over].max(axis=1, keepdims=True), 0.0)
+            u -= shift
         np.exp(u, out=u)
         u /= np.exp(-shift) + u.sum(axis=1, keepdims=True)
     return out
@@ -186,21 +217,29 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
     """``sum_r g(x, points_r) weights[r]``: the ``(N * J, K)`` kernel-weighted
     sums of the ``K`` columns of ``weights`` (one row per point).
 
-    Runs in fixed blocks of ``DESIGN_CHUNK`` points; within a block the kernel
-    sees only the points whose weight row is not all zero, and a block with
-    none makes no kernel call.
+    Only points whose weight row is not all zero reach the kernel, each
+    once.  They are taken in :func:`~sparserc.clsolver.pattern_order` of the
+    weights' zero pattern, the order of the solver's row blocks, and passed
+    in fixed calls of ``DESIGN_CHUNK`` points.  A hat basis has one nonzero
+    per hierarchical subspace in each row, so sorted points share supports:
+    each run of ``ROW_BLOCK`` of them adds a ``gemm`` over only the columns
+    it touches into the transposed sums.
     """
     n, j = x.shape[:2]
-    out = np.zeros((n * j, weights.shape[1]))
-    for start in range(0, points.shape[0], DESIGN_CHUNK):
-        w = weights[start:start + DESIGN_CHUNK]
-        live = np.flatnonzero(w.any(axis=1))
-        if live.size:
-            g = choice_probabilities(x, points[start:start + DESIGN_CHUNK][live])
-            out += g.reshape(n * j, -1) @ w[live]
-            # two blocks' kernel outputs alive at once would set the peak memory
-            del g
-    return out
+    nonzero = weights != 0.0
+    live = np.flatnonzero(nonzero.any(axis=1))
+    live = live[pattern_order(nonzero[live])]
+    out = np.zeros((weights.shape[1], n * j))
+    for start in range(0, live.size, DESIGN_CHUNK):
+        chunk = live[start:start + DESIGN_CHUNK]
+        g = choice_probabilities(x, points[chunk]).reshape(n * j, -1)
+        for b in range(0, chunk.size, ROW_BLOCK):
+            rows = chunk[b:b + ROW_BLOCK]
+            cols = np.flatnonzero(nonzero[rows].any(axis=0))
+            out[cols] += weights[np.ix_(rows, cols)].T @ g[:, b:b + ROW_BLOCK].T
+        # two calls' kernel outputs alive at once would set the peak memory
+        del g
+    return np.ascontiguousarray(out.T)
 
 
 def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:

@@ -156,10 +156,10 @@ def _dgp_from_preset(name: str) -> MixtureDgp:
 def _parse_dgp(config: dict, preset_key: str = "preset") -> MixtureDgp:
     if config.get(preset_key):
         return _dgp_from_preset(config[preset_key])
-    if config.get("dgp"):
+    if config.get("dgp") is not None:
         try:
             return dgp_from_json(config["dgp"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"invalid dgp: {exc}") from None
     raise UsageError("config needs either a preset or an explicit dgp")
 

@@ -29,15 +29,17 @@ the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
 and ``np.linalg.cholesky`` factors it.  The product is summed blockwise over
 the constraint rows.  A draw lies in exactly one support per hierarchical
 subspace, so a basis row has one nonzero per subspace and is mostly zeros;
-once per solve the rows are ordered by their zero pattern over the leading
-(coarsest) columns, which groups draws that are close in space, and cut
-into blocks of ``ROW_BLOCK`` rows.  Each block's ``syrk`` runs on the
-columns the block touches only, and is added into those entries of the
-normal matrix.  A dense constraint matrix gives blocks that touch every
-column, the same flops as one product.  SciPy's wheels bundle a second
-OpenBLAS with its own thread pool; alternating level-3 calls between the
-two pools makes each pool busy-wait while the other runs, slowing both.
-Only the level-2 triangular solves (``cho_solve``) go through SciPy.
+once per solve the rows are put in :func:`pattern_order`, by their zero
+pattern over the leading (coarsest) columns, which groups draws that are
+close in space, and cut into blocks of ``ROW_BLOCK`` rows.  Each block's
+``syrk`` runs on the columns the block touches only, and is added into
+those entries of the normal matrix through a flat index built with the
+block.  The design assembly orders its draws the same way.  A dense
+constraint matrix gives blocks that touch every column, the same flops as
+one product.  SciPy's wheels bundle a second OpenBLAS with its own thread
+pool; alternating level-3 calls between the two pools makes each pool
+busy-wait while the other runs, slowing both.  Only the level-2 triangular
+solves (``cho_solve``) go through SciPy.
 
 The iteration runs on a stack of ``k`` problems, such as the cross-validation
 refits of one refinement step, which share ``Phi``.  The scaled constraints
@@ -218,19 +220,29 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
 
 
+def pattern_order(nonzero: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix stably sorted by their zero pattern over the
+    leading (coarsest) columns, the first column the most significant bit.
+
+    Rows with equal patterns touch the same coarse supports, so a run of
+    sorted rows touches few columns.
+    """
+    k = min(nonzero.shape[1], _PATTERN_COLUMNS)
+    key = nonzero[:, :k] @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    return np.argsort(key, kind="stable")
+
+
 def _row_blocks(At: np.ndarray) -> list:
     """Blocks of the rows of ``At`` for :func:`_normal_matrix`.
 
-    Rows are stably sorted by their zero pattern over the leading columns
-    (the first column is the most significant bit) and cut into blocks of
-    ``ROW_BLOCK``.  Each block is ``(rows, cols, At[rows][:, cols])``, with
-    ``cols`` the columns where some row of the block is nonzero.
+    Rows in :func:`pattern_order` are cut into blocks of ``ROW_BLOCK``.  Each
+    block is ``(rows, cols, At[rows][:, cols], idx)``, with ``cols`` the
+    columns where some row of the block is nonzero and ``idx`` the flat
+    positions of their ``cols x cols`` entries in a ``B x B`` matrix.
     """
     R, B = At.shape
-    k = min(B, _PATTERN_COLUMNS)
     nonzero = At != 0.0
-    key = nonzero[:, :k] @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
-    order = np.argsort(key, kind="stable")
+    order = pattern_order(nonzero)
     spans = []
     for start in range(0, R, ROW_BLOCK):
         rows = order[start:start + ROW_BLOCK]
@@ -245,7 +257,7 @@ def _row_blocks(At: np.ndarray) -> list:
         Ab = store[used:used + rows.size * cols.size].reshape(rows.size, cols.size)
         Ab[...] = At[np.ix_(rows, cols)]
         used += Ab.size
-        blocks.append((rows, cols, Ab))
+        blocks.append((rows, cols, Ab, (cols[:, None] * B + cols).ravel()))
     return blocks
 
 
@@ -260,9 +272,8 @@ def _normal_matrix(blocks: list, d: np.ndarray, H: np.ndarray) -> np.ndarray:
     B = H.shape[-1]
     M = H.copy()
     flat = M.reshape(-1, B * B)
-    for rows, cols, Ab in blocks:
+    for rows, _, Ab, idx in blocks:
         Wb = Ab * np.sqrt(d.take(rows, axis=-1))[..., None]
-        idx = (cols[:, None] * B + cols).ravel()
         # one 1-D scatter per slice: NumPy's fast path for fancy indexing
         for Mi, Pi in zip(flat, (np.swapaxes(Wb, -1, -2) @ Wb).reshape(-1, idx.size)):
             Mi[idx] += Pi

@@ -135,11 +135,30 @@ def dgp_to_json(dgp: MixtureDgp) -> dict:
     }
 
 
+def _fields(obj, keys: tuple, where: str) -> list:
+    """The values of exactly ``keys`` in JSON object ``obj``; a
+    ``ValueError`` naming ``where`` for anything else."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return [obj[k] for k in keys]
+
+
 def dgp_from_json(obj: dict) -> MixtureDgp:
+    """Inverse of :func:`dgp_to_json`; a malformed object raises a
+    ``ValueError`` that names the offending field."""
+    (components,) = _fields(obj, ("components",), "dgp")
+    if not isinstance(components, list):
+        raise ValueError(f"dgp components must be a list, got {components!r}")
     return MixtureDgp(
         components=tuple(
-            MixtureComponent(c["weight"], c["mean"], c["cov"])
-            for c in obj["components"]
+            MixtureComponent(*_fields(c, ("weight", "mean", "cov"), f"dgp component {k}"))
+            for k, c in enumerate(components)
         )
     )
 

@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserc.basis import (
     BasisSet,
     Domain,
     eval_1d,
     eval_nd,
+    evaluate_basis_columns,
     evaluate_surpluses,
     hat,
     hierarchize_full_grid_1d,
 )
-from sparserc.hiergrid import GridPoint, build_classical_sparse_grid, build_full_grid, index_set
+from sparserc.hiergrid import (
+    GridPoint,
+    SparseGrid,
+    build_classical_sparse_grid,
+    build_full_grid,
+    index_set,
+    refinable_points,
+    refine,
+)
+from sparserc.quasirand import halton_draws
 
 
 class TestHat:
@@ -134,6 +145,112 @@ class TestBasisSet:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             BasisSet(build_classical_sparse_grid(2, 2), Domain.cube(3))
+
+
+def pointwise_columns(points, domain, at):
+    """The brute-force oracle: one :func:`eval_nd` call per basis function."""
+    return np.column_stack([eval_nd(p, domain, at) for p in points])
+
+
+def dense_product_columns(points, domain, at):
+    """Every basis function at every point as a running product over the
+    dimensions, each factor looked up among the distinct 1-D hats."""
+    u = domain.to_unit(at)
+    out = np.ones((at.shape[0], len(points)))
+    for d in range(domain.dim):
+        pairs = [(p.levels[d], p.indices[d]) for p in points]
+        uniq = sorted(set(pairs))
+        cols = {pair: k for k, pair in enumerate(uniq)}
+        vals = np.column_stack([eval_1d(l, i, u[:, d]) for l, i in uniq])
+        out *= vals[:, [cols[pair] for pair in pairs]]
+    return out
+
+
+@st.composite
+def adaptive_grids(draw):
+    """A classical grid refined a few times at random refinable points, so
+    some hierarchical subspaces are incomplete."""
+    dim = draw(st.integers(1, 4))
+    level = draw(st.integers(1, 3 if dim <= 2 else 2))
+    grid = build_classical_sparse_grid(dim, level, max_level=draw(st.integers(level, 6)))
+    for _ in range(draw(st.integers(0, 4))):
+        candidates = refinable_points(grid)
+        if not candidates:
+            break
+        targets = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True))
+        grid, _ = refine(grid, targets)
+    return grid
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid, a box with dyadic bounds (so dyadic unit coordinates map
+    exactly), and points inside and outside it, some on dyadic cell edges
+    and on the bounds."""
+    grid = draw(adaptive_grids())
+    lower = np.array(draw(st.lists(st.integers(-4, 4), min_size=grid.dim, max_size=grid.dim)))
+    widths = draw(st.lists(st.integers(-1, 3), min_size=grid.dim, max_size=grid.dim))
+    domain = Domain(lower, lower + 2.0 ** np.array(widths))
+    edge = st.builds(
+        lambda m, k: k / 2.0**m, st.integers(0, grid.max_level), st.integers(-2, 66)
+    ).filter(lambda c: c <= 1.25)
+    coord = st.one_of(
+        edge, st.floats(-0.25, 1.25), st.floats(-3.0, 4.0), st.sampled_from([0.0, 1.0])
+    )
+    rows = draw(st.lists(
+        st.lists(coord, min_size=grid.dim, max_size=grid.dim), min_size=1, max_size=40
+    ))
+    return grid, domain, domain.from_unit(np.array(rows))
+
+
+class TestEvaluateBasisColumns:
+    """The subspace lookup against the brute-force oracle, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(case=grids_and_points())
+    def test_matches_pointwise_oracle_bit_for_bit(self, case):
+        grid, domain, at = case
+        out = evaluate_basis_columns(grid.points, domain, at)
+        assert np.array_equal(out, pointwise_columns(grid.points, domain, at))
+
+    def test_six_dim_level_four_matches_dense_product(self):
+        grid = build_classical_sparse_grid(6, 4)
+        domain = Domain.cube(6)
+        draws = halton_draws(12_000, 6, domain=domain).draws
+        out = evaluate_basis_columns(grid.points, domain, draws)
+        assert out.shape == (12_000, 545)
+        assert np.array_equal(out, dense_product_columns(grid.points, domain, draws))
+
+    def test_levels_past_62_bits(self):
+        # a 1-D chain to level 70: its subspace keys need Python integers
+        points = [GridPoint((1,), (1,))]
+        for l in range(2, 71):
+            points.append(GridPoint((l,), (2 * points[-1].indices[0] - 1,)))
+        grid = SparseGrid(1, points, max_level=70)
+        domain = Domain.cube(1, 0.0, 1.0)
+        # the chain's centers are 2**-l; the last one is row 2
+        at = np.array([[0.0], [2.0**-69], [2.0**-70], [3 * 2.0**-71], [1e-18], [0.3], [1.0]])
+        out = evaluate_basis_columns(grid.points, domain, at)
+        assert np.array_equal(out, pointwise_columns(grid.points, domain, at))
+        assert out[2, -1] == 1.0
+
+    def test_points_outside_the_domain_give_zero_rows(self):
+        # one coordinate outside the unit interval, by up to three widths,
+        # the other inside: no cell index may spill into the other dimension
+        grid = build_classical_sparse_grid(2, 3)
+        domain = Domain.cube(2)
+        rng = np.random.default_rng(0)
+        out = np.concatenate([rng.uniform(1.0, 4.0, 200), rng.uniform(-3.0, 0.0, 200)])
+        inside = rng.uniform(0.0, 1.0, 400)
+        u = np.concatenate([np.column_stack([out, inside]), np.column_stack([inside, out])])
+        at = np.vstack([domain.from_unit(u), [[-4.5, 0.0], [0.0, 4.0], [1e300, -1e300]]])
+        assert not evaluate_basis_columns(grid.points, domain, at).any()
+
+    def test_non_finite_point_names_its_row(self):
+        at = np.zeros((3, 2))
+        at[1, 0] = np.nan
+        with pytest.raises(ValueError, match="evaluation points must be finite: row 1"):
+            evaluate_basis_columns(build_classical_sparse_grid(2, 2).points, Domain.cube(2), at)
 
 
 def brute_force_surpluses(values):

@@ -148,6 +148,67 @@ class TestKernelTiles:
         assert (probs.sum(axis=1) <= 1.0 + 1e-12).all()
 
 
+class TestOverflowBound:
+    """Units whose utility bound keeps ``exp`` and the row sum finite skip the
+    max shift; every other unit keeps it."""
+
+    # the bound for J = 2 alternatives
+    LIMIT = choicemodel._LOG_MAX - math.log(3.0)
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_utilities_far_above_the_bound(self, sign):
+        rng = np.random.default_rng(10)
+        low = 0.5 if sign == "positive" else -1.0
+        x = rng.uniform(low, 1.0, size=(300, 5, 2))
+        betas = rng.uniform(800.0 if sign == "positive" else -2500.0, 2500.0, size=(200, 2))
+        u = x @ betas.T
+        assert np.abs(u).max() <= 5000.0 and (u > 800.0).any()
+        if sign == "positive":
+            assert u.min() >= 800.0
+        probs = choice_probabilities(x, betas)
+        assert np.all(np.isfinite(probs))
+        assert probs.min() >= 0.0
+        assert (probs.sum(axis=1) <= 1.0 + 1e-12).all()
+
+    def test_shifted_path_above_the_bound(self):
+        # exact utilities from just above the bound, past exp's overflow at
+        # 709.78, to 5000, one coefficient per call (the bound is over the
+        # call's box): the output is logit_kernel's max-shift formula bit
+        # for bit
+        x = np.array([[[1.0], [0.5]]])
+        above = np.ceil(self.LIMIT * 8.0) / 8.0 + np.arange(48) / 8.0
+        assert above[0] < self.LIMIT + 0.25 and above[-1] > 712.0
+        for beta in np.concatenate([above, np.linspace(800.0, 5000.0, 22)]):
+            probs = choice_probabilities(x, [[beta]])[0, :, 0]
+            np.testing.assert_array_equal(probs, logit_kernel(x[0], [beta]))
+            assert np.all(np.isfinite(probs)) and probs.sum() <= 1.0
+
+    def test_formulas_agree_just_below_the_bound(self):
+        # dyadic utilities, so both formulas exponentiate exact numbers
+        x = np.array([[[1.0], [0.5]]])
+        top = np.floor(self.LIMIT * 8.0) / 8.0 - 0.125
+        betas = (top - np.arange(16) / 8.0)[:, None]
+        assert self.LIMIT - 0.25 < top < self.LIMIT
+        probs = choice_probabilities(x, betas)[0]
+        e = np.exp(x[0] @ betas.T)
+        np.testing.assert_array_equal(probs, e / (1.0 + e.sum(axis=0)))
+        shifted = np.column_stack([logit_kernel(x[0], b) for b in betas])
+        np.testing.assert_array_max_ulp(probs, shifted, maxulp=4)
+
+    def test_over_bound_unit_among_under_bound_units(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(200, 3, 2))
+        x[77] *= 400.0
+        betas = rng.uniform(-4.0, 4.0, size=(100, 2))
+        assert KERNEL_TILE_BYTES // (8 * 3 * 100) >= 200  # one tile holds every unit
+        assert (x[77] @ betas.T).max() > 800.0
+        assert np.abs(np.delete(x, 77, axis=0) @ betas.T).max() < 100.0
+        probs = choice_probabilities(x, betas)
+        assert np.all(np.isfinite(probs)) and probs.min() >= 0.0
+        for n in range(200):
+            np.testing.assert_array_equal(choice_probabilities(x[n:n + 1], betas)[0], probs[n])
+
+
 class TestChoiceDataset:
     def test_row_sum_validation(self):
         x = np.zeros((2, 3, 1))
@@ -290,6 +351,18 @@ def counting_kernel(monkeypatch):
     return kernel
 
 
+def assert_each_live_point_once(calls, points, weights):
+    """Every point with a nonzero weight reaches the kernel exactly once, no
+    point with an all-zero weight row reaches it, in ``ceil(live /
+    DESIGN_CHUNK)`` calls."""
+    live = np.flatnonzero((weights != 0.0).any(axis=1))
+    assert len(calls) == math.ceil(live.size / DESIGN_CHUNK)
+    position = {p.tobytes(): r for r, p in enumerate(points)}
+    assert len(position) == points.shape[0]
+    seen = sorted(position[p.tobytes()] for p in np.concatenate(calls))
+    assert seen == live.tolist()
+
+
 class TestKernelSweep:
     def test_matches_logit_kernel_oracle_over_chunks(self):
         rng = np.random.default_rng(21)
@@ -311,15 +384,24 @@ class TestKernelSweep:
         live = np.append(np.arange(10, DESIGN_CHUNK, 7), 2 * DESIGN_CHUNK)
         weights[live, 0] = 1.0
         out = kernel_sweep(x, points, weights)
-        # the middle block has no live point and makes no call
-        assert len(counting_kernel.calls) == 2
-        np.testing.assert_array_equal(np.concatenate(counting_kernel.calls), points[live])
+        assert_each_live_point_once(counting_kernel.calls, points, weights)
         expected = choice_probabilities(x, points[live]).reshape(6, -1).sum(axis=1)
         np.testing.assert_allclose(out[:, 0], expected, rtol=1e-12)
 
+    def test_patterns_spanning_several_calls(self, counting_kernel):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3, 2, 2))
+        points = rng.uniform(-4, 4, size=(3 * DESIGN_CHUNK + 5, 2))
+        weights = rng.uniform(size=(points.shape[0], 70)) * (rng.uniform(size=(1, 70)) < 0.3)
+        weights[rng.uniform(size=points.shape[0]) < 0.2] = 0.0
+        out = kernel_sweep(x, points, weights)
+        assert_each_live_point_once(counting_kernel.calls, points, weights)
+        g = choice_probabilities(x, points).reshape(6, -1)
+        np.testing.assert_allclose(out, g @ weights, rtol=1e-12)
+        assert out.flags.c_contiguous
+
 
 class TestKernelSeesLiveDraws:
-    # sorted draws, so each DESIGN_CHUNK block covers its own part of [0, 1]
     def _setup(self):
         data = _tiny_data(n=4, j=2, d=1, seed=8)
         dom = Domain.cube(1, 0.0, 1.0)
@@ -328,9 +410,9 @@ class TestKernelSeesLiveDraws:
 
     def test_root_design_passes_every_draw(self, counting_kernel):
         data, _, draws = self._setup()
-        build_design_matrix(data, draws, _root_basis())
-        assert len(counting_kernel.calls) == 3
-        np.testing.assert_array_equal(np.concatenate(counting_kernel.calls), draws.draws)
+        design = build_design_matrix(data, draws, _root_basis())
+        assert (design.basis_at_draws != 0.0).all()
+        assert_each_live_point_once(counting_kernel.calls, draws.draws, design.basis_at_draws)
 
     def test_new_columns_pass_only_their_live_draws(self, monkeypatch):
         data, dom, draws = self._setup()
@@ -338,13 +420,11 @@ class TestKernelSeesLiveDraws:
         design = build_design_matrix(data, draws, BasisSet(root, dom))
         kernel = _CountingKernel()
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
-        # support (0, 0.5): the first block is all live, the second partly,
-        # the third not at all
+        # support (0, 0.5): about half the draws are live
         inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data)
         live = inc.basis_at_draws[:, 1] != 0.0
         assert 0 < live.sum() < draws.n_draws
-        assert len(kernel.calls) == 2
-        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])
+        assert_each_live_point_once(kernel.calls, draws.draws, inc.basis_at_draws[:, 1:])
 
     def test_incremental_columns_on_halton_draws(self, monkeypatch):
         data, draws, design = TestIncrementalColumns()._design()
@@ -354,9 +434,9 @@ class TestKernelSeesLiveDraws:
         kernel = _CountingKernel()
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         inc = incremental_columns(design, added, draws, data)
-        live = (inc.basis_at_draws[:, len(grid):] != 0.0).any(axis=1)
-        assert live.sum() < draws.n_draws
-        np.testing.assert_array_equal(np.concatenate(kernel.calls), draws.draws[live])
+        new = inc.basis_at_draws[:, len(grid):]
+        assert (new != 0.0).any(axis=1).sum() < draws.n_draws
+        assert_each_live_point_once(kernel.calls, draws.draws, new)
 
 
 class TestDesignSparsity:

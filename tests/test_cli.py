@@ -15,6 +15,10 @@ from sparserc.cli import EXIT_OK, EXIT_USAGE, main
 from sparserc.estimator import fit_from_json
 
 
+# one valid mixture component, for configs that spell out their dgp
+UNIT_NORMAL = {"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}
+
+
 def write_config(path, obj):
     obj = {"schema_version": 1, **obj}
     path.write_text(json.dumps(obj))
@@ -130,6 +134,33 @@ class TestSimulateCommand:
         assert main(["simulate", cfg]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "component mean must hold finite numbers" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dgp, message",
+        [
+            ([1], "dgp must be a JSON object, got [1]"),
+            ({}, "dgp lacks components"),
+            ({"components": {"weight": 1.0}}, "dgp components must be a list, got {'weight': 1.0}"),
+            ({"components": [1]}, "dgp component 0 must be a JSON object, got 1"),
+            ({"components": [UNIT_NORMAL], "bogus": 1}, "unknown keys in dgp: bogus"),
+            ({"components": [{**UNIT_NORMAL, "weight": 0.5}, {**UNIT_NORMAL, "skew": 0}]},
+             "unknown keys in dgp component 1: skew"),
+            ({"components": [{"weight": 1.0, "mean": [0.0]}]}, "dgp component 0 lacks cov"),
+        ],
+        ids=["list", "empty", "components-object", "component-int", "dgp-key",
+             "component-key", "missing-cov"],
+    )
+    def test_malformed_dgp_exits_one_naming_the_field(self, tmp_path, capsys, dgp, message):
+        out = tmp_path / "d.csv"
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"dgp": dgp, "n_units": 20, "out_data": str(out),
+             "out_truth": str(tmp_path / "t.json")},
+        )
+        assert main(["simulate", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: invalid dgp: {message}\n"
         assert not out.exists()
 
     def test_missing_schema_version(self, tmp_path):

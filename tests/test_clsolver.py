@@ -337,9 +337,9 @@ class TestBlockedNormalMatrix:
         H = G.T @ G
         d = rng.uniform(0.01, 100.0, size=R)
         blocks = clsolver._row_blocks(At)
-        rows = np.sort(np.concatenate([r for r, _, _ in blocks]))
+        rows = np.sort(np.concatenate([r for r, *_ in blocks]))
         np.testing.assert_array_equal(rows, np.arange(R))
-        assert all(r.size <= clsolver.ROW_BLOCK for r, _, _ in blocks)
+        assert all(r.size <= clsolver.ROW_BLOCK for r, *_ in blocks)
         W = At * np.sqrt(d)[:, None]
         np.testing.assert_allclose(
             clsolver._normal_matrix(blocks, d, H), W.T @ W + H, rtol=1e-13, atol=0.0
@@ -366,12 +366,12 @@ class TestBlockedNormalMatrix:
     def test_dense_rows(self):
         At = np.random.default_rng(2).uniform(0.1, 1.0, size=(600, 40))
         blocks = clsolver._row_blocks(At)
-        assert all(cols.size == 40 for _, cols, _ in blocks)
+        assert all(cols.size == 40 for _, cols, *_ in blocks)
         self.check(At)
 
     def test_blocks_skip_zeros_of_hierarchical_rows(self):
         At = hierarchical_rows(2000, 3, 4)
-        touched = np.mean([cols.size for _, cols, _ in clsolver._row_blocks(At)])
+        touched = np.mean([cols.size for _, cols, *_ in clsolver._row_blocks(At)])
         assert touched < 0.6 * At.shape[1]
 
 
