@@ -10,10 +10,10 @@ remainder ``1 - sum_j g_j``.
 
 Assembly follows the sparsity of ``Phi``: a draw lies in one support per
 hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
-(84 of 545 at D=6 level 4).  The sweep orders the draws by their zero
-pattern, as the solver orders its constraint rows, and each block of
-``ROW_BLOCK`` draws multiplies only the columns it touches.  The kernel
-drops the max shift for every unit whose utilities cannot overflow.
+(84 of 545 at D=6 level 4).  The sweep takes the draws in the solver's row
+blocks, ordered by zero pattern, and each block multiplies only the
+columns it touches.  The kernel drops the max shift for every unit whose
+utilities cannot overflow.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet, evaluate_basis_columns
-from .clsolver import ROW_BLOCK, pattern_order
+from .clsolver import pattern_blocks
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
 
@@ -218,25 +218,27 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
     sums of the ``K`` columns of ``weights`` (one row per point).
 
     Only points whose weight row is not all zero reach the kernel, each
-    once.  They are taken in :func:`~sparserc.clsolver.pattern_order` of the
-    weights' zero pattern, the order of the solver's row blocks, and passed
-    in fixed calls of ``DESIGN_CHUNK`` points.  A hat basis has one nonzero
-    per hierarchical subspace in each row, so sorted points share supports:
-    each run of ``ROW_BLOCK`` of them adds a ``gemm`` over only the columns
-    it touches into the transposed sums.
+    once.  They are taken in the :func:`~sparserc.clsolver.pattern_blocks`
+    of the weights' zero pattern, the solver's row blocks, and passed in
+    fixed calls of ``DESIGN_CHUNK`` points.  A hat basis has one nonzero per
+    hierarchical subspace in each row, so a block's points share supports:
+    each block (split where a call ends) adds a ``gemm`` over only the
+    columns it touches into the transposed sums.
     """
     n, j = x.shape[:2]
     nonzero = weights != 0.0
     live = np.flatnonzero(nonzero.any(axis=1))
-    live = live[pattern_order(nonzero[live])]
+    order, bounds = pattern_blocks(nonzero[live])
+    live = live[order]
     out = np.zeros((weights.shape[1], n * j))
     for start in range(0, live.size, DESIGN_CHUNK):
-        chunk = live[start:start + DESIGN_CHUNK]
-        g = choice_probabilities(x, points[chunk]).reshape(n * j, -1)
-        for b in range(0, chunk.size, ROW_BLOCK):
-            rows = chunk[b:b + ROW_BLOCK]
+        stop = min(start + DESIGN_CHUNK, live.size)
+        g = choice_probabilities(x, points[live[start:stop]]).reshape(n * j, -1)
+        edges = np.concatenate([[start], bounds[(bounds > start) & (bounds < stop)], [stop]])
+        for a, b in zip(edges[:-1], edges[1:]):
+            rows = live[a:b]
             cols = np.flatnonzero(nonzero[rows].any(axis=0))
-            out[cols] += weights[np.ix_(rows, cols)].T @ g[:, b:b + ROW_BLOCK].T
+            out[cols] += weights[np.ix_(rows, cols)].T @ g[:, a - start:b - start].T
         # two calls' kernel outputs alive at once would set the peak memory
         del g
     return np.ascontiguousarray(out.T)

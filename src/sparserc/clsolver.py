@@ -29,17 +29,18 @@ the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
 and ``np.linalg.cholesky`` factors it.  The product is summed blockwise over
 the constraint rows.  A draw lies in exactly one support per hierarchical
 subspace, so a basis row has one nonzero per subspace and is mostly zeros;
-once per solve the rows are put in :func:`pattern_order`, by their zero
-pattern over the leading (coarsest) columns, which groups draws that are
-close in space, and cut into blocks of ``ROW_BLOCK`` rows.  Each block's
-``syrk`` runs on the columns the block touches only, and is added into
-those entries of the normal matrix through a flat index built with the
-block.  The design assembly orders its draws the same way.  A dense
-constraint matrix gives blocks that touch every column, the same flops as
-one product.  SciPy's wheels bundle a second OpenBLAS with its own thread
-pool; alternating level-3 calls between the two pools makes each pool
-busy-wait while the other runs, slowing both.  Only the level-2 triangular
-solves (``cho_solve``) go through SciPy.
+once per solve the rows are ordered by their zero pattern over the leading
+(coarsest) columns, which groups draws that are close in space, and cut
+into blocks of at most ``ROW_BLOCK`` rows at coarse pattern changes
+(:func:`pattern_blocks`).  Each block's ``syrk`` runs on the columns the
+block touches only, and is added into those entries of the normal matrix
+through a flat index built with the block.  The design assembly takes its
+draws in the same blocks.  A dense constraint matrix gives blocks that
+touch every column, the same flops as one product.  SciPy's wheels bundle
+a second OpenBLAS with its own thread pool; alternating level-3 calls
+between the two pools makes each pool busy-wait while the other runs,
+slowing both.  Only the level-2 triangular solves (``cho_solve``) go
+through SciPy.
 
 The iteration runs on a stack of ``k`` problems, such as the cross-validation
 refits of one refinement step, which share ``Phi``.  The scaled constraints
@@ -220,32 +221,49 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
 
 
-def pattern_order(nonzero: np.ndarray) -> np.ndarray:
-    """Rows of a boolean matrix stably sorted by their zero pattern over the
-    leading (coarsest) columns, the first column the most significant bit.
+def pattern_blocks(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a boolean matrix in zero-pattern order, cut into blocks.
 
-    Rows with equal patterns touch the same coarse supports, so a run of
-    sorted rows touches few columns.
+    Rows are stably sorted by their pattern over the leading (coarsest)
+    columns, the first column the most significant bit, which groups draws
+    that are close in space.  Returns the order and the block bounds in it.
+    A block holds ``ROW_BLOCK // 2`` to ``ROW_BLOCK`` rows (the last one
+    may hold fewer) and ends where the patterns of consecutive rows first
+    differ in the coarsest column, so it spans few coarse supports.
     """
-    k = min(nonzero.shape[1], _PATTERN_COLUMNS)
-    key = nonzero[:, :k] @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
-    return np.argsort(key, kind="stable")
+    R, B = nonzero.shape
+    k = min(B, _PATTERN_COLUMNS)
+    lead = nonzero[:, :k]
+    order = np.argsort(lead @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64)), kind="stable")
+    lead = lead[order]
+    # coarseness of each boundary between sorted rows: k less the first
+    # column where they differ (the appended one for equal patterns: 0)
+    change = np.column_stack([lead[1:] != lead[:-1], np.ones(max(R - 1, 0), dtype=bool)])
+    rank = k - change.argmax(axis=1)
+    bounds = [0]
+    half = ROW_BLOCK // 2
+    while bounds[-1] + ROW_BLOCK < R:
+        lo = bounds[-1] + half
+        window = rank[lo - 1:lo + half]
+        bounds.append(lo + window.size - 1 - int(np.argmax(window[::-1])))
+    bounds.append(R)
+    return order, np.array(bounds)
 
 
 def _row_blocks(At: np.ndarray) -> list:
     """Blocks of the rows of ``At`` for :func:`_normal_matrix`.
 
-    Rows in :func:`pattern_order` are cut into blocks of ``ROW_BLOCK``.  Each
-    block is ``(rows, cols, At[rows][:, cols], idx)``, with ``cols`` the
-    columns where some row of the block is nonzero and ``idx`` the flat
-    positions of their ``cols x cols`` entries in a ``B x B`` matrix.
+    The blocks of :func:`pattern_blocks`.  Each block is ``(rows, cols,
+    At[rows][:, cols], idx)``, with ``cols`` the columns where some row of
+    the block is nonzero and ``idx`` the flat positions of their ``cols x
+    cols`` entries in a ``B x B`` matrix.
     """
     R, B = At.shape
     nonzero = At != 0.0
-    order = pattern_order(nonzero)
+    order, bounds = pattern_blocks(nonzero)
     spans = []
-    for start in range(0, R, ROW_BLOCK):
-        rows = order[start:start + ROW_BLOCK]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rows = order[start:stop]
         spans.append((rows, np.flatnonzero(nonzero[rows].any(axis=0))))
     del nonzero
     # one buffer holds every block: many mid-sized arrays that live through

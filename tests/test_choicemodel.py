@@ -388,6 +388,13 @@ class TestKernelSweep:
         expected = choice_probabilities(x, points[live]).reshape(6, -1).sum(axis=1)
         np.testing.assert_allclose(out[:, 0], expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("weights", [np.zeros((5, 0)), np.zeros((5, 2))])
+    def test_nothing_live_makes_no_call(self, counting_kernel, weights):
+        x = np.random.default_rng(24).normal(size=(2, 3, 1))
+        out = kernel_sweep(x, np.linspace(-1, 1, 5)[:, None], weights)
+        assert counting_kernel.calls == []
+        np.testing.assert_array_equal(out, np.zeros((6, weights.shape[1])))
+
     def test_patterns_spanning_several_calls(self, counting_kernel):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(3, 2, 2))

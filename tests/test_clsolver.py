@@ -326,6 +326,47 @@ def hierarchical_rows(n_draws, dim, level):
     return evaluate_basis_columns(grid.points, domain, draws)
 
 
+def first_difference(a, b):
+    """First of the leading 62 columns where two boolean rows differ (62 if none)."""
+    diff = np.flatnonzero(a[:62] != b[:62])
+    return diff[0] if diff.size else 62
+
+
+class TestPatternBlocks:
+    """Rows in zero-pattern order, cut at the coarsest pattern change."""
+
+    @pytest.mark.parametrize(
+        "dim, level, n_draws", [(1, 2, 700), (2, 4, 700), (3, 4, 1000), (6, 4, 3000)]
+    )
+    def test_cuts_at_the_coarsest_change_in_range(self, dim, level, n_draws):
+        nonzero = hierarchical_rows(n_draws, dim, level) != 0.0
+        order, bounds = clsolver.pattern_blocks(nonzero)
+        np.testing.assert_array_equal(np.sort(order), np.arange(n_draws))
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n_draws
+        assert sizes.max() <= clsolver.ROW_BLOCK
+        assert sizes[:-1].min() >= clsolver.ROW_BLOCK // 2
+        rows = nonzero[order]
+        for start, stop in zip(bounds[:-2], bounds[1:-1]):
+            # every allowed end of the block, and how early its rows differ
+            ends = range(start + clsolver.ROW_BLOCK // 2, start + clsolver.ROW_BLOCK + 1)
+            first = [first_difference(rows[e - 1], rows[e]) for e in ends]
+            assert first_difference(rows[stop - 1], rows[stop]) == min(first)
+            assert stop == max(e for e, f in zip(ends, first) if f == min(first))
+
+    def test_fewer_columns_than_fixed_cuts(self):
+        nonzero = hierarchical_rows(12_000, 6, 4) != 0.0
+        order, bounds = clsolver.pattern_blocks(nonzero)
+
+        def touched(cuts):
+            return sum(
+                (b - a) * nonzero[order[a:b]].any(axis=0).sum() for a, b in zip(cuts[:-1], cuts[1:])
+            )
+
+        fixed = np.append(np.arange(0, 12_000, clsolver.ROW_BLOCK), 12_000)
+        assert touched(bounds) < 0.7 * touched(fixed)
+
+
 class TestBlockedNormalMatrix:
     """The blockwise normal matrix against the dense ``W' W + H``."""
 
