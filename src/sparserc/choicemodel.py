@@ -143,11 +143,14 @@ def logit_kernel(x_n: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return e / (np.exp(-m) + e.sum())
 
 
-def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
+def choice_probabilities(
+    x: np.ndarray, betas: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Kernel probabilities for every unit, alternative and coefficient row.
 
     Returns an ``(N, J, M)`` array for ``x`` of shape ``(N, J, D)`` and
-    ``betas`` of shape ``(M, D)``.  The output is the only array of that
+    ``betas`` of shape ``(M, D)``, written into ``out`` when it is given (a
+    C-contiguous array of that shape).  The output is the only array of that
     size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
     each (one unit when a unit's ``J * M`` values are larger), and each tile
     takes its utilities, ``exp`` and divide in place while it is in cache.
@@ -166,7 +169,10 @@ def choice_probabilities(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     n, j, d = x.shape
     m = betas.shape[0]
-    out = np.empty((n, j, m))
+    if out is None:
+        out = np.empty((n, j, m))
+    elif out.shape != (n, j, m) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {(n, j, m)} array")
     if m == 0:
         return out
     lo, hi = betas.min(axis=0), betas.max(axis=0)
@@ -224,6 +230,11 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
     hierarchical subspace in each row, so a block's points share supports:
     each block (split where a call ends) adds a ``gemm`` over only the
     columns it touches into the transposed sums.
+
+    All calls of a sweep write into one buffer of ``DESIGN_CHUNK`` points, a
+    short call into its leading part; pages a call leaves untouched are
+    never resident.  Every sweep of a dataset then makes the same one large
+    allocation, so its peak memory does not depend on the sweeps before it.
     """
     n, j = x.shape[:2]
     nonzero = weights != 0.0
@@ -231,16 +242,18 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
     order, bounds = pattern_blocks(nonzero[live])
     live = live[order]
     out = np.zeros((weights.shape[1], n * j))
+    buffer = np.empty(n * j * DESIGN_CHUNK) if live.size else None
     for start in range(0, live.size, DESIGN_CHUNK):
         stop = min(start + DESIGN_CHUNK, live.size)
-        g = choice_probabilities(x, points[live[start:stop]]).reshape(n * j, -1)
+        g = buffer[:n * j * (stop - start)].reshape(n, j, -1)
+        g = choice_probabilities(x, points[live[start:stop]], out=g).reshape(n * j, -1)
         edges = np.concatenate([[start], bounds[(bounds > start) & (bounds < stop)], [stop]])
         for a, b in zip(edges[:-1], edges[1:]):
             rows = live[a:b]
             cols = np.flatnonzero(nonzero[rows].any(axis=0))
             out[cols] += weights[np.ix_(rows, cols)].T @ g[:, a - start:b - start].T
-        # two calls' kernel outputs alive at once would set the peak memory
-        del g
+    # the buffer alive through the transposed copy would set the peak memory
+    buffer = g = None
     return np.ascontiguousarray(out.T)
 
 

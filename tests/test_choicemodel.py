@@ -282,7 +282,7 @@ class TestBuildDesignMatrix:
         draws = halton_draws(32, 1, domain=Domain.cube(1))
         basis = BasisSet(build_classical_sparse_grid(1, 2), Domain.cube(1))
 
-        def ones_kernel(x, betas):
+        def ones_kernel(x, betas, out=None):
             return np.ones((x.shape[0], x.shape[1], betas.shape[0]))
 
         monkeypatch.setattr(choicemodel, "choice_probabilities", ones_kernel)
@@ -298,7 +298,7 @@ class TestBuildDesignMatrix:
         draws = DrawSet(draws=np.array([[0.25], [0.75]]), domain=dom, burn_in=0)
         basis = BasisSet(SparseGrid(1, [GridPoint((1,), (1,))]), dom)
 
-        def stub_kernel(x, betas):
+        def stub_kernel(x, betas, out=None):
             vals = {0.25: 0.3, 0.75: 0.6}
             return np.array([[[vals[b[0]] for b in betas]]])
 
@@ -333,15 +333,33 @@ class TestBuildDesignMatrix:
         assert design.Z.shape[0] == data.n_rows
 
 
+class TestKernelOut:
+    def test_out_is_filled_and_returned(self):
+        rng = np.random.default_rng(26)
+        x, betas = rng.normal(size=(4, 3, 2)), rng.normal(size=(5, 2))
+        out = np.full((4, 3, 5), np.nan)
+        assert choice_probabilities(x, betas, out=out) is out
+        np.testing.assert_array_equal(out, choice_probabilities(x, betas))
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((4, 3, 4)), np.empty((4, 5, 3)).transpose(0, 2, 1)]
+    )
+    def test_out_of_wrong_shape_or_layout_is_refused(self, out):
+        rng = np.random.default_rng(27)
+        x, betas = rng.normal(size=(4, 3, 2)), rng.normal(size=(5, 2))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            choice_probabilities(x, betas, out=out)
+
+
 class _CountingKernel:
     """The default kernel, recording the draws of every call."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, x, betas):
+    def __call__(self, x, betas, out=None):
         self.calls.append(np.array(betas))
-        return choice_probabilities(x, betas)
+        return choice_probabilities(x, betas, out=out)
 
 
 @pytest.fixture
@@ -394,6 +412,25 @@ class TestKernelSweep:
         out = kernel_sweep(x, np.linspace(-1, 1, 5)[:, None], weights)
         assert counting_kernel.calls == []
         np.testing.assert_array_equal(out, np.zeros((6, weights.shape[1])))
+
+    def test_calls_write_into_one_chunk_sized_buffer(self, monkeypatch):
+        outs = []
+
+        def kernel(x, betas, out=None):
+            outs.append(out)
+            return choice_probabilities(x, betas, out=out)
+
+        monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(2, 3, 1))
+        points = rng.uniform(-2, 2, size=(DESIGN_CHUNK + 7, 1))
+        weights = rng.uniform(size=(points.shape[0], 2))
+        out = kernel_sweep(x, points, weights)
+        assert [o.shape for o in outs] == [(2, 3, DESIGN_CHUNK), (2, 3, 7)]
+        assert outs[0].base is outs[1].base
+        assert outs[0].base.size == 6 * DESIGN_CHUNK
+        g = choice_probabilities(x, points).reshape(6, -1)
+        np.testing.assert_allclose(out, g @ weights, rtol=1e-12)
 
     def test_patterns_spanning_several_calls(self, counting_kernel):
         rng = np.random.default_rng(23)
