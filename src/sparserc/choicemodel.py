@@ -11,9 +11,9 @@ remainder ``1 - sum_j g_j``.
 Assembly follows the sparsity of ``Phi``: a draw lies in one support per
 hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
 (84 of 545 at D=6 level 4).  The sweep takes the draws in the solver's row
-blocks, ordered by zero pattern, and each block multiplies only the
-columns it touches.  The kernel drops the max shift for every unit whose
-utilities cannot overflow.
+blocks, ordered by zero pattern: each block is one kernel call, and
+multiplies only the columns it touches.  The kernel drops the max shift for
+every unit whose utilities cannot overflow.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet, evaluate_basis_columns
-from .clsolver import pattern_blocks
+from .clsolver import ROW_BLOCK, pattern_blocks
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
-
-# Points per block of a kernel sweep.  Fixed (never adaptive) so results are
-# bit-identical regardless of memory or worker count.
-DESIGN_CHUNK = 2048
 
 # Bytes of kernel output per tile of units: small enough that a tile stays in
 # cache through the product, shift, exp and divide.
@@ -154,9 +150,9 @@ def choice_probabilities(
     size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
     each (one unit when a unit's ``J * M`` values are larger), and each tile
     takes its utilities, ``exp`` and divide in place while it is in cache.
-    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes at most
-    ``DESIGN_CHUNK`` rows per call, and the fixed-grid baseline passes its
-    ``M <= N * J`` points in one call.
+    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes one
+    pattern block of at most ``ROW_BLOCK`` points per call, and the
+    fixed-grid baseline passes its ``M <= N * J`` points in one call.
 
     A unit's utilities are bounded over the box of ``betas`` by
     ``sum_d max(x_d lo_d, x_d hi_d)``.  A unit whose bound keeps ``exp`` and
@@ -225,33 +221,26 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
 
     Only points whose weight row is not all zero reach the kernel, each
     once.  They are taken in the :func:`~sparserc.clsolver.pattern_blocks`
-    of the weights' zero pattern, the solver's row blocks, and passed in
-    fixed calls of ``DESIGN_CHUNK`` points.  A hat basis has one nonzero per
-    hierarchical subspace in each row, so a block's points share supports:
-    each block (split where a call ends) adds a ``gemm`` over only the
-    columns it touches into the transposed sums.
+    of the weights' zero pattern, the solver's row blocks, one kernel call
+    per block.  A hat basis has one nonzero per hierarchical subspace in
+    each row, so a block's points share supports: each block adds a
+    ``gemm`` over only the columns it touches into the transposed sums.
 
-    All calls of a sweep write into one buffer of ``DESIGN_CHUNK`` points, a
+    All calls of a sweep write into one buffer of ``ROW_BLOCK`` points, a
     short call into its leading part; pages a call leaves untouched are
-    never resident.  Every sweep of a dataset then makes the same one large
+    never resident.  Every sweep of a dataset then makes the same one
     allocation, so its peak memory does not depend on the sweeps before it.
     """
     n, j = x.shape[:2]
     nonzero = weights != 0.0
     live = np.flatnonzero(nonzero.any(axis=1))
-    order, bounds = pattern_blocks(nonzero[live])
-    live = live[order]
     out = np.zeros((weights.shape[1], n * j))
-    buffer = np.empty(n * j * DESIGN_CHUNK) if live.size else None
-    for start in range(0, live.size, DESIGN_CHUNK):
-        stop = min(start + DESIGN_CHUNK, live.size)
-        g = buffer[:n * j * (stop - start)].reshape(n, j, -1)
-        g = choice_probabilities(x, points[live[start:stop]], out=g).reshape(n * j, -1)
-        edges = np.concatenate([[start], bounds[(bounds > start) & (bounds < stop)], [stop]])
-        for a, b in zip(edges[:-1], edges[1:]):
-            rows = live[a:b]
-            cols = np.flatnonzero(nonzero[rows].any(axis=0))
-            out[cols] += weights[np.ix_(rows, cols)].T @ g[:, a - start:b - start].T
+    buffer = np.empty(n * j * ROW_BLOCK)
+    for rows, cols in pattern_blocks(nonzero[live]):
+        rows = live[rows]
+        g = buffer[:n * j * rows.size].reshape(n, j, -1)
+        g = choice_probabilities(x, points[rows], out=g).reshape(n * j, -1)
+        out[cols] += weights[np.ix_(rows, cols)].T @ g.T
     # the buffer alive through the transposed copy would set the peak memory
     buffer = g = None
     return np.ascontiguousarray(out.T)

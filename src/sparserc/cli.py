@@ -142,7 +142,7 @@ _DGP_PRESET = re.compile(r"^(two|four)-normals-d(\d+)$")
 
 
 def _dgp_from_preset(name: str) -> MixtureDgp:
-    m = _DGP_PRESET.match(name)
+    m = _DGP_PRESET.match(name) if isinstance(name, str) else None
     if not m:
         raise UsageError(
             f"unknown preset {name!r}; expected two-normals-d<D> or four-normals-d<D>"
@@ -199,6 +199,9 @@ def cmd_simulate(args) -> int:
     seed = _count(config, "seed", 0, low=0)
     out_data = _get(config, "out_data", "data.csv")
     out_truth = _get(config, "out_truth", "truth.json")
+    for key, path in (("out_data", out_data), ("out_truth", out_truth)):
+        if not isinstance(path, str):  # an integer names an open file descriptor
+            raise UsageError(f"{key} must be a file name, got {path!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     data = make_dataset(dgp, n_units, n_alts, rng)
     try:
@@ -299,7 +302,8 @@ def cmd_evaluate(args) -> int:
     try:
         with open(args.fit) as fh:
             fit = fit_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # OverflowError: a JSON integer too large for a float or an index
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         raise UsageError(f"cannot load fit: {exc}") from None
     dist = DiscreteDistribution.from_fit(fit)
     if args.points:

@@ -221,24 +221,28 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
 
 
-def pattern_blocks(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pattern_blocks(nonzero: np.ndarray) -> list:
     """Rows of a boolean matrix in zero-pattern order, cut into blocks.
 
     Rows are stably sorted by their pattern over the leading (coarsest)
     columns, the first column the most significant bit, which groups draws
-    that are close in space.  Returns the order and the block bounds in it.
-    A block holds ``ROW_BLOCK // 2`` to ``ROW_BLOCK`` rows (the last one
-    may hold fewer) and ends where the patterns of consecutive rows first
-    differ in the coarsest column, so it spans few coarse supports.
+    that are close in space.  A block holds ``ROW_BLOCK // 2`` to
+    ``ROW_BLOCK`` rows (the last one may hold fewer) and ends where the
+    patterns of consecutive rows first differ in the coarsest column, so it
+    spans few coarse supports.  Returns each block as ``(rows, cols)``: its
+    rows in order, and the columns where one of them is nonzero.  No rows
+    give no blocks.
     """
     R, B = nonzero.shape
+    if R == 0:
+        return []
     k = min(B, _PATTERN_COLUMNS)
     lead = nonzero[:, :k]
     order = np.argsort(lead @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64)), kind="stable")
     lead = lead[order]
     # coarseness of each boundary between sorted rows: k less the first
     # column where they differ (the appended one for equal patterns: 0)
-    change = np.column_stack([lead[1:] != lead[:-1], np.ones(max(R - 1, 0), dtype=bool)])
+    change = np.column_stack([lead[1:] != lead[:-1], np.ones(R - 1, dtype=bool)])
     rank = k - change.argmax(axis=1)
     bounds = [0]
     half = ROW_BLOCK // 2
@@ -246,26 +250,19 @@ def pattern_blocks(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo = bounds[-1] + half
         window = rank[lo - 1:lo + half]
         bounds.append(lo + window.size - 1 - int(np.argmax(window[::-1])))
-    bounds.append(R)
-    return order, np.array(bounds)
+    return [(rows, np.flatnonzero(nonzero[rows].any(axis=0)))
+            for rows in np.split(order, bounds[1:])]
 
 
 def _row_blocks(At: np.ndarray) -> list:
     """Blocks of the rows of ``At`` for :func:`_normal_matrix`.
 
     The blocks of :func:`pattern_blocks`.  Each block is ``(rows, cols,
-    At[rows][:, cols], idx)``, with ``cols`` the columns where some row of
-    the block is nonzero and ``idx`` the flat positions of their ``cols x
-    cols`` entries in a ``B x B`` matrix.
+    At[rows][:, cols], idx)``, with ``idx`` the flat positions of the
+    ``cols x cols`` entries in a ``B x B`` matrix.
     """
-    R, B = At.shape
-    nonzero = At != 0.0
-    order, bounds = pattern_blocks(nonzero)
-    spans = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        rows = order[start:stop]
-        spans.append((rows, np.flatnonzero(nonzero[rows].any(axis=0))))
-    del nonzero
+    B = At.shape[1]
+    spans = pattern_blocks(At != 0.0)
     # one buffer holds every block: many mid-sized arrays that live through
     # the solve fragment the heap and keep its memory after the solve
     store = np.empty(sum(rows.size * cols.size for rows, cols in spans))

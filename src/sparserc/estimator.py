@@ -190,8 +190,8 @@ class FitResult:
         self.density_at_draws = np.asarray(self.density_at_draws, dtype=float)
         if self.kind not in ("sg", "asg", "fkrb"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if not np.isfinite(self.alpha).all():
-            raise ValueError("alpha has non-finite entries")
+        if self.alpha.ndim != 1 or not np.isfinite(self.alpha).all():
+            raise ValueError(f"alpha must be a list of finite numbers, got {self.alpha!r:.60}")
         dens = self.density_at_draws
         # written so that a NaN weight fails them
         if not dens.min() >= DENSITY_FLOOR:
@@ -633,6 +633,11 @@ def fit_to_json(fit: FitResult) -> dict:
 
 def fit_from_json(obj: dict) -> FitResult:
     """Rebuild a :class:`FitResult` from :func:`fit_to_json` output."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"fit must be a JSON object, got {type(obj).__name__}")
+    for key in ("config", "diagnostics"):
+        if not isinstance(obj.get(key), dict):
+            raise ValueError(f"fit {key} must be a JSON object, got {obj.get(key)!r:.40}")
     if obj.get("schema_version") != 1:
         raise ValueError("unsupported fit schema version")
     kind = obj["estimator"]
@@ -644,38 +649,30 @@ def fit_from_json(obj: dict) -> FitResult:
     alpha = np.asarray(obj["alpha"], dtype=float)
     trace = _trace_from_json(obj["trace"]) if obj.get("trace") else None
     if kind == "fkrb":
-        points = fkrb_grid(domain, config["q"])
-        return FitResult(
-            kind=kind,
-            domain=domain,
-            alpha=alpha,
-            support=points,
-            density_at_draws=alpha,
-            diagnostics=obj["diagnostics"],
-            config=config,
+        grid, support = None, fkrb_grid(domain, config["q"])
+        density = alpha
+    else:
+        # Fit JSON written before sg configs recorded ``max_level`` falls
+        # back to the default cap.
+        refinement = config.get("refinement") or {}
+        if not isinstance(refinement, dict):
+            raise ValueError(f"fit config refinement must be a JSON object, got {refinement!r:.40}")
+        max_level = (
+            config.get("max_level")
+            or refinement.get("max_level")
+            or max(DEFAULT_MAX_LEVEL, config["level"])
         )
-    # Fit JSON written before sg configs recorded ``max_level`` falls back
-    # to the default cap.
-    max_level = (
-        config.get("max_level")
-        or config.get("refinement", {}).get("max_level")
-        or max(DEFAULT_MAX_LEVEL, config["level"])
-    )
-    grid = grid_from_json(obj["grid"], max_level=max_level)
-    draws = halton_draws(
-        config["draws"]["r"],
-        domain.dim,
-        burn_in=config["draws"]["burn_in"],
-        domain=domain,
-    )
-    basis = BasisSet(grid, domain)
-    phi = basis.evaluate(draws.draws)
+        grid = grid_from_json(obj["grid"], max_level=max_level)
+        support = halton_draws(
+            config["draws"]["r"], domain.dim, burn_in=config["draws"]["burn_in"], domain=domain
+        ).draws
+        density = BasisSet(grid, domain).evaluate(support) @ alpha
     return FitResult(
         kind=kind,
         domain=domain,
         alpha=alpha,
-        support=draws.draws,
-        density_at_draws=phi @ alpha,
+        support=support,
+        density_at_draws=density,
         diagnostics=obj["diagnostics"],
         config=config,
         grid=grid,

@@ -6,7 +6,6 @@ import pytest
 from sparserc import choicemodel
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import (
-    DESIGN_CHUNK,
     KERNEL_TILE_BYTES,
     ChoiceDataset,
     DeadColumnError,
@@ -18,7 +17,7 @@ from sparserc.choicemodel import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from sparserc.clsolver import CLSProblem, solve_cls
+from sparserc.clsolver import ROW_BLOCK, CLSProblem, pattern_blocks, solve_cls
 from sparserc.hiergrid import GridPoint, SparseGrid, build_classical_sparse_grid, refine
 from sparserc.quasirand import DrawSet, halton_draws
 
@@ -370,11 +369,16 @@ def counting_kernel(monkeypatch):
 
 
 def assert_each_live_point_once(calls, points, weights):
-    """Every point with a nonzero weight reaches the kernel exactly once, no
-    point with an all-zero weight row reaches it, in ``ceil(live /
-    DESIGN_CHUNK)`` calls."""
-    live = np.flatnonzero((weights != 0.0).any(axis=1))
-    assert len(calls) == math.ceil(live.size / DESIGN_CHUNK)
+    """One kernel call per pattern block of the live rows, on the block's
+    points: every point with a nonzero weight reaches the kernel exactly
+    once, and no point with an all-zero weight row reaches it."""
+    nonzero = weights != 0.0
+    live = np.flatnonzero(nonzero.any(axis=1))
+    blocks = pattern_blocks(nonzero[live])
+    assert len(calls) == len(blocks)
+    for betas, (rows, _) in zip(calls, blocks):
+        assert betas.shape[0] <= ROW_BLOCK
+        np.testing.assert_array_equal(betas, points[live[rows]])
     position = {p.tobytes(): r for r, p in enumerate(points)}
     assert len(position) == points.shape[0]
     seen = sorted(position[p.tobytes()] for p in np.concatenate(calls))
@@ -382,10 +386,10 @@ def assert_each_live_point_once(calls, points, weights):
 
 
 class TestKernelSweep:
-    def test_matches_logit_kernel_oracle_over_chunks(self):
+    def test_matches_logit_kernel_oracle_over_blocks(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(3, 2, 2))
-        points = rng.uniform(-4, 4, size=(2 * DESIGN_CHUNK + 1, 2))
+        points = rng.uniform(-4, 4, size=(2 * ROW_BLOCK + 1, 2))
         weights = rng.uniform(size=(points.shape[0], 2))
         out = kernel_sweep(x, points, weights)
         expected = np.zeros((6, 2))
@@ -397,11 +401,12 @@ class TestKernelSweep:
 
     def test_zero_weight_rows_reach_no_kernel_call(self, counting_kernel):
         x = np.random.default_rng(22).normal(size=(2, 3, 1))
-        points = np.linspace(-3, 3, 2 * DESIGN_CHUNK + 1)[:, None]
+        points = np.linspace(-3, 3, 8 * ROW_BLOCK + 1)[:, None]
         weights = np.zeros((points.shape[0], 1))
-        live = np.append(np.arange(10, DESIGN_CHUNK, 7), 2 * DESIGN_CHUNK)
+        live = np.append(np.arange(10, 6 * ROW_BLOCK, 5), 8 * ROW_BLOCK)
         weights[live, 0] = 1.0
         out = kernel_sweep(x, points, weights)
+        assert len(counting_kernel.calls) > 1
         assert_each_live_point_once(counting_kernel.calls, points, weights)
         expected = choice_probabilities(x, points[live]).reshape(6, -1).sum(axis=1)
         np.testing.assert_allclose(out[:, 0], expected, rtol=1e-12)
@@ -413,7 +418,8 @@ class TestKernelSweep:
         assert counting_kernel.calls == []
         np.testing.assert_array_equal(out, np.zeros((6, weights.shape[1])))
 
-    def test_calls_write_into_one_chunk_sized_buffer(self, monkeypatch):
+    @pytest.mark.parametrize("n_live", [1, 3 * ROW_BLOCK + 5])
+    def test_calls_write_into_one_block_sized_buffer(self, monkeypatch, n_live):
         outs = []
 
         def kernel(x, betas, out=None):
@@ -423,22 +429,25 @@ class TestKernelSweep:
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         rng = np.random.default_rng(25)
         x = rng.normal(size=(2, 3, 1))
-        points = rng.uniform(-2, 2, size=(DESIGN_CHUNK + 7, 1))
+        points = rng.uniform(-2, 2, size=(3 * ROW_BLOCK + 5, 1))
         weights = rng.uniform(size=(points.shape[0], 2))
+        weights[n_live:] = 0.0
         out = kernel_sweep(x, points, weights)
-        assert [o.shape for o in outs] == [(2, 3, DESIGN_CHUNK), (2, 3, 7)]
-        assert outs[0].base is outs[1].base
-        assert outs[0].base.size == 6 * DESIGN_CHUNK
+        assert sum(o.shape[2] for o in outs) == n_live
+        assert all(o.shape[:2] == (2, 3) and o.base is outs[0].base for o in outs)
+        # the buffer's size does not depend on how many points are live
+        assert outs[0].base.size == 6 * ROW_BLOCK
         g = choice_probabilities(x, points).reshape(6, -1)
         np.testing.assert_allclose(out, g @ weights, rtol=1e-12)
 
     def test_patterns_spanning_several_calls(self, counting_kernel):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(3, 2, 2))
-        points = rng.uniform(-4, 4, size=(3 * DESIGN_CHUNK + 5, 2))
+        points = rng.uniform(-4, 4, size=(3 * ROW_BLOCK + 5, 2))
         weights = rng.uniform(size=(points.shape[0], 70)) * (rng.uniform(size=(1, 70)) < 0.3)
         weights[rng.uniform(size=points.shape[0]) < 0.2] = 0.0
         out = kernel_sweep(x, points, weights)
+        assert len(counting_kernel.calls) > 1
         assert_each_live_point_once(counting_kernel.calls, points, weights)
         g = choice_probabilities(x, points).reshape(6, -1)
         np.testing.assert_allclose(out, g @ weights, rtol=1e-12)

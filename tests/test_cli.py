@@ -123,6 +123,15 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("out_data", 0), ("out_truth", True)])
+    def test_output_path_must_be_a_file_name(self, tmp_path, capsys, key, value):
+        # an integer (a bool too) would name an open file descriptor
+        config = {"preset": "two-normals-d2", "n_units": 20, "out_data": str(tmp_path / "d.csv"),
+                  "out_truth": str(tmp_path / "t.json"), key: value}
+        assert main(["simulate", write_config(tmp_path / "sim.json", config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {key} must be a file name, got {value!r}\n"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_non_finite_mixture_mean_exits_one_naming_it(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         dgp = {"components": [{"weight": 1.0, "mean": [0.0, None], "cov": [[1, 0], [0, 1]]}]}
@@ -709,3 +718,159 @@ def test_fuzzed_estimate_config_never_crashes(tiny_data, config):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda fit: [], "fit must be a JSON object, got list"),
+     (lambda fit: {**fit, "diagnostics": []}, "fit diagnostics must be a JSON object, got []"),
+     (lambda fit: {**fit, "config": [1]}, "fit config must be a JSON object, got [1]")],
+    ids=["list", "diagnostics-list", "config-list"],
+)
+def test_evaluate_malformed_fit_json_exits_one_naming_it(fitted, capsys, edit, message):
+    fit = json.loads((fitted / "fit.json").read_text())
+    (fitted / "bad.json").write_text(json.dumps(edit(fit)))
+    code = main(["evaluate", str(fitted / "bad.json"),
+                 "--out-cdf", str(fitted / "cdf.csv"),
+                 "--out-marginals", str(fitted / "marg.csv"),
+                 "--out-summary", str(fitted / "summary.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load fit: {message}\n"
+    assert not (fitted / "summary.json").exists()
+
+
+def _slot(obj, step: str):
+    """The key or position ``step`` names in JSON container ``obj``, or None."""
+    if isinstance(obj, dict):
+        return step
+    if isinstance(obj, list) and step.isdigit() and int(step) < len(obj):
+        return int(step)
+    return None
+
+
+def _replace(obj, path: str, value):
+    """A copy of JSON value ``obj`` with the dotted ``path`` (list entries by
+    position) set to ``value``; unchanged when the path does not resolve."""
+    obj = copy.deepcopy(obj)
+    *steps, last = path.split(".")
+    target = obj
+    for step in steps:
+        slot = _slot(target, step)
+        if slot is None or (isinstance(target, dict) and step not in target):
+            return obj
+        target = target[slot]
+    slot = _slot(target, last)
+    if slot is not None:
+        target[slot] = value
+    return obj
+
+
+def _run_fuzzed(argv) -> None:
+    """Run ``main(argv)`` and check it exits 0, 1 or 2 without a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        # an exception escaping main fails the property with its traceback
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def tiny_fits(tiny_data):
+    """The fit JSON of an sg, an asg and an fkrb fit to the tiny dataset,
+    for the examples of the evaluate fuzz."""
+    fits = {}
+    for name, config in [("sg", {"estimator": "sg", "level": 2, "draws": {"r": 200}}),
+                         ("asg", {"estimator": "asg", "level": 1, "draws": {"r": 200},
+                                  "refinement": {"steps": 1, "k_folds": 2}}),
+                         ("fkrb", {"estimator": "fkrb", "q": 2})]:
+        out = tiny_data.parent / f"{name}.json"
+        cfg = write_config(tiny_data.parent / f"{name}-est.json", config)
+        assert main(["estimate", cfg, str(tiny_data), "--out", str(out)]) in (0, 2)
+        fits[name] = json.loads(out.read_text())
+    return fits
+
+
+# Keys of a fit JSON, and the nested ones its loader reads.
+FIT_PATHS = [
+    "schema_version", "estimator", "config", "grid", "alpha", "diagnostics", "trace",
+    "config.domain", "config.domain.lower", "config.domain.upper", "config.domain.lower.0",
+    "config.draws", "config.draws.r", "config.draws.burn_in", "config.level",
+    "config.max_level", "config.q", "config.refinement", "config.refinement.max_level",
+    "grid.0", "grid.0.levels", "grid.0.indices", "grid.1.indices.0", "alpha.0",
+    "trace.records", "trace.records.0", "trace.records.0.added_points",
+]
+
+
+@st.composite
+def fuzzed_fit_documents(draw, fits):
+    """A fit JSON with up to three entries replaced by bad values, or a bad
+    value in place of the whole document."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(BAD_VALUES)
+    fit = fits[draw(st.sampled_from(sorted(fits)))]
+    for _ in range(draw(st.integers(0, 3))):
+        fit = _replace(fit, draw(st.sampled_from(FIT_PATHS)), draw(BAD_VALUES))
+    return fit
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), points_per_dim=st.integers(-1, 4), truth_samples=st.integers(-1, 2000),
+       with_truth=st.booleans())
+def test_fuzzed_evaluate_never_crashes(tiny_fits, tiny_data, data, points_per_dim,
+                                       truth_samples, with_truth):
+    fit = data.draw(fuzzed_fit_documents(tiny_fits))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "fit.json").write_text(json.dumps(fit))
+        argv = ["evaluate", str(tmp / "fit.json"),
+                "--points-per-dim", str(points_per_dim),
+                "--truth-samples", str(truth_samples),
+                "--out-cdf", str(tmp / "cdf.csv"),
+                "--out-marginals", str(tmp / "marg.csv"),
+                "--out-summary", str(tmp / "summary.json")]
+        if with_truth:
+            argv += ["--truth", str(tiny_data.parent / "truth.json")]
+        _run_fuzzed(argv)
+
+
+# Valid values of the simulate keys, a dgp given in full among them.
+VALID_SIMULATE = {
+    "preset": st.sampled_from(["two-normals-d1", "two-normals-d2", "four-normals-d2", None]),
+    "dgp": st.sampled_from([None, {"components": [UNIT_NORMAL]},
+                            {"components": [{**UNIT_NORMAL, "weight": 0.5},
+                                            {**UNIT_NORMAL, "mean": [1.0], "weight": 0.5}]}]),
+    "n_units": st.integers(1, 40),
+    "n_alts": st.integers(1, 4),
+    "seed": st.integers(0, 5),
+}
+SIMULATE_PATHS = sorted(VALID_SIMULATE) + [
+    "out_data", "out_truth", "dgp.components", "dgp.components.0",
+    "dgp.components.0.weight", "dgp.components.0.mean", "dgp.components.0.mean.0",
+    "dgp.components.0.cov", "dgp.components.0.cov.0", "dgp.components.0.cov.0.0",
+]
+
+
+@st.composite
+def fuzzed_simulate_configs(draw):
+    config = {key: draw(valid) for key, valid in VALID_SIMULATE.items()}
+    if config["preset"] is None and config["dgp"] is None:
+        config["preset"] = "two-normals-d2"
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(SIMULATE_PATHS))
+        # a null or a string output path names a file in the working directory
+        bad = BAD_VALUES.filter(lambda v: v is not None and not isinstance(v, str))
+        config = _replace(config, path, draw(bad if path.startswith("out_") else BAD_VALUES))
+    return config
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=fuzzed_simulate_configs())
+def test_fuzzed_simulate_config_never_crashes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = {"out_data": str(tmp / "d.csv"), "out_truth": str(tmp / "t.json"), **config}
+        _run_fuzzed(["simulate", write_config(tmp / "sim.json", config)])

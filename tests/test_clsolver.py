@@ -332,15 +332,27 @@ def first_difference(a, b):
     return diff[0] if diff.size else 62
 
 
+def order_and_bounds(spans):
+    """The row order of a list of block spans, and the block bounds in it."""
+    order = np.concatenate([rows for rows, _ in spans])
+    return order, np.cumsum([0] + [rows.size for rows, _ in spans])
+
+
 class TestPatternBlocks:
     """Rows in zero-pattern order, cut at the coarsest pattern change."""
+
+    def test_no_rows_no_blocks(self):
+        assert clsolver.pattern_blocks(np.zeros((0, 5), dtype=bool)) == []
 
     @pytest.mark.parametrize(
         "dim, level, n_draws", [(1, 2, 700), (2, 4, 700), (3, 4, 1000), (6, 4, 3000)]
     )
     def test_cuts_at_the_coarsest_change_in_range(self, dim, level, n_draws):
         nonzero = hierarchical_rows(n_draws, dim, level) != 0.0
-        order, bounds = clsolver.pattern_blocks(nonzero)
+        spans = clsolver.pattern_blocks(nonzero)
+        order, bounds = order_and_bounds(spans)
+        for rows, cols in spans:
+            np.testing.assert_array_equal(cols, np.flatnonzero(nonzero[rows].any(axis=0)))
         np.testing.assert_array_equal(np.sort(order), np.arange(n_draws))
         sizes = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == n_draws
@@ -356,7 +368,7 @@ class TestPatternBlocks:
 
     def test_fewer_columns_than_fixed_cuts(self):
         nonzero = hierarchical_rows(12_000, 6, 4) != 0.0
-        order, bounds = clsolver.pattern_blocks(nonzero)
+        order, bounds = order_and_bounds(clsolver.pattern_blocks(nonzero))
 
         def touched(cuts):
             return sum(

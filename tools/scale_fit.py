@@ -2,14 +2,15 @@
 
     python3 tools/scale_fit.py --dim 8 --level 4
     python3 tools/scale_fit.py --dim 6 --level 4 --draws 12000
+    python3 tools/scale_fit.py --dim 6 --level 4 --units 10000
 
 Run it from the repository root; it imports ``sparserc`` from ``src/``.  The
-data are the benchmark's: 1,000 units with 5 alternatives drawn from the
-two-normal mixture at seed 0, on the cube ``[-4, 4]^D``, with ``2000 * D``
-draws unless ``--draws`` says otherwise.  It prints the wall time of the
-fit, the peak resident memory of the process (data generation included),
-the basis size B, the interior-point iterations and the solver's stop
-reason and KKT residual.
+data are the benchmark's: 1,000 units (or ``--units``) with 5 alternatives
+drawn from the two-normal mixture at seed 0, on the cube ``[-4, 4]^D``, with
+``2000 * D`` draws unless ``--draws`` says otherwise.  It prints the wall
+time of the fit, the peak resident memory of the process (data generation
+included), the basis size B, the interior-point iterations and the
+solver's stop reason and KKT residual.
 """
 
 import argparse
@@ -36,16 +37,19 @@ def main(argv=None) -> int:
     parser.add_argument("--level", type=int, required=True)
     parser.add_argument("--draws", type=int, default=None,
                         help=f"integration draws (default {estimator.DRAWS_PER_DIM} * dim)")
+    parser.add_argument("--units", type=int, default=N_UNITS,
+                        help=f"observation units (default {N_UNITS})")
     args = parser.parse_args(argv)
     data = simulate.make_dataset(
-        simulate.two_normal_mixture(args.dim), N_UNITS, N_ALTS, np.random.default_rng(SEED)
+        simulate.two_normal_mixture(args.dim), args.units, N_ALTS, np.random.default_rng(SEED)
     )
     start = time.perf_counter()
     fit = estimator.fit_sg(data, Domain.cube(args.dim), args.level, r_draws=args.draws)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     diag = fit.diagnostics
-    print(f"dim {args.dim} level {args.level} draws {fit.support.shape[0]}: "
+    print(f"dim {args.dim} level {args.level} units {args.units} "
+          f"draws {fit.support.shape[0]}: "
           f"wall {wall:.2f} s, peak RSS {peak_mb:.0f} MB, B {fit.n_parameters}, "
           f"IPM iterations {diag['iterations']}, {diag['stop_reason']}, "
           f"KKT {diag['kkt_residual']:.2e}")
