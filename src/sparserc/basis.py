@@ -6,7 +6,7 @@ support (including outside the domain) is zero by construction, never an
 error.  The supports of one hierarchical subspace (one level vector) are
 disjoint cells that tile the cube, so :func:`evaluate_basis_columns` finds
 each point's one nonzero per subspace by a cell lookup; :func:`eval_nd` is
-the pointwise definition it reproduces bit for bit.
+the pointwise definition it reproduces bit for bit, as a CSR matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hiergrid import GridPoint, SparseGrid, index_set
 
@@ -105,17 +106,19 @@ def eval_nd(point: GridPoint, domain: Domain, beta):
 
 def evaluate_basis_columns(
     points: Sequence[GridPoint], domain: Domain, at: np.ndarray
-) -> np.ndarray:
+) -> sp.csr_array:
     """Evaluate a list of basis functions at many domain points.
 
-    Returns an ``(n, len(points))`` matrix, equal bit for bit to the
-    products of :func:`eval_1d` factors in dimension order.  The supports of
-    one hierarchical subspace (one level vector) tile the unit cube, so a
-    point lies in exactly one of them: per level vector, each point's cell
-    and hat product are computed once and the cell is looked up among the
-    subspace's grid points.  A cell without a grid point (an incomplete
-    subspace of an adaptive grid) and a point outside the cube give zeros.
-    The cost is ``n`` products per level vector, not ``n * len(points)``.
+    Returns the ``(n, len(points))`` matrix as a ``csr_array`` of its
+    nonzeros (int32 indices, sorted within each row), each equal bit for bit
+    to the product of :func:`eval_1d` factors in dimension order.  The
+    supports of one hierarchical subspace (one level vector) tile the unit
+    cube, so a point lies in exactly one of them: per level vector, each
+    point's cell and hat product are computed once and the cell is looked up
+    among the subspace's grid points.  A cell without a grid point (an
+    incomplete subspace of an adaptive grid) and a point outside the cube
+    store nothing.  The cost is ``n`` products per level vector, not
+    ``n * len(points)``.
     """
     points = list(points)
     at = np.atleast_2d(np.asarray(at, dtype=float))
@@ -126,7 +129,6 @@ def evaluate_basis_columns(
     if bad.size:
         raise ValueError(f"evaluation points must be finite: row {bad[0]} is {at[bad[0]]}")
     u = domain.to_unit(at)
-    out = np.zeros((at.shape[0], len(points)))
     factors = {}
 
     def factor(d, l):
@@ -141,6 +143,8 @@ def evaluate_basis_columns(
     subspaces = {}
     for k, p in enumerate(points):
         subspaces.setdefault(p.levels, []).append(k)
+    # each point's stored entry per subspace, as (row, column, value)
+    rows, cols_at, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for levels, cols in subspaces.items():
         # cell vectors as mixed-radix keys, l_d bits for dimension d (the
         # extra bit holds the outside cell); Python ints past 62 bits
@@ -152,7 +156,7 @@ def evaluate_basis_columns(
             dtype=object if wide else np.int64,
         )
         order = np.argsort(keys)
-        keys, cols = keys[order], np.asarray(cols)[order]
+        keys, cols = keys[order], np.asarray(cols, dtype=np.int32)[order]
         c, value = factor(0, levels[0])
         key = as_int(c)
         value = value.copy()
@@ -161,9 +165,14 @@ def evaluate_basis_columns(
             key += as_int(c) << shifts[d]
             value *= h
         pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        hit = np.flatnonzero(keys[pos] == key)
-        out[hit, cols[pos[hit]]] = value[hit]
-    return out
+        # a point on a cell's edge has a zero there, which is not stored
+        hit = np.flatnonzero((keys[pos] == key) & (value != 0.0))
+        rows.append(hit.astype(np.int32))
+        cols_at.append(cols[pos[hit]])
+        values.append(value[hit])
+    # the entries gathered into rows, each row sorted by column
+    return sp.coo_array((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols_at))),
+                        shape=(at.shape[0], len(points))).tocsr()
 
 
 @dataclass(frozen=True)
@@ -181,8 +190,9 @@ class BasisSet:
     def size(self) -> int:
         return len(self.grid)
 
-    def evaluate(self, at: np.ndarray) -> np.ndarray:
-        """Matrix of all basis functions at the given domain points, ``(n, B)``."""
+    def evaluate(self, at: np.ndarray) -> sp.csr_array:
+        """Matrix of all basis functions at the given domain points, ``(n, B)``,
+        as the CSR matrix of :func:`evaluate_basis_columns`."""
         return evaluate_basis_columns(self.grid.points, self.domain, at)
 
 

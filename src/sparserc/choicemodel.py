@@ -12,7 +12,8 @@ Assembly follows the sparsity of ``Phi``: a draw lies in one support per
 hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
 (84 of 545 at D=6 level 4).  The sweep takes the draws in the solver's row
 blocks, ordered by zero pattern: each block is one kernel call, and
-multiplies only the columns it touches.  The kernel drops the max shift for
+multiplies only the columns it touches.  ``Phi`` is held once, as one CSR
+matrix, from its evaluation to the solver.  The kernel drops the max shift for
 every unit whose utilities cannot overflow.
 """
 
@@ -22,9 +23,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import BasisSet, evaluate_basis_columns
-from .clsolver import ROW_BLOCK, pattern_blocks
+from .clsolver import ROW_BLOCK, as_csr, block_slab, pattern_blocks
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
 
@@ -201,13 +203,13 @@ class DesignMatrix:
     ``column_mass[b] = sum_r phi_b(beta_r)`` is both the unit-mass constraint
     vector and an assembly sanity check (every column of ``Z`` lies between 0
     and its mass entry).  ``basis_at_draws`` keeps the raw ``(R, B)`` basis
-    values because the solver's nonnegativity constraints are exactly its
-    rows.
+    values, as the CSR matrix of their nonzeros, because the solver's
+    nonnegativity constraints are exactly its rows.
     """
 
     Z: np.ndarray
     column_mass: np.ndarray
-    basis_at_draws: np.ndarray
+    basis_at_draws: sp.csr_array
     basis: BasisSet
 
     @property
@@ -215,13 +217,14 @@ class DesignMatrix:
         return self.Z.shape[1]
 
 
-def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
     """``sum_r g(x, points_r) weights[r]``: the ``(N * J, K)`` kernel-weighted
-    sums of the ``K`` columns of ``weights`` (one row per point).
+    sums of the ``K`` columns of ``weights`` (one row per point), a CSR
+    matrix or an array taken as the CSR matrix of its nonzeros.
 
-    Only points whose weight row is not all zero reach the kernel, each
+    Only points whose weight row stores an entry reach the kernel, each
     once.  They are taken in the :func:`~sparserc.clsolver.pattern_blocks`
-    of the weights' zero pattern, the solver's row blocks, one kernel call
+    of the weights' stored entries, the solver's row blocks, one kernel call
     per block.  A hat basis has one nonzero per hierarchical subspace in
     each row, so a block's points share supports: each block adds a
     ``gemm`` over only the columns it touches into the transposed sums.
@@ -232,15 +235,16 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.n
     allocation, so its peak memory does not depend on the sweeps before it.
     """
     n, j = x.shape[:2]
-    nonzero = weights != 0.0
-    live = np.flatnonzero(nonzero.any(axis=1))
+    weights = as_csr(weights)
+    live = np.flatnonzero(np.diff(weights.indptr))
+    if live.size < weights.shape[0]:
+        weights = weights[live]
     out = np.zeros((weights.shape[1], n * j))
     buffer = np.empty(n * j * ROW_BLOCK)
-    for rows, cols in pattern_blocks(nonzero[live]):
-        rows = live[rows]
+    for rows, cols in pattern_blocks(weights):
         g = buffer[:n * j * rows.size].reshape(n, j, -1)
-        g = choice_probabilities(x, points[rows], out=g).reshape(n * j, -1)
-        out[cols] += weights[np.ix_(rows, cols)].T @ g.T
+        g = choice_probabilities(x, points[live[rows]], out=g).reshape(n * j, -1)
+        out[cols] += block_slab(weights, rows, cols).T @ g.T
     # the buffer alive through the transposed copy would set the peak memory
     buffer = g = None
     return np.ascontiguousarray(out.T)
@@ -250,18 +254,19 @@ def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
     """The columns of ``points`` appended to ``existing`` (None: no columns yet).
 
     ``Z`` is the :func:`kernel_sweep` of the columns' ``Phi`` over the draws;
-    ``basis`` is the basis of the resulting design.
+    ``basis`` is the basis of the resulting design.  A column's mass adds its
+    stored entries in row order, as a dense column sum would.
     """
     phi = evaluate_basis_columns(points, basis.domain, draws.draws)
     Z = kernel_sweep(data.x, draws.draws, phi)
-    column_mass = phi.sum(axis=0)
+    column_mass = np.bincount(phi.indices, weights=phi.data, minlength=phi.shape[1])
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:
         raise DeadColumnError([points[k] for k in dead])
     if existing is not None:
         Z = np.hstack([existing.Z, Z])
         column_mass = np.concatenate([existing.column_mass, column_mass])
-        phi = np.hstack([existing.basis_at_draws, phi])
+        phi = sp.hstack([existing.basis_at_draws, phi], format="csr")
     return DesignMatrix(Z=Z, column_mass=column_mass, basis_at_draws=phi, basis=basis)
 
 

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import re
 import sys
-import types
 
 import numpy as np
 
@@ -35,12 +34,12 @@ from .estimator import (
     FitResult,
     RefineOptions,
     SolverOptions,
-    check_fields,
     fit_asg,
     fit_fkrb,
     fit_from_json,
     fit_sg,
     fit_to_json,
+    json_int,
 )
 from .quasirand import DEFAULT_BURN_IN, read_draws_csv
 from .simulate import (
@@ -98,13 +97,6 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
 def _get(obj: dict, key: str, default):
     value = obj.get(key, default)
     return default if value is None else value
-
-
-def _count(obj: dict, key: str, default, low: int = 1):
-    """``obj[key]`` (``default`` if absent or null), checked as an integer ``>= low``."""
-    setting = types.SimpleNamespace(**{key: _get(obj, key, default)})
-    check_fields(setting, int, key, low=low, optional=True)
-    return getattr(setting, key)
 
 
 def _parse_domain(obj: dict | None, dim: int) -> Domain:
@@ -194,9 +186,9 @@ def cmd_simulate(args) -> int:
         "simulate config",
     )
     dgp = _parse_dgp(config)
-    n_units = _count(config, "n_units", McConfig.n_units)
-    n_alts = _count(config, "n_alts", McConfig.n_alts)
-    seed = _count(config, "seed", 0, low=0)
+    n_units = json_int(config, "n_units", McConfig.n_units)
+    n_alts = json_int(config, "n_alts", McConfig.n_alts)
+    seed = json_int(config, "seed", 0, low=0)
     out_data = _get(config, "out_data", "data.csv")
     out_truth = _get(config, "out_truth", "truth.json")
     for key, path in (("out_data", out_data), ("out_truth", out_truth)):
@@ -243,21 +235,21 @@ def cmd_estimate(args) -> int:
     data = read_dataset_csv(args.data)
     domain = _parse_domain(config.get("domain"), data.dim)
     solver = _options(SolverOptions, config.get("solver"), "solver", strict=False)
-    seed = _count(config, "seed", 0, low=0)
+    seed = json_int(config, "seed", 0, low=0)
     draws_cfg = config.get("draws") or {}
     _check_keys(draws_cfg, {"rule", "r", "burn_in"}, "draws")
     if _get(draws_cfg, "rule", "halton") != "halton":
         raise UsageError("only the halton draw rule is supported")
-    r_draws = _count(draws_cfg, "r", None)
-    burn_in = _count(draws_cfg, "burn_in", DEFAULT_BURN_IN, low=0)
+    r_draws = json_int(draws_cfg, "r", None)
+    burn_in = json_int(draws_cfg, "burn_in", DEFAULT_BURN_IN, low=0)
 
     if estimator == "fkrb":
-        q = _count(config, "q", None)
+        q = json_int(config, "q", None)
         if q is None:
             raise UsageError("fkrb estimation requires \"q\"")
         fit = fit_fkrb(data, domain, q, solver=solver)
     else:
-        level = _count(config, "level", 4)
+        level = json_int(config, "level", 4)
         if estimator == "sg":
             fit = fit_sg(
                 data, domain, level, r_draws=r_draws, solver=solver, burn_in=burn_in
@@ -395,7 +387,7 @@ def cmd_replicate(args) -> int:
         dgp=dgp, domain=domain, workers=workers,
         refine=_options(
             RefineOptions, config.get("refinement"), "refinement",
-            cv_seed=_count(config, "seed", McConfig.seed, low=0),
+            cv_seed=json_int(config, "seed", McConfig.seed, low=0),
         ),
         solver=_options(SolverOptions, config.get("solver"), "solver", strict=False),
     )

@@ -21,7 +21,8 @@ active and mutually dependent at the optimum, which makes active-set
 methods cycle on degenerate vertices, while the interior-point iteration
 is indifferent to constraint redundancy.  Inequality constraints enter
 only through matrix-vector products and a ``B x B`` normal matrix, never
-through systems of their own size.
+through systems of their own size, and are held as one CSR matrix
+(:func:`as_csr`) whatever form ``A_ineq`` has.
 
 The normal matrix is built and factored in NumPy's BLAS and LAPACK: it is
 the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
@@ -33,14 +34,15 @@ once per solve the rows are ordered by their zero pattern over the leading
 (coarsest) columns, which groups draws that are close in space, and cut
 into blocks of at most ``ROW_BLOCK`` rows at coarse pattern changes
 (:func:`pattern_blocks`).  Each block's ``syrk`` runs on the columns the
-block touches only, and is added into those entries of the normal matrix
-through a flat index built with the block.  The design assembly takes its
+block touches only (:func:`block_slab`), and is added into those entries
+of the normal matrix through a flat index built with the block.  The design
+assembly takes its
 draws in the same blocks.  A dense constraint matrix gives blocks that
 touch every column, the same flops as one product.  SciPy's wheels bundle
 a second OpenBLAS with its own thread pool; alternating level-3 calls
 between the two pools makes each pool busy-wait while the other runs,
 slowing both.  Only the level-2 triangular solves (``cho_solve``) go
-through SciPy.
+through SciPy's BLAS; its CSR products are plain loops.
 
 The iteration runs on a stack of ``k`` problems, such as the cross-validation
 refits of one refinement step, which share ``Phi``.  The scaled constraints
@@ -49,8 +51,8 @@ and their row blocks are built once per stack, and the iterates are
 test and stall counter, and leaves the stack when it stops, with the iterate
 its own solve stops at.  Each problem keeps the arithmetic of a one-problem
 solve (row-wise operations, its own ``syrk``, Cholesky and ``cho_solve``),
-except that the products with the constraints are one ``gemm`` for the whole
-stack, so it can differ from its own solve in the last bits.
+except that the products with ``H`` are batched for the whole stack, so it
+can differ from its own solve in the last bits.
 
 Every solution carries multipliers and its ``stop_reason``, and
 :func:`check_kkt` re-derives all optimality residuals from the problem data
@@ -62,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_solve
 
 DEFAULT_TOL = 1e-8
@@ -91,18 +94,20 @@ class CLSProblem:
 
     The objective is ``||y - Z a||^2 / (2 m)`` with ``m`` the number of rows
     of ``Z``; ``A_ineq`` needs at least one row and no negative entry, and
-    ``c_eq`` positive entries.
+    ``c_eq`` positive entries.  ``A_ineq`` may be sparse: an array solves
+    bit for bit as the CSR matrix of its nonzeros, which the solver reads.
     """
 
     Z: np.ndarray
     y: np.ndarray
-    A_ineq: np.ndarray
+    A_ineq: np.ndarray | sp.csr_array
     c_eq: np.ndarray
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        self.A_ineq = np.asarray(self.A_ineq, dtype=float)
+        self.A_ineq = (as_csr(self.A_ineq) if sp.issparse(self.A_ineq)
+                       else np.asarray(self.A_ineq, dtype=float))
         self.c_eq = np.asarray(self.c_eq, dtype=float)
         if self.Z.ndim != 2 or self.y.shape != (self.Z.shape[0],):
             raise ValueError("Z must be (m, B) and y (m,)")
@@ -117,11 +122,15 @@ class CLSProblem:
         checks += [("c_eq", "be > 0", lambda a: a > 0.0)]
         for name, rule, ok in checks:
             arr = getattr(self, name)
-            bad = ~ok(arr)
+            values = arr.data if sp.issparse(arr) else arr  # stored entries, in row order
+            bad = ~ok(values)
             if bad.any():
                 idx = np.argwhere(bad)[0]
-                where = int(idx[0]) if idx.size == 1 else tuple(int(i) for i in idx)
-                raise ValueError(f"{name} must {rule}: entry {where} is {arr[tuple(idx)]}")
+                value = values[tuple(idx)]
+                if sp.issparse(arr):  # the stored entry's row and column
+                    idx = (np.searchsorted(arr.indptr, idx[0], "right") - 1, arr.indices[idx[0]])
+                where = int(idx[0]) if len(idx) == 1 else tuple(int(i) for i in idx)
+                raise ValueError(f"{name} must {rule}: entry {where} is {value}")
 
     @property
     def n_coef(self) -> int:
@@ -159,23 +168,21 @@ def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
     alpha = v / s
     resid = problem.y - problem.Z @ alpha
     ssr_raw = float(resid @ resid)
-    ssr = ssr_raw / (2.0 * problem.Z.shape[0])
-    max_viol = float(max(0.0, -(problem.A_ineq @ alpha).min()))
-    eq_violation = float(problem.c_eq @ alpha - 1.0)
     sol = CLSSolution(
         alpha=alpha,
-        ssr=ssr,
+        ssr=ssr_raw / (2.0 * problem.Z.shape[0]),
         ssr_raw=ssr_raw,
         kkt_residual=np.nan,
-        max_ineq_violation=max_viol,
-        eq_violation=eq_violation,
+        max_ineq_violation=np.nan,
+        eq_violation=float(problem.c_eq @ alpha - 1.0),
         iterations=iterations,
         lambda_ineq=lam,
         mu_eq=float(mu),
         warnings=list(warnings_),
         stop_reason=stop_reason,
     )
-    sol.kkt_residual = check_kkt(problem, sol)["stationarity"]
+    kkt = check_kkt(problem, sol)
+    sol.kkt_residual, sol.max_ineq_violation = kkt["stationarity"], kkt["primal_ineq"]
     return sol
 
 
@@ -221,23 +228,50 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
 
 
-def pattern_blocks(nonzero: np.ndarray) -> list:
-    """Rows of a boolean matrix in zero-pattern order, cut into blocks.
+def as_csr(a) -> sp.csr_array:
+    """``a`` as a float ``csr_array`` with sorted, unique entries in each row:
+    ``a`` itself when it is one, an array as the matrix of its nonzeros."""
+    if not (isinstance(a, sp.csr_array) and a.dtype == float and a.has_canonical_format):
+        a = sp.csr_array(a, dtype=float, copy=True)
+        a.sum_duplicates()
+    return a
 
-    Rows are stably sorted by their pattern over the leading (coarsest)
-    columns, the first column the most significant bit, which groups draws
-    that are close in space.  A block holds ``ROW_BLOCK // 2`` to
-    ``ROW_BLOCK`` rows (the last one may hold fewer) and ends where the
+
+def block_slab(a: sp.csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``a[rows][:, cols]`` as a dense array, read from the CSR arrays of
+    ``a``; ``cols`` is sorted and holds every column where one of ``rows``
+    stores an entry."""
+    start = a.indptr[rows]
+    counts = a.indptr[rows + 1] - start
+    # the positions of the rows' entries, row after row, and their places in the slab
+    at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    col = np.empty(a.shape[1], dtype=np.intp)
+    col[cols] = np.arange(cols.size)
+    place = np.repeat(np.arange(0, rows.size * cols.size, cols.size), counts) + col[a.indices[at]]
+    out = np.zeros(rows.size * cols.size)
+    out[place] = a.data[at]
+    return out.reshape(rows.size, cols.size)
+
+
+def pattern_blocks(pattern) -> list:
+    """Rows of a matrix in the order of their stored patterns, cut into blocks.
+
+    ``pattern`` is a CSR matrix, or an array read as the matrix of its
+    nonzeros.  Rows are stably sorted by their pattern over the leading
+    (coarsest) columns, the first column the most significant bit, which
+    groups draws that are close in space.  A block holds ``ROW_BLOCK // 2``
+    to ``ROW_BLOCK`` rows (the last one may hold fewer) and ends where the
     patterns of consecutive rows first differ in the coarsest column, so it
     spans few coarse supports.  Returns each block as ``(rows, cols)``: its
-    rows in order, and the columns where one of them is nonzero.  No rows
-    give no blocks.
+    rows in order, and the columns where one of them stores an entry.  No
+    rows give no blocks.
     """
-    R, B = nonzero.shape
+    pattern = pattern if isinstance(pattern, sp.csr_array) else sp.csr_array(pattern)
+    R, B = pattern.shape
     if R == 0:
         return []
     k = min(B, _PATTERN_COLUMNS)
-    lead = nonzero[:, :k]
+    lead = pattern[:, :k].toarray() != 0
     order = np.argsort(lead @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64)), kind="stable")
     lead = lead[order]
     # coarseness of each boundary between sorted rows: k less the first
@@ -250,19 +284,25 @@ def pattern_blocks(nonzero: np.ndarray) -> list:
         lo = bounds[-1] + half
         window = rank[lo - 1:lo + half]
         bounds.append(lo + window.size - 1 - int(np.argmax(window[::-1])))
-    return [(rows, np.flatnonzero(nonzero[rows].any(axis=0)))
-            for rows in np.split(order, bounds[1:])]
+    blocks = np.split(order, bounds[1:])
+    block_of = np.empty(R, dtype=np.intp)
+    block_of[order] = np.repeat(np.arange(len(blocks)), np.diff(np.append(bounds, R)))
+    touched = np.zeros((len(blocks), B), dtype=bool)
+    touched[np.repeat(block_of, np.diff(pattern.indptr)), pattern.indices] = True
+    return [(rows, np.flatnonzero(t)) for rows, t in zip(blocks, touched)]
 
 
-def _row_blocks(At: np.ndarray) -> list:
+def _row_blocks(At: sp.csr_array) -> list:
     """Blocks of the rows of ``At`` for :func:`_normal_matrix`.
 
     The blocks of :func:`pattern_blocks`.  Each block is ``(rows, cols,
-    At[rows][:, cols], idx)``, with ``idx`` the flat positions of the
-    ``cols x cols`` entries in a ``B x B`` matrix.
+    At[rows][:, cols], idx)``, the slab dense, with ``idx`` the flat
+    positions of the ``cols x cols`` entries in a ``B x B`` matrix, int32
+    while they fit.
     """
     B = At.shape[1]
-    spans = pattern_blocks(At != 0.0)
+    flat = np.int32 if B * B <= np.iinfo(np.int32).max else np.intp
+    spans = pattern_blocks(At)
     # one buffer holds every block: many mid-sized arrays that live through
     # the solve fragment the heap and keep its memory after the solve
     store = np.empty(sum(rows.size * cols.size for rows, cols in spans))
@@ -270,9 +310,9 @@ def _row_blocks(At: np.ndarray) -> list:
     used = 0
     for rows, cols in spans:
         Ab = store[used:used + rows.size * cols.size].reshape(rows.size, cols.size)
-        Ab[...] = At[np.ix_(rows, cols)]
+        Ab[...] = block_slab(At, rows, cols)
         used += Ab.size
-        blocks.append((rows, cols, Ab, (cols[:, None] * B + cols).ravel()))
+        blocks.append((rows, cols, Ab, (cols[:, None] * B + cols).ravel().astype(flat)))
     return blocks
 
 
@@ -289,9 +329,9 @@ def _normal_matrix(blocks: list, d: np.ndarray, H: np.ndarray) -> np.ndarray:
     flat = M.reshape(-1, B * B)
     for rows, _, Ab, idx in blocks:
         Wb = Ab * np.sqrt(d.take(rows, axis=-1))[..., None]
-        # one 1-D scatter per slice: NumPy's fast path for fancy indexing
+        # one 1-D scatter per slice; the entries are distinct, so each adds once
         for Mi, Pi in zip(flat, (np.swapaxes(Wb, -1, -2) @ Wb).reshape(-1, idx.size)):
-            Mi[idx] += Pi
+            np.add.at(Mi, idx, Pi)
     return M
 
 
@@ -348,9 +388,13 @@ def solve_cls_stack(
     two problems differ in ``A_ineq`` or ``c_eq``.
     """
     first = problems[0]
-    for name in ("A_ineq", "c_eq"):
-        if not all(np.array_equal(getattr(p, name), getattr(first, name)) for p in problems[1:]):
-            raise ValueError(f"stacked problems must share {name}")
+    A = as_csr(first.A_ineq)
+    for p in problems[1:]:
+        shared = p.A_ineq is first.A_ineq or (
+            p.A_ineq.shape == A.shape and not (as_csr(p.A_ineq) != A).nnz)
+        for name, ok in (("A_ineq", shared), ("c_eq", np.array_equal(p.c_eq, first.c_eq))):
+            if not ok:
+                raise ValueError(f"stacked problems must share {name}")
     k, B, R = len(problems), first.n_coef, first.n_ineq
     x0 = [None] * k if x0 is None else list(x0)
     if len(x0) != k:
@@ -378,20 +422,22 @@ def solve_cls_stack(
                 a0 = None
         v[i] = 1.0 / B if a0 is None else a0 * s
 
-    At = first.A_ineq / s
-    t = At.max(axis=1)
+    # each entry scaled by 1 / s, then by 1 / t, as in a dense A / s / t[:, None]
+    At = sp.csr_array((A.data / s[A.indices], A.indices, A.indptr), shape=A.shape)
+    t = At.max(axis=1).toarray()
     # an all-zero row is the vacuous constraint 0 >= 0; scale 1 keeps its
     # multiplier finite
     t[t == 0.0] = 1.0
-    At /= t[:, None]
+    At.data /= np.repeat(t, np.diff(At.indptr))
     blocks = _row_blocks(At)
+    AtT = At.T
 
     # every (k, R) array of the iteration lives in one buffer, updated in
     # place: many mid-sized temporaries fragment the heap and keep its memory
     work = np.empty((10, k, R))
     sig, lam, r_p, comp, d, q, rc, dsig, dlam, dsig_a = work
     v /= _dots(v, cs)[:, None]
-    np.matmul(v, At.T, out=sig)
+    sig[...] = (At @ v.T).T
     floor = np.maximum(1e-8, 1e-3 * np.median(np.abs(sig), axis=1))
     np.maximum(sig, floor[:, None], out=sig)
     lam[...] = np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
@@ -410,8 +456,8 @@ def solve_cls_stack(
             stop = np.full(ids.size, "iteration_cap")
         else:
             it += 1
-            r_d = np.matmul(H, v[:, :, None])[:, :, 0] - b - lam @ At + mu[:, None] * cs
-            np.matmul(v, At.T, out=r_p)
+            r_d = np.matmul(H, v[:, :, None])[:, :, 0] - b - (AtT @ lam.T).T + mu[:, None] * cs
+            r_p[...] = (At @ v.T).T
             r_p -= sig
             r_e = _dots(v, cs) - 1.0
             np.multiply(lam, sig, out=comp)
@@ -452,13 +498,13 @@ def solve_cls_stack(
         def rhs(rc, dlam):
             # Newton right-hand side of rc; leaves rc / sig in q, dlam is scratch
             np.divide(rc, sig, out=q)
-            return np.subtract(q, np.multiply(d, r_p, out=dlam), out=dlam) @ At - r_d
+            return (AtT @ np.subtract(q, np.multiply(d, r_p, out=dlam), out=dlam).T).T - r_d
 
         def direction(u1, dsig, dlam):
             # the Newton step from u1 = M^-1 rhs(rc); fills dsig and dlam
             dmu = (_dots(u1, cs) + r_e) / cs_u2
             dv = u1 - dmu[:, None] * u2
-            np.add(np.matmul(dv, At.T, out=dsig), r_p, out=dsig)
+            np.add((At @ dv.T).T, r_p, out=dsig)
             np.subtract(q, np.multiply(d, dsig, out=dlam), out=dlam)
             return dv, dmu
 
@@ -503,7 +549,8 @@ def solve_simplex_cls(
     """Least squares over the probability simplex: :func:`solve_cls` with
     ``A_ineq = I`` and ``c_eq = 1``."""
     B = np.shape(Z)[1]
-    return solve_cls(CLSProblem(Z=Z, y=y, A_ineq=np.eye(B), c_eq=np.ones(B)), tol, max_iter)
+    problem = CLSProblem(Z=Z, y=y, A_ineq=sp.eye_array(B, format="csr"), c_eq=np.ones(B))
+    return solve_cls(problem, tol, max_iter)
 
 
 def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
@@ -516,12 +563,13 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     """
     alpha = np.asarray(solution.alpha, dtype=float)
     lam = np.asarray(solution.lambda_ineq, dtype=float)
+    A = as_csr(problem.A_ineq)
     s = problem.c_eq
     v = alpha * s
     Zs = problem.Z / s
     grad = Zs.T @ (Zs @ v - problem.y) / problem.Z.shape[0]
-    stat = grad + solution.mu_eq * (problem.c_eq / s) - (problem.A_ineq.T @ lam) / s
-    gx = problem.A_ineq @ alpha
+    stat = grad + solution.mu_eq * (problem.c_eq / s) - (A.T @ lam) / s
+    gx = A @ alpha
     return {
         "stationarity": float(np.max(np.abs(stat))),
         "primal_ineq": float(max(0.0, -gx.min())),

@@ -8,6 +8,7 @@ from that weighted support by dominance counting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,23 +99,40 @@ def lattice_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, len(axes))
 
 
+def _cell_sums(x: np.ndarray, axes: list, weights=None) -> np.ndarray:
+    """The count (or ``weights`` sum) of the points ``x`` in each lattice cell,
+    a point's cell along an axis being the number of axis points at or below
+    it; a point past the last point of an axis reaches no lattice value."""
+    cell = np.zeros(x.shape[0], dtype=np.int64)
+    inside = np.ones(x.shape[0], dtype=bool)
+    for d, ax in enumerate(axes):
+        b = np.searchsorted(ax, x[:, d], side="right")
+        inside &= b < ax.shape[0]
+        cell = cell * ax.shape[0] + b
+    shape = [ax.shape[0] for ax in axes]
+    sums = np.bincount(cell[inside], None if weights is None else weights[inside],
+                       minlength=math.prod(shape))
+    return sums.reshape(shape)
+
+
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    for d in range(table.ndim):
+        table = np.cumsum(table, axis=d)
+    return table
+
+
 def joint_cdf_lattice(dist: DiscreteDistribution, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Joint distribution function on a full lattice, as a D-dimensional table.
 
     Equivalent to :func:`joint_cdf` on :func:`lattice_points` (up to ties of
     support points with lattice coordinates, which have probability zero for
-    continuous draws) but runs one weighted histogram plus cumulative sums
+    continuous draws) but runs one weighted binning pass plus cumulative sums
     instead of a dominance count per point.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != dist.dim:
         raise ValueError("one axis per dimension required")
-    edges = [np.concatenate(([-np.inf], ax, [np.inf])) for ax in axes]
-    table, _ = np.histogramdd(dist.support, bins=edges, weights=dist.weights)
-    for d in range(dist.dim):
-        table = np.cumsum(table, axis=d)
-    slicer = tuple(slice(0, ax.shape[0]) for ax in axes)
-    return table[slicer]
+    return _cumulative(_cell_sums(dist.support, axes, dist.weights))
 
 
 def marginal_cdf(dist: DiscreteDistribution, d: int, grid) -> np.ndarray:
@@ -184,17 +202,13 @@ def mixture_cdf_lattice(
     """Monte Carlo distribution function of a generator on a full lattice.
 
     Histogram-based counterpart of :func:`true_mixture_cdf` for lattice
-    queries; same estimator, one binning pass instead of per-point counts.
+    queries; same estimator, one binning pass per chunk of draws instead of
+    per-point counts, counted in one integer table of the lattice's size.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != dgp.dim:
         raise ValueError("one axis per dimension required")
-    edges = [np.concatenate(([-np.inf], ax, [np.inf])) for ax in axes]
-    table = np.zeros(tuple(ax.shape[0] + 1 for ax in axes))
+    counts = 0
     for x in _sample_chunks(dgp, n_samples, seed):
-        table += np.histogramdd(x, bins=edges)[0]
-    table /= n_samples
-    for d in range(len(axes)):
-        table = np.cumsum(table, axis=d)
-    slicer = tuple(slice(0, ax.shape[0]) for ax in axes)
-    return table[slicer]
+        counts = counts + _cell_sums(x, axes)
+    return _cumulative(counts / n_samples)

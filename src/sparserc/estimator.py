@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 import sys
+import types
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import BasisSet, Domain
 from .choicemodel import (
@@ -386,7 +388,7 @@ def predict_probabilities(fit: FitResult, data: ChoiceDataset) -> np.ndarray:
     The prediction only needs the discrete density: ``P_nj = sum_r
     g(x_nj, support_r) * density_r``.
     """
-    pred = kernel_sweep(data.x, fit.support, fit.density_at_draws[:, None])
+    pred = kernel_sweep(data.x, fit.support, sp.csr_array(fit.density_at_draws[:, None]))
     return pred.reshape(data.n_units, data.n_alts)
 
 
@@ -588,6 +590,7 @@ def _fit_hierarchical(
         domain=domain,
         alpha=best_sol.alpha,
         support=draws.draws,
+        # the selected grid's columns of Phi, as fit_from_json evaluates them
         density_at_draws=design.basis_at_draws[:, : len(best_grid)] @ best_sol.alpha,
         diagnostics=_diagnostics(best_sol, data.n_rows),
         config=config,
@@ -598,16 +601,43 @@ def _fit_hierarchical(
 
 def _trace_from_json(obj: dict) -> RefinementTrace:
     """Rebuild the trace that ``asdict`` wrote; JSON written before traces
-    recorded ``n_clamped_loglik`` gets the field's default."""
-    records = []
-    for r in obj["records"]:
-        r = dict(r)
-        for key in ("refined_points", "added_points"):
-            r[key] = tuple(GridPoint(tuple(p["levels"]), tuple(p["indices"])) for p in r[key])
-        for key in ("oos_mse_folds", "oos_loglik_folds"):
-            r[key] = tuple(r[key]) if r[key] else None
-        records.append(StepRecord(**r))
-    return RefinementTrace(**{**obj, "records": records})
+    recorded ``n_clamped_loglik`` gets the field's default.  A value of the
+    wrong type raises a ``ValueError`` naming the trace."""
+    try:
+        records = []
+        for r in obj["records"]:
+            r = dict(r)
+            for key in ("refined_points", "added_points"):
+                r[key] = tuple(GridPoint(tuple(p["levels"]), tuple(p["indices"])) for p in r[key])
+            for key in ("oos_mse_folds", "oos_loglik_folds"):
+                r[key] = tuple(r[key]) if r[key] else None
+            records.append(StepRecord(**r))
+        return RefinementTrace(**{**obj, "records": records})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"fit trace is malformed: {exc}") from None
+
+
+def json_int(obj, key: str, default=None, low: int = 1, optional: bool = True, where: str = ""):
+    """``obj[key]`` of a JSON object (``default`` when absent or null),
+    checked as :func:`check_fields` checks an integer option ``>= low``, None
+    passing when ``optional``; an error names the key after ``where``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r:.40}")
+    value = obj.get(key)
+    field = types.SimpleNamespace(**{key: default if value is None else value})
+    try:
+        check_fields(field, int, key, low=low, optional=optional)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}".lstrip()) from None
+    return getattr(field, key)
+
+
+def _json_numbers(value, name: str) -> np.ndarray:
+    """The numbers of the fit's JSON value ``name`` as a float array."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"fit {name} must hold numbers, got {value!r:.60}") from None
 
 
 def fit_to_json(fit: FitResult) -> dict:
@@ -632,7 +662,8 @@ def fit_to_json(fit: FitResult) -> dict:
 
 
 def fit_from_json(obj: dict) -> FitResult:
-    """Rebuild a :class:`FitResult` from :func:`fit_to_json` output."""
+    """Rebuild a :class:`FitResult` from :func:`fit_to_json` output; a value
+    of the wrong type raises a ``ValueError`` that names its key."""
     if not isinstance(obj, dict):
         raise ValueError(f"fit must be a JSON object, got {type(obj).__name__}")
     for key in ("config", "diagnostics"):
@@ -640,32 +671,31 @@ def fit_from_json(obj: dict) -> FitResult:
             raise ValueError(f"fit {key} must be a JSON object, got {obj.get(key)!r:.40}")
     if obj.get("schema_version") != 1:
         raise ValueError("unsupported fit schema version")
-    kind = obj["estimator"]
-    config = obj["config"]
-    domain = Domain(
-        np.asarray(config["domain"]["lower"], dtype=float),
-        np.asarray(config["domain"]["upper"], dtype=float),
-    )
-    alpha = np.asarray(obj["alpha"], dtype=float)
+    kind, config = obj["estimator"], obj["config"]
+    bounds = config.get("domain")
+    if not isinstance(bounds, dict):
+        raise ValueError(f"fit config domain must be a JSON object, got {bounds!r:.40}")
+    domain = Domain(_json_numbers(bounds["lower"], "config domain lower"),
+                    _json_numbers(bounds["upper"], "config domain upper"))
+    alpha = _json_numbers(obj["alpha"], "alpha")
     trace = _trace_from_json(obj["trace"]) if obj.get("trace") else None
     if kind == "fkrb":
-        grid, support = None, fkrb_grid(domain, config["q"])
-        density = alpha
+        q = json_int(config, "q", optional=False, where="fit config")
+        grid, support, density = None, fkrb_grid(domain, q), alpha
     else:
+        level = json_int(config, "level", optional=False, where="fit config")
         # Fit JSON written before sg configs recorded ``max_level`` falls
         # back to the default cap.
-        refinement = config.get("refinement") or {}
-        if not isinstance(refinement, dict):
-            raise ValueError(f"fit config refinement must be a JSON object, got {refinement!r:.40}")
         max_level = (
-            config.get("max_level")
-            or refinement.get("max_level")
-            or max(DEFAULT_MAX_LEVEL, config["level"])
+            json_int(config, "max_level", where="fit config")
+            or json_int(config.get("refinement") or {}, "max_level", where="fit config refinement")
+            or max(DEFAULT_MAX_LEVEL, level)
         )
         grid = grid_from_json(obj["grid"], max_level=max_level)
-        support = halton_draws(
-            config["draws"]["r"], domain.dim, burn_in=config["draws"]["burn_in"], domain=domain
-        ).draws
+        draws = config.get("draws")
+        r = json_int(draws, "r", optional=False, where="fit config draws")
+        burn_in = json_int(draws, "burn_in", low=0, optional=False, where="fit config draws")
+        support = halton_draws(r, domain.dim, burn_in=burn_in, domain=domain).draws
         density = BasisSet(grid, domain).evaluate(support) @ alpha
     return FitResult(
         kind=kind,

@@ -361,8 +361,16 @@ def grid_to_json(grid: SparseGrid) -> list[dict]:
 
 
 def grid_from_json(items: list[dict], max_level: int | None = None) -> SparseGrid:
-    """Rebuild a grid from :func:`grid_to_json` output."""
-    points = [GridPoint(tuple(it["levels"]), tuple(it["indices"])) for it in items]
+    """Rebuild a grid from :func:`grid_to_json` output; anything but a list
+    of objects with integer lists ``levels`` and ``indices`` raises a
+    ``ValueError``."""
+    try:
+        points = [GridPoint(tuple(it["levels"]), tuple(it["indices"])) for it in items]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(
+            f"grid must be a list of points with levels and indices: {exc!r}") from None
+    if not all(type(v) is int for p in points for v in p.levels + p.indices):
+        raise ValueError("grid levels and indices must be integers")
     if not points:
         raise ValueError("empty grid serialization")
     if max_level is None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparserc.basis import (
@@ -119,13 +120,14 @@ class TestBasisSet:
         grid = build_classical_sparse_grid(2, 3)
         basis = BasisSet(grid, Domain.cube(2))
         centers = basis.domain.from_unit(np.array([p.unit_coords() for p in grid.points]))
-        vals = basis.evaluate(centers)
+        vals = basis.evaluate(centers).toarray()
         np.testing.assert_allclose(np.diag(vals), 1.0, atol=1e-14)
 
     def test_collocation_matrix_unit_lower_triangular(self):
         grid = build_classical_sparse_grid(3, 3)
         basis = BasisSet(grid, Domain.cube(3))
         mat = basis.evaluate(basis.domain.from_unit([p.unit_coords() for p in grid.points]))
+        mat = mat.toarray()
         np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-14)
         upper = np.triu(mat, k=1)
         assert np.abs(upper).max() == 0.0
@@ -138,13 +140,24 @@ class TestBasisSet:
         dom = Domain.cube(2)
         basis = BasisSet(grid, dom)
         pts = rng.uniform(-4, 4, size=(40, 2))
-        mat = basis.evaluate(pts)
+        mat = basis.evaluate(pts).toarray()
         for j, p in enumerate(grid.points):
             np.testing.assert_allclose(mat[:, j], eval_nd(p, dom, pts), atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             BasisSet(build_classical_sparse_grid(2, 2), Domain.cube(3))
+
+
+def stored_values(out):
+    """The dense view of a CSR basis matrix, after checking its layout: int32
+    indices, sorted within each row, and no stored zero."""
+    assert isinstance(out, sp.csr_array)
+    assert out.indices.dtype == np.int32 and out.indptr.dtype == np.int32
+    for row in np.split(out.indices, out.indptr[1:-1]):
+        assert (np.diff(row) > 0).all()
+    assert (out.data != 0.0).all()
+    return out.toarray()
 
 
 def pointwise_columns(points, domain, at):
@@ -210,8 +223,9 @@ class TestEvaluateBasisColumns:
     @given(case=grids_and_points())
     def test_matches_pointwise_oracle_bit_for_bit(self, case):
         grid, domain, at = case
-        out = evaluate_basis_columns(grid.points, domain, at)
+        out = stored_values(evaluate_basis_columns(grid.points, domain, at))
         assert np.array_equal(out, pointwise_columns(grid.points, domain, at))
+        assert np.array_equal(out, dense_product_columns(grid.points, domain, at))
 
     def test_six_dim_level_four_matches_dense_product(self):
         grid = build_classical_sparse_grid(6, 4)
@@ -219,6 +233,9 @@ class TestEvaluateBasisColumns:
         draws = halton_draws(12_000, 6, domain=domain).draws
         out = evaluate_basis_columns(grid.points, domain, draws)
         assert out.shape == (12_000, 545)
+        # at most one entry per level vector in each row
+        assert np.diff(out.indptr).max() <= len({p.levels for p in grid.points})
+        out = stored_values(out)
         assert np.array_equal(out, dense_product_columns(grid.points, domain, draws))
 
     def test_levels_past_62_bits(self):
@@ -230,7 +247,7 @@ class TestEvaluateBasisColumns:
         domain = Domain.cube(1, 0.0, 1.0)
         # the chain's centers are 2**-l; the last one is row 2
         at = np.array([[0.0], [2.0**-69], [2.0**-70], [3 * 2.0**-71], [1e-18], [0.3], [1.0]])
-        out = evaluate_basis_columns(grid.points, domain, at)
+        out = stored_values(evaluate_basis_columns(grid.points, domain, at))
         assert np.array_equal(out, pointwise_columns(grid.points, domain, at))
         assert out[2, -1] == 1.0
 
@@ -244,7 +261,8 @@ class TestEvaluateBasisColumns:
         inside = rng.uniform(0.0, 1.0, 400)
         u = np.concatenate([np.column_stack([out, inside]), np.column_stack([inside, out])])
         at = np.vstack([domain.from_unit(u), [[-4.5, 0.0], [0.0, 4.0], [1e300, -1e300]]])
-        assert not evaluate_basis_columns(grid.points, domain, at).any()
+        out = evaluate_basis_columns(grid.points, domain, at)
+        assert out.shape == (at.shape[0], len(grid)) and out.nnz == 0
 
     def test_non_finite_point_names_its_row(self):
         at = np.zeros((3, 2))
@@ -336,5 +354,5 @@ def test_full_grid_basis_covers_cube():
     grid = build_full_grid(1, 4)
     basis = BasisSet(grid, Domain.cube(1, 0.0, 1.0))
     pts = np.linspace(0.01, 0.99, 101)[:, None]
-    vals = basis.evaluate(pts)
+    vals = basis.evaluate(pts).toarray()
     assert (vals.sum(axis=1) > 0).all()

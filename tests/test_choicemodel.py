@@ -464,8 +464,9 @@ class TestKernelSeesLiveDraws:
     def test_root_design_passes_every_draw(self, counting_kernel):
         data, _, draws = self._setup()
         design = build_design_matrix(data, draws, _root_basis())
-        assert (design.basis_at_draws != 0.0).all()
-        assert_each_live_point_once(counting_kernel.calls, draws.draws, design.basis_at_draws)
+        phi = design.basis_at_draws.toarray()
+        assert (phi != 0.0).all()
+        assert_each_live_point_once(counting_kernel.calls, draws.draws, phi)
 
     def test_new_columns_pass_only_their_live_draws(self, monkeypatch):
         data, dom, draws = self._setup()
@@ -475,9 +476,10 @@ class TestKernelSeesLiveDraws:
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         # support (0, 0.5): about half the draws are live
         inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data)
-        live = inc.basis_at_draws[:, 1] != 0.0
+        phi = inc.basis_at_draws.toarray()
+        live = phi[:, 1] != 0.0
         assert 0 < live.sum() < draws.n_draws
-        assert_each_live_point_once(kernel.calls, draws.draws, inc.basis_at_draws[:, 1:])
+        assert_each_live_point_once(kernel.calls, draws.draws, phi[:, 1:])
 
     def test_incremental_columns_on_halton_draws(self, monkeypatch):
         data, draws, design = TestIncrementalColumns()._design()
@@ -487,7 +489,7 @@ class TestKernelSeesLiveDraws:
         kernel = _CountingKernel()
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         inc = incremental_columns(design, added, draws, data)
-        new = inc.basis_at_draws[:, len(grid):]
+        new = inc.basis_at_draws.toarray()[:, len(grid):]
         assert (new != 0.0).any(axis=1).sum() < draws.n_draws
         assert_each_live_point_once(kernel.calls, draws.draws, new)
 
@@ -499,7 +501,7 @@ class TestDesignSparsity:
         grid = build_classical_sparse_grid(2, 4)
         basis = BasisSet(grid, Domain.cube(2))
         draws = halton_draws(300, 2, domain=Domain.cube(2))
-        vals = basis.evaluate(draws.draws)
+        vals = basis.evaluate(draws.draws).toarray()
         n_level_vectors = len({p.levels for p in grid.points})
         nnz_per_draw = (vals > 0).sum(axis=1)
         assert (nnz_per_draw <= n_level_vectors).all()
@@ -530,7 +532,19 @@ class TestIncrementalColumns:
         # order inside the matrix product, nothing more
         np.testing.assert_allclose(inc.Z, full.Z, rtol=1e-12)
         np.testing.assert_array_equal(inc.column_mass, full.column_mass)
-        np.testing.assert_array_equal(inc.basis_at_draws, full.basis_at_draws)
+        # the same CSR matrix, stored entries and layout alike
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(inc.basis_at_draws, name), getattr(full.basis_at_draws, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert inc.basis_at_draws.indices.dtype == np.int32
+
+    def test_column_mass_is_the_dense_column_sum_bit_for_bit(self):
+        data, draws, design = self._design()
+        grid = design.basis.grid
+        new_grid, _ = refine(grid, [grid.points[1], grid.points[2]])
+        inc = incremental_columns(design, new_grid.points[len(grid):], draws, data)
+        for d in (design, inc):
+            np.testing.assert_array_equal(d.column_mass, d.basis_at_draws.toarray().sum(axis=0))
 
     def test_duplicate_point_rejected(self):
         data, draws, design = self._design()

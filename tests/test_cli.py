@@ -766,8 +766,9 @@ def _replace(obj, path: str, value):
     return obj
 
 
-def _run_fuzzed(argv) -> None:
-    """Run ``main(argv)`` and check it exits 0, 1 or 2 without a traceback."""
+def _run_fuzzed(argv) -> tuple[int, str]:
+    """Run ``main(argv)`` and check it exits 0, 1 or 2 without a traceback;
+    returns the exit code and the standard error."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         # an exception escaping main fails the property with its traceback
@@ -776,6 +777,7 @@ def _run_fuzzed(argv) -> None:
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -834,7 +836,12 @@ def test_fuzzed_evaluate_never_crashes(tiny_fits, tiny_data, data, points_per_di
                 "--out-summary", str(tmp / "summary.json")]
         if with_truth:
             argv += ["--truth", str(tiny_data.parent / "truth.json")]
-        _run_fuzzed(argv)
+        code, err = _run_fuzzed(argv)
+    # a malformed fit is reported as one that cannot load, never with the
+    # text of a TypeError from deep inside the loader
+    if code == 1:
+        assert err.startswith(("error: cannot load fit: ", "error: --points-per-dim",
+                               "error: --truth-samples")), err
 
 
 # Valid values of the simulate keys, a dgp given in full among them.

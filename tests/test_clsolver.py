@@ -1,8 +1,11 @@
 import itertools
 import re
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparserc import clsolver
 from sparserc.basis import Domain, evaluate_basis_columns
@@ -284,6 +287,46 @@ class TestThreadedSize:
         np.testing.assert_array_equal(solve_cls(problem).alpha, sol.alpha)
 
 
+class TestSparseConstraints:
+    """A sparse ``A_ineq`` is the same problem as its dense array."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 17])
+    def test_dense_and_csr_give_the_same_solution_bit_for_bit(self, seed):
+        problem = random_instance(seed)
+        A = problem.A_ineq * (np.random.default_rng(seed).random(problem.A_ineq.shape) < 0.6)
+        dense = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=A, c_eq=problem.c_eq)
+        sparse = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=sp.csr_array(A), c_eq=problem.c_eq)
+        a, b = solve_cls(dense), solve_cls(sparse)
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+        assert check_kkt(dense, a) == check_kkt(sparse, b)
+
+    @pytest.mark.parametrize("value, rule", [(-0.2, "be >= 0"), (np.nan, "be finite"),
+                                             (np.inf, "be finite")])
+    def test_bad_stored_entry_named_by_row_and_column(self, value, rule):
+        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
+        A = problem.A_ineq.copy()
+        A[:3] = 0.0
+        A[3, 1] = value
+        # a later bad entry must not be the one reported
+        A[-1, -1] = -1.0
+        with pytest.raises(ValueError, match=rf"^A_ineq must {rule}: entry \(3, 1\) is "):
+            CLSProblem(Z=problem.Z, y=problem.y, A_ineq=sp.csr_array(A), c_eq=problem.c_eq)
+
+    def test_stacked_problems_must_share_sparse_constraints(self):
+        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
+        A = sp.csr_array(problem.A_ineq)
+        other = problem.A_ineq.copy()
+        other[2, 2] += 1.0
+        problems = [CLSProblem(Z=problem.Z, y=problem.y, A_ineq=a, c_eq=problem.c_eq)
+                    for a in (A, problem.A_ineq, sp.csr_array(other))]
+        # the same matrix, dense or sparse, is shared
+        assert len(solve_cls_stack(problems[:2])) == 2
+        with pytest.raises(ValueError, match="must share A_ineq"):
+            solve_cls_stack([problems[0], problems[2]])
+
+
 class TestNonFiniteData:
     @pytest.mark.parametrize(
         "name, index, shown",
@@ -319,11 +362,11 @@ class TestZeroConstraintRow:
 
 
 def hierarchical_rows(n_draws, dim, level):
-    """Hat-basis rows at Halton draws: one nonzero per hierarchical subspace."""
+    """Hat-basis rows at Halton draws, dense: one nonzero per hierarchical subspace."""
     grid = build_classical_sparse_grid(dim, level)
     domain = Domain.cube(dim)
     draws = halton_draws(n_draws, dim, domain=domain).draws
-    return evaluate_basis_columns(grid.points, domain, draws)
+    return evaluate_basis_columns(grid.points, domain, draws).toarray()
 
 
 def first_difference(a, b):
@@ -389,7 +432,7 @@ class TestBlockedNormalMatrix:
         G = rng.uniform(size=(B + 3, B))
         H = G.T @ G
         d = rng.uniform(0.01, 100.0, size=R)
-        blocks = clsolver._row_blocks(At)
+        blocks = clsolver._row_blocks(clsolver.as_csr(At))
         rows = np.sort(np.concatenate([r for r, *_ in blocks]))
         np.testing.assert_array_equal(rows, np.arange(R))
         assert all(r.size <= clsolver.ROW_BLOCK for r, *_ in blocks)
@@ -418,13 +461,13 @@ class TestBlockedNormalMatrix:
 
     def test_dense_rows(self):
         At = np.random.default_rng(2).uniform(0.1, 1.0, size=(600, 40))
-        blocks = clsolver._row_blocks(At)
+        blocks = clsolver._row_blocks(clsolver.as_csr(At))
         assert all(cols.size == 40 for _, cols, *_ in blocks)
         self.check(At)
 
     def test_blocks_skip_zeros_of_hierarchical_rows(self):
         At = hierarchical_rows(2000, 3, 4)
-        touched = np.mean([cols.size for _, cols, *_ in clsolver._row_blocks(At)])
+        touched = np.mean([cols.size for _, cols, *_ in clsolver._row_blocks(clsolver.as_csr(At))])
         assert touched < 0.6 * At.shape[1]
 
 

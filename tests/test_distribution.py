@@ -20,6 +20,7 @@ from sparserc.estimator import fit_sg
 from sparserc.simulate import (
     MixtureComponent,
     MixtureDgp,
+    four_normal_mixture,
     simulate_choices,
     two_normal_mixture,
 )
@@ -104,7 +105,7 @@ class TestJointCdf:
         fit = fit_sg(data, Domain.cube(2), 2, r_draws=300)
         dist = DiscreteDistribution.from_fit(fit)
         from sparserc.basis import BasisSet
-        phi = BasisSet(fit.grid, fit.domain).evaluate(fit.support)  # (R, B)
+        phi = BasisSet(fit.grid, fit.domain).evaluate(fit.support).toarray()  # (R, B)
         queries = rng.uniform(-4, 4, size=(100, 2))
         direct = np.empty(100)
         for e, q in enumerate(queries):
@@ -250,6 +251,25 @@ class TestTrueMixtureCdf:
             (pts[:, 1] + 0.25) / np.sqrt(0.9)
         )
         np.testing.assert_allclose(out, exact, atol=2e-3)
+
+    @pytest.mark.parametrize("dgp, dim", [(two_normal_mixture, 2), (two_normal_mixture, 6),
+                                          (four_normal_mixture, 2), (four_normal_mixture, 6)])
+    def test_lattice_table_equals_the_histogram_of_all_cells(self, dgp, dim):
+        # the table the lattice once came from: a float histogram over the
+        # lattice cells and the cells past its last points, summed in place
+        dgp = dgp(dim)
+        axes = [np.linspace(-4, 4, 10 if dim == 2 else 6)] * dim
+        edges = [np.concatenate(([-np.inf], ax, [np.inf])) for ax in axes]
+        table = np.zeros(tuple(ax.shape[0] + 1 for ax in axes))
+        rng = np.random.default_rng(0)
+        for size in (200_000, 100_000):
+            table += np.histogramdd(dgp.sample(size, rng), bins=edges)[0]
+        table /= 300_000
+        for d in range(dim):
+            table = np.cumsum(table, axis=d)
+        expected = table[tuple(slice(0, ax.shape[0]) for ax in axes)]
+        got = mixture_cdf_lattice(dgp, axes, n_samples=300_000, seed=0)
+        assert np.array_equal(got, expected)
 
     def test_lattice_version_matches_pointwise(self):
         dgp = two_normal_mixture(2)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -526,6 +528,52 @@ class TestFitSerialization:
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             fit_from_json({"schema_version": 2})
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        data = _data(n=60, d=2, seed=23)
+        opts = RefineOptions(steps=1, selection="aic")
+        fits = {"sg": fit_sg(data, Domain.cube(2), 2, r_draws=300),
+                "asg": fit_asg(data, Domain.cube(2), 1, r_draws=300, refine_opts=opts),
+                "fkrb": fit_fkrb(data, Domain.cube(2), 3)}
+        return {kind: json.loads(json.dumps(fit_to_json(fit))) for kind, fit in fits.items()}
+
+    # each field a fit loads by is checked as its option is; a value of the
+    # wrong type used to load as another fit (q, level) or raise a TypeError
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("fkrb", ("q",), 1.5, "fit config q must be a 64-bit integer >= 1, got 1.5"),
+        ("sg", ("level",), "3", "fit config level must be a 64-bit integer >= 1, got '3'"),
+        ("sg", ("max_level",), 2.0, "fit config max_level must be a 64-bit integer >= 1, got 2.0"),
+        ("asg", ("refinement", "max_level"), 0,
+         "fit config refinement max_level must be a 64-bit integer >= 1, got 0"),
+        ("sg", ("draws",), [300], "fit config draws must be a JSON object, got [300]"),
+        ("sg", ("draws", "r"), 300.5, "fit config draws r must be a 64-bit integer >= 1, got 300.5"),
+        ("sg", ("draws", "burn_in"), True,
+         "fit config draws burn_in must be a 64-bit integer >= 0, got True"),
+    ], ids=["q", "level", "max_level", "refinement-max_level", "draws", "draws-r",
+            "draws-burn_in"])
+    def test_config_field_checked_as_its_option(self, saved, kind, path, value, message):
+        obj = copy.deepcopy(saved[kind])
+        target = obj["config"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            fit_from_json(obj)
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("sg", "grid", 3, "grid must be a list of points with levels and indices: TypeError"),
+        ("sg", "grid", [{"levels": [1.0, 1], "indices": [1, 1]}],
+         "grid levels and indices must be integers"),
+        ("asg", "trace", {"records": 2}, "fit trace is malformed: 'int' object is not iterable"),
+        ("sg", "alpha", {"a": 1}, "fit alpha must hold numbers, got {'a': 1}"),
+        ("sg", "config", {"domain": [0.0]}, "fit config domain must be a JSON object"),
+    ], ids=["grid", "grid-entry", "trace", "alpha", "domain"])
+    def test_malformed_value_names_its_key(self, saved, kind, key, value, message):
+        obj = copy.deepcopy(saved[kind])
+        obj[key] = value
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            fit_from_json(obj)
 
 
 @st.composite

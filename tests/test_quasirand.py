@@ -103,7 +103,7 @@ class TestCoverage:
         draws = halton_draws(2000 * dim, dim, burn_in=20, domain=dom)
         grid = build_classical_sparse_grid(dim, 4)
         basis = BasisSet(grid, dom)
-        vals = basis.evaluate(draws.draws)
+        vals = basis.evaluate(draws.draws).toarray()
         assert (vals.sum(axis=0) > 0).all()
 
 

@@ -23,6 +23,22 @@ from sparserc.simulate import (
 
 
 class TestMixtureDgp:
+    @pytest.mark.parametrize("make", [two_normal_mixture, four_normal_mixture])
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_sample_equals_one_gathered_transform_bit_for_bit(self, make, dim):
+        # the draws once came from one einsum over the whole call, with every
+        # draw's Cholesky factor gathered; the sample is taken in slices
+        dgp = make(dim)
+        n = 3 * 4096 + 17
+        rng = np.random.default_rng(0)
+        weights = np.array([c.weight for c in dgp.components])
+        which = rng.choice(len(dgp.components), size=n, p=weights)
+        z = rng.standard_normal((n, dim))
+        chols = np.stack([np.linalg.cholesky(c.cov) for c in dgp.components])
+        means = np.stack([c.mean for c in dgp.components])
+        expected = means[which] + np.einsum("nij,nj->ni", chols[which], z)
+        assert np.array_equal(dgp.sample(n, np.random.default_rng(0)), expected)
+
     def test_two_normal_parameters(self):
         dgp = two_normal_mixture(3)
         means = [c.mean for c in dgp.components]
