@@ -10,12 +10,11 @@ from sparserc import (
     fit_fkrb,
     fit_sg,
     ise,
-    joint_cdf,
-    lattice_points,
+    joint_cdf_lattice,
     marginal_cdf,
     mean,
+    mixture_cdf_lattice,
     simulate_choices,
-    true_mixture_cdf,
     two_normal_mixture,
 )
 
@@ -40,11 +39,11 @@ for fit in (sg, fkrb):
 
 # accuracy on a 10x10 evaluation lattice
 axes = [np.linspace(-4, 4, 10)] * 2
-points = lattice_points(axes)
-truth = true_mixture_cdf(dgp, points, n_samples=500_000, seed=0)
+truth = mixture_cdf_lattice(dgp, axes, n_samples=500_000, seed=0).reshape(-1)
 print("\nintegrated squared error of the joint distribution function:")
 for fit in (sg, fkrb):
-    err = ise(joint_cdf(DiscreteDistribution.from_fit(fit), points), truth)
+    values = joint_cdf_lattice(DiscreteDistribution.from_fit(fit), axes).reshape(-1)
+    err = ise(values, truth)
     print(f"  {fit.kind}: {err:.6f}  (rmise {np.sqrt(err):.4f})")
 
 # first-coordinate marginal at a few cut points

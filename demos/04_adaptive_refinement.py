@@ -11,11 +11,10 @@ from sparserc import (
     fit_asg,
     fit_sg,
     ise,
-    joint_cdf,
-    lattice_points,
+    joint_cdf_lattice,
     four_normal_mixture,
+    mixture_cdf_lattice,
     simulate_choices,
-    true_mixture_cdf,
 )
 
 rng = np.random.default_rng(7)
@@ -40,10 +39,10 @@ for rec in asg.trace.records:
           f"{rec.oos_mse_mean:>10.6f}{marker}")
 
 axes = [np.linspace(-4, 4, 10)] * 2
-points = lattice_points(axes)
-truth = true_mixture_cdf(dgp, points, n_samples=500_000, seed=0)
+truth = mixture_cdf_lattice(dgp, axes, n_samples=500_000, seed=0).reshape(-1)
 for fit, label in ((sg, "fixed level-2 grid"), (asg, "adaptively refined")):
-    rmise = np.sqrt(ise(joint_cdf(DiscreteDistribution.from_fit(fit), points), truth))
+    values = joint_cdf_lattice(DiscreteDistribution.from_fit(fit), axes).reshape(-1)
+    rmise = np.sqrt(ise(values, truth))
     print(f"\n{label}: {fit.n_parameters} parameters, rmise {rmise:.4f}")
 
 levels = sorted({max(p.levels) for p in asg.grid.points})

@@ -25,9 +25,11 @@ from .distribution import (
     DiscreteDistribution,
     ise,
     joint_cdf,
+    joint_cdf_lattice,
     lattice_points,
     marginal_cdf,
     mean,
+    mixture_cdf_lattice,
     true_mixture_cdf,
 )
 from .estimator import (
@@ -304,9 +306,11 @@ def cmd_evaluate(args) -> int:
             raise UsageError(
                 f"points have dimension {points.shape[1]}, fit has {fit.domain.dim}"
             )
+        where, cdf, truth_cdf = points, joint_cdf, true_mixture_cdf
     else:
-        points = lattice_points(fit.domain.axes(args.points_per_dim))
-    values = joint_cdf(dist, points)
+        where = fit.domain.axes(args.points_per_dim)
+        points, cdf, truth_cdf = lattice_points(where), joint_cdf_lattice, mixture_cdf_lattice
+    values = cdf(dist, where).reshape(-1)
     write_points_csv(points, values, "F_hat", args.out_cdf)
     write_marginals_csv(fit, args.out_marginals)
 
@@ -329,7 +333,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"cannot load truth: {exc}") from None
         if dgp.dim != fit.domain.dim:
             raise UsageError("truth and fit dimensions differ")
-        truth = true_mixture_cdf(dgp, points, n_samples=args.truth_samples, seed=0)
+        truth = truth_cdf(dgp, where, n_samples=args.truth_samples, seed=0).reshape(-1)
         summary["ise"] = ise(values, truth)
     with open(args.out_summary, "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -3,7 +3,9 @@
 A fit yields a discrete distribution: probability weights sitting on the
 integration draws (or on the fixed grid).  Everything here — joint and
 marginal distribution functions, moments, accuracy metrics — is computed
-from that weighted support by dominance counting.
+from that weighted support.  The distribution function ``F(q) = P(X <= q)``
+(component-wise) is evaluated at free points by dominance counting and on
+full lattices by binning plus cumulative sums; the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -23,13 +25,22 @@ _POINT_BLOCK = 128
 _SAMPLE_CHUNK = 200_000
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """Raise unless every weight is at least ``WEIGHT_FLOOR`` and the total
+    mass is one within ``MASS_TOL``; a NaN weight fails both."""
+    if not weights.min() >= WEIGHT_FLOOR:
+        raise ValueError(f"weight {weights.min():.3e} below the clamping floor {WEIGHT_FLOOR}")
+    if not abs(weights.sum() - 1.0) <= MASS_TOL:
+        raise ValueError(f"total mass {weights.sum()} is not 1 within {MASS_TOL}")
+
+
 @dataclass
 class DiscreteDistribution:
     """Probability weights on a finite support in coefficient space.
 
     Weights in ``[-1e-8, 0)`` are treated as solver noise: clamped to zero
-    and renormalized.  Anything more negative, or total mass off unity by
-    more than ``1e-8``, is a solver-contract violation and raises.
+    and renormalized.  Anything more negative, total mass off unity by more
+    than ``1e-8``, or a NaN weight is a solver-contract violation and raises.
     """
 
     support: np.ndarray
@@ -40,13 +51,7 @@ class DiscreteDistribution:
         weights = np.asarray(self.weights, dtype=float).copy()
         if weights.shape != (support.shape[0],):
             raise ValueError("one weight per support point required")
-        if weights.min() < WEIGHT_FLOOR:
-            raise ValueError(
-                f"weight {weights.min():.3e} below the clamping floor {WEIGHT_FLOOR}"
-            )
-        total = weights.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total} is not 1 within {MASS_TOL}")
+        check_weights(weights)
         np.clip(weights, 0.0, None, out=weights)
         weights /= weights.sum()
         support.setflags(write=False)
@@ -101,12 +106,12 @@ def lattice_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 def _cell_sums(x: np.ndarray, axes: list, weights=None) -> np.ndarray:
     """The count (or ``weights`` sum) of the points ``x`` in each lattice cell,
-    a point's cell along an axis being the number of axis points at or below
-    it; a point past the last point of an axis reaches no lattice value."""
+    a point's cell along an axis being the first axis point at or above it
+    (so cumulative sums give ``P(X <= q)``); past the last one it has none."""
     cell = np.zeros(x.shape[0], dtype=np.int64)
     inside = np.ones(x.shape[0], dtype=bool)
     for d, ax in enumerate(axes):
-        b = np.searchsorted(ax, x[:, d], side="right")
+        b = np.searchsorted(ax, x[:, d], side="left")
         inside &= b < ax.shape[0]
         cell = cell * ax.shape[0] + b
     shape = [ax.shape[0] for ax in axes]
@@ -124,10 +129,9 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
 def joint_cdf_lattice(dist: DiscreteDistribution, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Joint distribution function on a full lattice, as a D-dimensional table.
 
-    Equivalent to :func:`joint_cdf` on :func:`lattice_points` (up to ties of
-    support points with lattice coordinates, which have probability zero for
-    continuous draws) but runs one weighted binning pass plus cumulative sums
-    instead of a dominance count per point.
+    Equal to :func:`joint_cdf` on :func:`lattice_points` to rounding, ties
+    included, but runs one weighted binning pass plus cumulative sums instead
+    of a dominance count per point.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != dist.dim:

@@ -45,6 +45,7 @@ from .clsolver import (
     solve_cls_stack,
     solve_simplex_cls,
 )
+from .distribution import check_weights, lattice_points
 from .hiergrid import (
     DEFAULT_MAX_LEVEL,
     CapacityError,
@@ -58,7 +59,6 @@ from .hiergrid import (
 )
 from .quasirand import DEFAULT_BURN_IN, halton_draws
 
-DENSITY_FLOOR = -1e-8
 LOGLIK_CLAMP = 1e-12
 AIC_SENTINEL = -1e300
 # Halton draws per dimension when a fit is given no draw count.
@@ -194,12 +194,7 @@ class FitResult:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.alpha.ndim != 1 or not np.isfinite(self.alpha).all():
             raise ValueError(f"alpha must be a list of finite numbers, got {self.alpha!r:.60}")
-        dens = self.density_at_draws
-        # written so that a NaN weight fails them
-        if not dens.min() >= DENSITY_FLOOR:
-            raise ValueError(f"density weight {dens.min():.3e} below {DENSITY_FLOOR}")
-        if not abs(dens.sum() - 1.0) <= 1e-8:
-            raise ValueError(f"density weights sum to {dens.sum()}, not 1")
+        check_weights(self.density_at_draws)
         if self.diagnostics.get("n_parameters") != self.alpha.shape[0]:
             raise ValueError("n_parameters must equal the coefficient count")
 
@@ -293,13 +288,9 @@ def fkrb_grid(domain: Domain, q_per_dim: int) -> np.ndarray:
     """Cartesian fixed grid with q interior (cell-midpoint) points per axis."""
     if q_per_dim < 1:
         raise ValueError("q_per_dim must be >= 1")
-    axes = [
-        domain.lower[d]
-        + (np.arange(q_per_dim) + 0.5) * domain.width[d] / q_per_dim
-        for d in range(domain.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, domain.dim)
+    return lattice_points(
+        domain.lower[:, None] + (np.arange(q_per_dim) + 0.5) * domain.width[:, None] / q_per_dim
+    )
 
 
 def fit_fkrb(

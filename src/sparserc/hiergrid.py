@@ -195,15 +195,38 @@ def is_hierarchically_closed(grid: SparseGrid) -> bool:
     return True
 
 
-def _level_vectors(dim: int, max_total: int):
-    """Yield level multi-indices with all entries >= 1 and sum <= max_total."""
-    if dim == 1:
-        for l in range(1, max_total + 1):
-            yield (l,)
-        return
-    for first in range(1, max_total - dim + 2):
-        for rest in _level_vectors(dim - 1, max_total - first):
-            yield (first,) + rest
+def _level_vectors(dim: int, max_total: int, cap: int):
+    """Yield level multi-indices with entries in ``1 .. cap`` and sum <= max_total."""
+    for first in range(1, min(cap, max_total - dim + 1) + 1):
+        if dim == 1:
+            yield (first,)
+        else:
+            for rest in _level_vectors(dim - 1, max_total - first, cap):
+                yield (first,) + rest
+
+
+def _checked_max_level(dim: int, level: int, max_level: int | None) -> int:
+    """Check a grid builder's arguments and resolve its per-dimension cap."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if max_level is None:
+        return max(DEFAULT_MAX_LEVEL, level)
+    if level > max_level:
+        raise ValueError(f"level {level} exceeds max_level {max_level}")
+    return max_level
+
+
+def _dyadic_grid(dim: int, level: int, max_level: int, max_total: int) -> SparseGrid:
+    """The sorted points with levels in ``1 .. level`` summing to at most ``max_total``."""
+    points = [
+        GridPoint(lv, idx)
+        for lv in _level_vectors(dim, max_total, level)
+        for idx in itertools.product(*(index_set(l) for l in lv))
+    ]
+    points.sort(key=GridPoint.sort_key)
+    return SparseGrid(dim, points, max_level=max_level, validate=False)
 
 
 def build_classical_sparse_grid(
@@ -227,20 +250,8 @@ def build_classical_sparse_grid(
     SparseGrid
         Points ordered lexicographically by (total level, levels, indices).
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if max_level is None:
-        max_level = max(DEFAULT_MAX_LEVEL, level)
-    elif level > max_level:
-        raise ValueError(f"level {level} exceeds max_level {max_level}")
-    points = []
-    for lv in _level_vectors(dim, level + dim - 1):
-        for idx in itertools.product(*(index_set(l) for l in lv)):
-            points.append(GridPoint(lv, idx))
-    points.sort(key=GridPoint.sort_key)
-    return SparseGrid(dim, points, max_level=max_level, validate=False)
+    max_level = _checked_max_level(dim, level, max_level)
+    return _dyadic_grid(dim, level, max_level, level + dim - 1)
 
 
 def build_full_grid(dim: int, level: int, max_level: int | None = None) -> SparseGrid:
@@ -249,26 +260,14 @@ def build_full_grid(dim: int, level: int, max_level: int | None = None) -> Spars
     Contains ``(2**level - 1)**dim`` points; raises :class:`CapacityError`
     when that count exceeds ``FULL_GRID_CAP``.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    max_level = _checked_max_level(dim, level, max_level)
     count = (2**level - 1) ** dim
     if count > FULL_GRID_CAP:
         raise CapacityError(
             f"full grid with dim={dim}, level={level} has {count} points, "
             f"exceeding the cap of {FULL_GRID_CAP}"
         )
-    if max_level is None:
-        max_level = max(DEFAULT_MAX_LEVEL, level)
-    elif level > max_level:
-        raise ValueError(f"level {level} exceeds max_level {max_level}")
-    points = []
-    for lv in itertools.product(range(1, level + 1), repeat=dim):
-        for idx in itertools.product(*(index_set(l) for l in lv)):
-            points.append(GridPoint(lv, idx))
-    points.sort(key=GridPoint.sort_key)
-    return SparseGrid(dim, points, max_level=max_level, validate=False)
+    return _dyadic_grid(dim, level, max_level, level * dim)
 
 
 def refinable_points(grid: SparseGrid) -> list[GridPoint]:

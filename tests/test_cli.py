@@ -12,7 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from sparserc.choicemodel import read_dataset_csv
 from sparserc.cli import EXIT_OK, EXIT_USAGE, main
+from sparserc.distribution import (
+    DiscreteDistribution,
+    ise,
+    joint_cdf,
+    joint_cdf_lattice,
+    lattice_points,
+    mixture_cdf_lattice,
+)
 from sparserc.estimator import fit_from_json
+from sparserc.simulate import dgp_from_json
 
 
 # one valid mixture component, for configs that spell out their dgp
@@ -299,6 +308,30 @@ class TestEvaluateCommand:
         assert summary["n_parameters"] == 5
         assert summary["ise"] is not None and summary["ise"] >= 0
         assert len(summary["mean"]) == 2
+
+    def test_lattice_with_ties_matches_pointwise(self, simulated):
+        # the fkrb q=5 cell midpoints lie on the 11-point lattice's coordinates
+        cfg = write_config(simulated / "est.json", {"estimator": "fkrb", "q": 5})
+        fit_path = simulated / "fit.json"
+        assert main(["estimate", cfg, str(simulated / "data.csv"), "--out", str(fit_path)]) == 0
+        code = main(
+            ["evaluate", str(fit_path), "--points-per-dim", "11",
+             "--truth", str(simulated / "truth.json"), "--truth-samples", "100000",
+             "--out-cdf", str(simulated / "cdf.csv"),
+             "--out-marginals", str(simulated / "marg.csv"),
+             "--out-summary", str(simulated / "summary.json")]
+        )
+        assert code == EXIT_OK
+        fit = fit_from_json(json.loads(fit_path.read_text()))
+        dist = DiscreteDistribution.from_fit(fit)
+        axes = fit.domain.axes(11)
+        cdf = read_table(simulated / "cdf.csv")
+        np.testing.assert_array_equal(cdf[:, :2], lattice_points(axes))
+        assert np.abs(cdf[:, 2] - joint_cdf(dist, lattice_points(axes))).max() <= 1e-14
+        dgp = dgp_from_json(json.loads((simulated / "truth.json").read_text())["dgp"])
+        truth = mixture_cdf_lattice(dgp, axes, n_samples=100_000, seed=0)
+        expected = ise(joint_cdf_lattice(dist, axes).reshape(-1), truth.reshape(-1))
+        assert json.loads((simulated / "summary.json").read_text())["ise"] == expected
 
     def test_points_csv_input(self, fitted, tmp_path):
         pts_file = tmp_path / "pts.csv"

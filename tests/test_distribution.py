@@ -16,11 +16,14 @@ from sparserc.distribution import (
     mixture_cdf_lattice,
     true_mixture_cdf,
 )
-from sparserc.estimator import fit_sg
+from sparserc.estimator import RefineOptions, fit_asg, fit_fkrb, fit_sg
 from sparserc.simulate import (
+    McConfig,
     MixtureComponent,
     MixtureDgp,
     four_normal_mixture,
+    make_dataset,
+    run_experiment,
     simulate_choices,
     two_normal_mixture,
 )
@@ -51,6 +54,13 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="total mass"):
             DiscreteDistribution(
                 support=np.array([[0.0], [1.0]]), weights=np.array([0.6, 0.3])
+            )
+
+    def test_rejects_nan_weight(self):
+        # a NaN weight would make every distribution-function value NaN
+        with pytest.raises(ValueError, match="clamping floor"):
+            DiscreteDistribution(
+                support=np.array([[0.0], [1.0]]), weights=np.array([1.0, np.nan])
             )
 
     def test_from_fit(self):
@@ -138,6 +148,73 @@ class TestLattice:
         axes = [np.linspace(-4, 4, 10)] * 2
         table = joint_cdf_lattice(dist, axes)
         assert table[-1, -1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def tie_fits():
+    """Fits whose support meets lattice coordinates: the fkrb cell midpoints
+    meet the 11-, 15- and 33-point lattices of the cube, the Halton draws of
+    sg and asg the 33-point one."""
+    rng = np.random.default_rng(3)
+    data = simulate_choices(two_normal_mixture(2).sample(300, rng), 5, rng)
+    dom = Domain.cube(2)
+    fits = {f"fkrb{q}": fit_fkrb(data, dom, q) for q in (3, 5, 7)}
+    fits["sg3"] = fit_sg(data, dom, 3, r_draws=1000)
+    fits["asg2"] = fit_asg(data, dom, 2, r_draws=1000, refine_opts=RefineOptions(steps=3))
+    return fits
+
+
+class _LatticeDraws:
+    """A generator whose draws all sit on the points ``-4, -2, 0, 2, 4``."""
+
+    dim = 2
+
+    def sample(self, n, rng):
+        return rng.integers(0, 5, size=(n, 2)) * 2.0 - 4.0
+
+
+class TestLatticeTies:
+    """Lattice routines count a support point that lies on a lattice
+    coordinate at that coordinate, as the point-wise ones do."""
+
+    @pytest.mark.parametrize("n", [10, 11, 15, 33])
+    @pytest.mark.parametrize("name", ["fkrb3", "fkrb5", "fkrb7", "sg3", "asg2"])
+    def test_fit_lattice_equals_pointwise(self, tie_fits, name, n):
+        dist = DiscreteDistribution.from_fit(tie_fits[name])
+        axes = Domain.cube(2).axes(n)
+        table = joint_cdf_lattice(dist, axes).reshape(-1)
+        assert np.abs(table - joint_cdf(dist, lattice_points(axes))).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [9, 11, 15, 33])
+    def test_truth_lattice_equals_pointwise(self, n):
+        axes = [np.linspace(-4, 4, n)] * 2
+        table = mixture_cdf_lattice(_LatticeDraws(), axes, n_samples=20_000, seed=1)
+        direct = true_mixture_cdf(_LatticeDraws(), lattice_points(axes), n_samples=20_000, seed=1)
+        assert np.abs(table.reshape(-1) - direct).max() <= 1e-14
+
+    def test_point_on_last_axis_point_counts_there(self):
+        dist = DiscreteDistribution(
+            support=np.array([[4.0, 4.0], [0.0, 4.0]]), weights=np.array([0.25, 0.75])
+        )
+        axes = [np.linspace(-4, 4, 11)] * 2
+        table = joint_cdf_lattice(dist, axes)
+        assert table[-1, -1] == 1.0
+        assert table[5, -1] == 0.75 and table[4, -1] == 0.0 and table[-1, -2] == 0.0
+        np.testing.assert_array_equal(table.reshape(-1), joint_cdf(dist, lattice_points(axes)))
+        truth = mixture_cdf_lattice(_LatticeDraws(), axes, n_samples=1000, seed=0)
+        assert truth[-1, -1] == 1.0
+
+    def test_run_experiment_scores_the_pointwise_cdf(self):
+        dgp = two_normal_mixture(2)
+        config = McConfig(dgp=dgp, n_units=200, replicates=1, seed=5, fkrb_q=(5,),
+                          eval_points_per_dim=11, truth_samples=20_000, workers=1)
+        reported = run_experiment(config).runs[0].ise[0]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
+        fit = fit_fkrb(make_dataset(dgp, 200, 5, rng), Domain.cube(2), 5)
+        points = lattice_points(Domain.cube(2).axes(11))
+        truth = true_mixture_cdf(dgp, points, n_samples=20_000, seed=5)
+        expected = ise(joint_cdf(DiscreteDistribution.from_fit(fit), points), truth)
+        assert reported == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestMarginalCdf:

@@ -11,6 +11,7 @@ from sparserc import estimator
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import ChoiceDataset, build_design_matrix
 from sparserc.clsolver import NonConvergenceError, check_kkt, solve_cls
+from sparserc.distribution import DiscreteDistribution
 from sparserc.estimator import (
     RefineOptions,
     SolverOptions,
@@ -645,6 +646,23 @@ class TestFitResultContracts:
                 kind=fit.kind, domain=fit.domain, support=fit.support,
                 diagnostics=fit.diagnostics, config=fit.config, **arrays,
             )
+
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, np.nan, 0.0], [1.001, -1e-3, 0.0], [0.6, 0.3, 0.0]],
+        ids=["nan", "below-floor", "mass"],
+    )
+    def test_bad_density_raises_the_distribution_message(self, weights):
+        fit = fit_fkrb(_data(n=60, d=1, seed=24), Domain.cube(1), 3)
+        with pytest.raises(ValueError) as expected:
+            DiscreteDistribution(support=fit.support, weights=np.array(weights))
+        with pytest.raises(ValueError) as got:
+            estimator.FitResult(
+                kind=fit.kind, domain=fit.domain, alpha=fit.alpha, support=fit.support,
+                density_at_draws=np.array(weights), diagnostics=fit.diagnostics,
+                config=fit.config,
+            )
+        assert str(got.value) == str(expected.value)
 
 
 class TestOptionChecks:
