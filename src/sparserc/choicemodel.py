@@ -10,11 +10,13 @@ remainder ``1 - sum_j g_j``.
 
 Assembly follows the sparsity of ``Phi``: a draw lies in one support per
 hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
-(84 of 545 at D=6 level 4).  The sweep takes the draws in the solver's row
-blocks, ordered by zero pattern: each block is one kernel call, and
-multiplies only the columns it touches.  ``Phi`` is held once, as one CSR
-matrix, from its evaluation to the solver.  The kernel drops the max shift for
-every unit whose utilities cannot overflow.
+(84 of 545 at D=6 level 4).  The sweep takes the units in fixed tiles and,
+for each tile, the draws in the solver's row blocks, ordered by zero
+pattern: each tile and block is one kernel call, and multiplies only the
+columns the block touches.  ``Z`` is the only array of the sweep that grows
+with the number of units.  ``Phi`` is held once, as one CSR matrix, from its
+evaluation to the solver.  The kernel drops the max shift for every unit
+whose utilities cannot overflow.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSet, evaluate_basis_columns
-from .clsolver import ROW_BLOCK, as_csr, block_slab, pattern_blocks
+from .clsolver import ROW_BLOCK, as_csr, block_slabs, pattern_blocks
 from .hiergrid import SparseGrid
 from .quasirand import DrawSet
 
 # Bytes of kernel output per tile of units: small enough that a tile stays in
 # cache through the product, shift, exp and divide.
 KERNEL_TILE_BYTES = 1 << 20
+# Units per tile of :func:`kernel_sweep`: its kernel buffer and transposed
+# sums hold one tile, so only its output grows with the number of units.
+UNIT_TILE = 128
 
 # log of the largest double, less one for rounding: a unit whose utilities
 # stay below it less log(J + 1) cannot overflow exp or the row sum unshifted
@@ -152,9 +157,10 @@ def choice_probabilities(
     size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
     each (one unit when a unit's ``J * M`` values are larger), and each tile
     takes its utilities, ``exp`` and divide in place while it is in cache.
-    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes one
-    pattern block of at most ``ROW_BLOCK`` points per call, and the
-    fixed-grid baseline passes its ``M <= N * J`` points in one call.
+    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes at most
+    ``UNIT_TILE`` units and one pattern block of at most ``ROW_BLOCK``
+    points per call, and the fixed-grid baseline passes its ``M <= N * J``
+    points in one call.
 
     A unit's utilities are bounded over the box of ``betas`` by
     ``sum_d max(x_d lo_d, x_d hi_d)``.  A unit whose bound keeps ``exp`` and
@@ -200,6 +206,9 @@ def choice_probabilities(
 class DesignMatrix:
     """Simulated regressors plus the constraint data that travels with them.
 
+    ``Z`` is the ``(N * J, B)`` design, C-ordered, filled by
+    :func:`kernel_sweep` one unit tile at a time.  It is a fit's one array
+    that grows with ``N * J``: the solver reads it in place.
     ``column_mass[b] = sum_r phi_b(beta_r)`` is both the unit-mass constraint
     vector and an assembly sanity check (every column of ``Z`` lies between 0
     and its mass entry).  ``basis_at_draws`` keeps the raw ``(R, B)`` basis
@@ -222,32 +231,45 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
     sums of the ``K`` columns of ``weights`` (one row per point), a CSR
     matrix or an array taken as the CSR matrix of its nonzeros.
 
-    Only points whose weight row stores an entry reach the kernel, each
-    once.  They are taken in the :func:`~sparserc.clsolver.pattern_blocks`
-    of the weights' stored entries, the solver's row blocks, one kernel call
-    per block.  A hat basis has one nonzero per hierarchical subspace in
-    each row, so a block's points share supports: each block adds a
-    ``gemm`` over only the columns it touches into the transposed sums.
+    Only points whose weight row stores an entry reach the kernel.  They are
+    taken in the :func:`~sparserc.clsolver.pattern_blocks` of the weights'
+    stored entries, the solver's row blocks.  A hat basis has one nonzero per
+    hierarchical subspace in each row, so a block's points share supports:
+    each block adds a ``gemm`` over only the columns it touches into the
+    transposed sums.  The blocks' dense weight slabs are built once.
 
-    All calls of a sweep write into one buffer of ``ROW_BLOCK`` points, a
-    short call into its leading part; pages a call leaves untouched are
-    never resident.  Every sweep of a dataset then makes the same one
-    allocation, so its peak memory does not depend on the sweeps before it.
+    The units are swept in tiles of ``UNIT_TILE``, each tile over every
+    block: one kernel call per tile and block, so each live point reaches
+    the kernel once per tile.  Every call writes into one buffer of one
+    tile by ``ROW_BLOCK`` points, and each tile's sums go into one
+    ``(K, tile * J)`` array, copied into the output when the tile is done.  The output is the only array of the sweep that grows with
+    ``N``.  A unit's kernel values depend on its own covariates alone; its
+    sums can differ in the last bits with the ``gemm`` shape of its tile.
     """
     n, j = x.shape[:2]
     weights = as_csr(weights)
     live = np.flatnonzero(np.diff(weights.indptr))
     if live.size < weights.shape[0]:
         weights = weights[live]
-    out = np.zeros((weights.shape[1], n * j))
-    buffer = np.empty(n * j * ROW_BLOCK)
-    for rows, cols in pattern_blocks(weights):
-        g = buffer[:n * j * rows.size].reshape(n, j, -1)
-        g = choice_probabilities(x, points[live[rows]], out=g).reshape(n * j, -1)
-        out[cols] += block_slab(weights, rows, cols).T @ g.T
-    # the buffer alive through the transposed copy would set the peak memory
-    buffer = g = None
-    return np.ascontiguousarray(out.T)
+    spans = pattern_blocks(weights)
+    blocks = [(points[live[rows]], cols, slab.T)
+              for (rows, cols), slab in zip(spans, block_slabs(weights, spans))]
+    k = weights.shape[1]
+    out = np.empty((n * j, k))
+    tile = max(1, min(n, UNIT_TILE))
+    buffer = np.empty(tile * j * ROW_BLOCK)
+    sums = np.empty(k * tile * j)
+    for start in range(0, n, tile):
+        xt = x[start:start + tile]
+        rows = xt.shape[0] * j
+        acc = sums[:k * rows].reshape(k, rows)
+        acc[...] = 0.0
+        for betas, cols, slab_t in blocks:
+            g = buffer[:rows * betas.shape[0]].reshape(xt.shape[0], j, -1)
+            g = choice_probabilities(xt, betas, out=g).reshape(rows, -1)
+            acc[cols] += slab_t @ g.T
+        out[start * j:start * j + rows] = acc.T
+    return out
 
 
 def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:

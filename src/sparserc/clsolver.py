@@ -34,7 +34,7 @@ once per solve the rows are ordered by their zero pattern over the leading
 (coarsest) columns, which groups draws that are close in space, and cut
 into blocks of at most ``ROW_BLOCK`` rows at coarse pattern changes
 (:func:`pattern_blocks`).  Each block's ``syrk`` runs on the columns the
-block touches only (:func:`block_slab`), and is added into those entries
+block touches only (:func:`block_slabs`), and is added into those entries
 of the normal matrix through a flat index built with the block.  The design
 assembly takes its
 draws in the same blocks.  A dense constraint matrix gives blocks that
@@ -42,7 +42,13 @@ touch every column, the same flops as one product.  SciPy's wheels bundle
 a second OpenBLAS with its own thread pool; alternating level-3 calls
 between the two pools makes each pool busy-wait while the other runs,
 slowing both.  Only the level-2 triangular solves (``cho_solve``) go
-through SciPy's BLAS; its CSR products are plain loops.
+through SciPy's BLAS, handed the F-contiguous upper factor so that SciPy
+does not copy it; its CSR products are plain loops.
+
+``Z`` is read in place and never copied whole: ``H = Z_s' Z_s / m`` and
+``b = Z_s' y / m`` of the mass-scaled ``Z_s = Z / c_eq`` are summed over
+chunks of ``_Z_CHUNK`` rows, and :func:`check_kkt` forms its gradient as
+``Z' (Z a - y) / c_eq / m``.
 
 The iteration runs on a stack of ``k`` problems, such as the cross-validation
 refits of one refinement step, which share ``Phi``.  The scaled constraints
@@ -73,6 +79,9 @@ DEFAULT_MAX_ITER = 10_000
 # Constraint rows per block of the normal-matrix build; fixed, so results do
 # not depend on memory or worker count.
 ROW_BLOCK = 256
+# Rows of Z / c_eq per product of H and b; fixed, so results do not depend
+# on memory.
+_Z_CHUNK = 1024
 # Leading columns whose zero pattern orders the rows; the pattern of up to
 # 62 columns packs into a nonnegative int64 key.
 _PATTERN_COLUMNS = 62
@@ -191,11 +200,13 @@ def _factor_stack(M: np.ndarray) -> list:
 
     When that fails, each slice is retried with a diagonal jitter that grows
     until it factors; a slice that never does, or is not finite
-    (``np.linalg.cholesky`` does not check), gets ``None``.
+    (``np.linalg.cholesky`` does not check), gets ``None``.  Each factor is
+    the upper one, ``L'``, F-contiguous, which SciPy's LAPACK wrapper takes
+    without a copy.
     """
     if np.isfinite(M).all():
         try:
-            return [(L, True) for L in np.linalg.cholesky(M)]
+            return [(L.T, False) for L in np.linalg.cholesky(M)]
         except np.linalg.LinAlgError:
             pass
     factors = [None] * len(M)
@@ -205,7 +216,7 @@ def _factor_stack(M: np.ndarray) -> list:
         base = float(np.max(np.diag(Mi)))
         for jitter in [0.0] + [base * (1e-14 * 10.0**a) for a in range(7)]:
             try:
-                factors[i] = np.linalg.cholesky(Mi + jitter * np.eye(Mi.shape[0])), True
+                factors[i] = np.linalg.cholesky(Mi + jitter * np.eye(Mi.shape[0])).T, False
                 break
             except np.linalg.LinAlgError:
                 pass
@@ -237,20 +248,30 @@ def as_csr(a) -> sp.csr_array:
     return a
 
 
-def block_slab(a: sp.csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``a[rows][:, cols]`` as a dense array, read from the CSR arrays of
-    ``a``; ``cols`` is sorted and holds every column where one of ``rows``
-    stores an entry."""
-    start = a.indptr[rows]
-    counts = a.indptr[rows + 1] - start
-    # the positions of the rows' entries, row after row, and their places in the slab
-    at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+def block_slabs(a: sp.csr_array, spans) -> list:
+    """``a[rows][:, cols]`` as a dense array for each ``(rows, cols)`` of
+    ``spans``, read from the CSR arrays of ``a``; each ``cols`` is sorted and
+    holds every column where one of its ``rows`` stores an entry.
+
+    The slabs are views of one buffer: many mid-sized arrays that live
+    through a loop fragment the heap and keep its memory after the loop.
+    """
+    store = np.zeros(sum(rows.size * cols.size for rows, cols in spans))
     col = np.empty(a.shape[1], dtype=np.intp)
-    col[cols] = np.arange(cols.size)
-    place = np.repeat(np.arange(0, rows.size * cols.size, cols.size), counts) + col[a.indices[at]]
-    out = np.zeros(rows.size * cols.size)
-    out[place] = a.data[at]
-    return out.reshape(rows.size, cols.size)
+    slabs = []
+    used = 0
+    for rows, cols in spans:
+        start = a.indptr[rows]
+        counts = a.indptr[rows + 1] - start
+        # the positions of the rows' entries, row after row, and their places in the slab
+        at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        col[cols] = np.arange(cols.size)
+        size = rows.size * cols.size
+        place = np.repeat(np.arange(used, used + size, cols.size), counts) + col[a.indices[at]]
+        store[place] = a.data[at]
+        slabs.append(store[used:used + size].reshape(rows.size, cols.size))
+        used += size
+    return slabs
 
 
 def pattern_blocks(pattern) -> list:
@@ -303,17 +324,10 @@ def _row_blocks(At: sp.csr_array) -> list:
     B = At.shape[1]
     flat = np.int32 if B * B <= np.iinfo(np.int32).max else np.intp
     spans = pattern_blocks(At)
-    # one buffer holds every block: many mid-sized arrays that live through
-    # the solve fragment the heap and keep its memory after the solve
-    store = np.empty(sum(rows.size * cols.size for rows, cols in spans))
-    blocks = []
-    used = 0
-    for rows, cols in spans:
-        Ab = store[used:used + rows.size * cols.size].reshape(rows.size, cols.size)
-        Ab[...] = block_slab(At, rows, cols)
-        used += Ab.size
-        blocks.append((rows, cols, Ab, (cols[:, None] * B + cols).ravel().astype(flat)))
-    return blocks
+    return [
+        (rows, cols, Ab, (cols[:, None] * B + cols).ravel().astype(flat))
+        for (rows, cols), Ab in zip(spans, block_slabs(At, spans))
+    ]
 
 
 def _normal_matrix(blocks: list, d: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -404,16 +418,19 @@ def solve_cls_stack(
     # scaled coordinates v = a * c_eq: uniform mass is v = 1 / B
     s = first.c_eq
     cs = np.ones(B)
-    # one problem at a time, so only one scaled copy of a Z is alive
-    H = np.empty((k, B, B))
-    b = np.empty((k, B))
+    # summed over fixed chunks of rows of Z / c_eq: no copy of a whole Z
+    H = np.zeros((k, B, B))
+    b = np.zeros((k, B))
     v = np.empty((k, B))
     for i, (problem, a0) in enumerate(zip(problems, x0)):
-        Zs = problem.Z / s
         m = problem.Z.shape[0]
-        H[i] = Zs.T @ Zs / m
-        b[i] = Zs.T @ problem.y / m
+        for lo in range(0, m, _Z_CHUNK):
+            Zs = problem.Z[lo:lo + _Z_CHUNK] / s
+            H[i] += Zs.T @ Zs
+            b[i] += Zs.T @ problem.y[lo:lo + _Z_CHUNK]
         del Zs
+        H[i] /= m
+        b[i] /= m
         if a0 is not None:
             a0 = np.asarray(a0, dtype=float)
             # the start is rescaled to mass one, so it needs a mass
@@ -565,10 +582,9 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     lam = np.asarray(solution.lambda_ineq, dtype=float)
     A = as_csr(problem.A_ineq)
     s = problem.c_eq
-    v = alpha * s
-    Zs = problem.Z / s
-    grad = Zs.T @ (Zs @ v - problem.y) / problem.Z.shape[0]
-    stat = grad + solution.mu_eq * (problem.c_eq / s) - (A.T @ lam) / s
+    # the gradient in v = alpha * c_eq, formed without a scaled copy of Z
+    grad = problem.Z.T @ (problem.Z @ alpha - problem.y) / s / problem.Z.shape[0]
+    stat = grad + solution.mu_eq - (A.T @ lam) / s
     gx = A @ alpha
     return {
         "stationarity": float(np.max(np.abs(stat))),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sparserc import choicemodel
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import (
     KERNEL_TILE_BYTES,
+    UNIT_TILE,
     ChoiceDataset,
     DeadColumnError,
     build_design_matrix,
@@ -452,6 +454,63 @@ class TestKernelSweep:
         g = choice_probabilities(x, points).reshape(6, -1)
         np.testing.assert_allclose(out, g @ weights, rtol=1e-12)
         assert out.flags.c_contiguous
+
+
+class TestUnitTiles:
+    """``kernel_sweep`` takes the units in tiles of ``UNIT_TILE``."""
+
+    def test_tile_boundaries_match_the_oracle(self, monkeypatch):
+        calls = []
+
+        def kernel(x, betas, out=None):
+            calls.append((x.shape[0], np.array(betas)))
+            return choice_probabilities(x, betas, out=out)
+
+        monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
+        rng = np.random.default_rng(28)
+        n = 2 * UNIT_TILE + 1
+        x = rng.normal(size=(n, 2, 2))
+        points = rng.uniform(-4, 4, size=(ROW_BLOCK + 40, 2))
+        weights = rng.uniform(size=(points.shape[0], 3)) * (rng.uniform(size=(points.shape[0], 3)) < 0.6)
+        out = kernel_sweep(x, points, weights)
+        assert out.shape == (2 * n, 3)
+        # each tile makes one call per block, and so passes every live point once
+        blocks = len(pattern_blocks(weights[(weights != 0.0).any(axis=1)]))
+        assert blocks > 1
+        assert [units for units, _ in calls] == [UNIT_TILE] * 2 * blocks + [1] * blocks
+        for tile in range(3):
+            assert_each_live_point_once(
+                [betas for _, betas in calls[tile * blocks:(tile + 1) * blocks]], points, weights
+            )
+        edges = (UNIT_TILE - 1, UNIT_TILE, 2 * UNIT_TILE - 1, 2 * UNIT_TILE)
+        for unit in (0, UNIT_TILE // 2, UNIT_TILE + 5) + edges:
+            g = np.array([logit_kernel(x[unit], p) for p in points])
+            np.testing.assert_allclose(out[2 * unit:2 * unit + 2], g.T @ weights, rtol=1e-14, atol=1e-14)
+
+    def test_allocates_its_output_and_tile_sized_buffers(self):
+        rng = np.random.default_rng(29)
+        j, k = 3, 200
+        x = rng.normal(size=(4 * UNIT_TILE, j, 2))
+        points = rng.uniform(-4, 4, size=(600, 2))
+        weights = rng.uniform(size=(600, k))
+        weights[rng.uniform(size=600) < 0.2] = 0.0
+
+        def beyond_output(units):
+            tracemalloc.start()
+            try:
+                out = kernel_sweep(x[:units], points, weights)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes == 8 * units * j * k
+            return peak - out.nbytes
+
+        one_tile = beyond_output(UNIT_TILE)
+        # the kernel buffer, the tile's sums with a block product and its
+        # gathered entries, and the weights' CSR copies and dense slabs
+        assert one_tile <= 8 * UNIT_TILE * j * (ROW_BLOCK + 3 * k) + 4 * weights.nbytes
+        # four times the units: only the output grows
+        assert beyond_output(4 * UNIT_TILE) <= one_tile + (1 << 16)
 
 
 class TestKernelSeesLiveDraws:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparserc import cli
+from sparserc.basis import Domain
 from sparserc.choicemodel import read_dataset_csv
-from sparserc.cli import EXIT_OK, EXIT_USAGE, main
+from sparserc.cli import EXIT_OK, EXIT_USAGE, main, write_points_csv
 from sparserc.distribution import (
     DiscreteDistribution,
     ise,
@@ -392,6 +395,24 @@ class TestEvaluateCommand:
         assert code == EXIT_USAGE
         assert flag in capsys.readouterr().err
         assert not (fitted / "summary.json").exists()
+
+
+class TestPointsCsv:
+    @pytest.mark.parametrize("chunk", [5, cli._CSV_CHUNK_ROWS])
+    def test_bytes_match_one_csv_writer_row_per_point(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        points = lattice_points(Domain.cube(2).axes(7))
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-1.0, 1.0, size=points.shape[0])
+        values[:10] = [-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e22, 3.0, np.nan, np.inf, -np.inf]
+        write_points_csv(points, values, "F_hat", tmp_path / "fast.csv")
+        # the writer it replaced
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["beta_1", "beta_2", "F_hat"])
+            for row, v in zip(points, values):
+                writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestReplicateCommand:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import dataclasses
 
@@ -285,6 +286,32 @@ class TestThreadedSize:
         assert chk["primal_ineq"] <= 1e-8
         assert abs(c @ sol.alpha - 1.0) <= 1e-10
         np.testing.assert_array_equal(solve_cls(problem).alpha, sol.alpha)
+
+
+class TestNoCopyOfZ:
+    """A solve's ``H`` and ``b`` and the KKT check read ``Z`` in place."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_and_check_kkt_allocate_under_a_quarter_of_z(self):
+        rng = np.random.default_rng(31)
+        m, B = 40_000, 20
+        Z = rng.uniform(size=(m, B))
+        y = Z @ rng.dirichlet(np.ones(B)) + 0.1 * rng.normal(size=m)
+        c = rng.uniform(0.5, 2.0, size=B)
+        problem = CLSProblem(Z=Z, y=y, A_ineq=sp.eye_array(B, format="csr"), c_eq=c)
+        # with B constraint rows, every other array of the solve is small
+        sol, peak = self.traced_peak(lambda: solve_cls(problem))
+        assert peak < Z.nbytes / 4
+        chk, peak = self.traced_peak(lambda: check_kkt(problem, sol))
+        assert peak < Z.nbytes / 4
+        assert chk["stationarity"] == sol.kkt_residual <= 1e-8
 
 
 class TestSparseConstraints:
