@@ -1,4 +1,5 @@
-"""Choice data, the logit kernel, and simulated design-matrix assembly.
+"""Choice data and its CSV format, the logit kernel, and simulated
+design-matrix assembly.
 
 The design matrix has one row per (unit, alternative) pair and one column per
 basis function: entry ``Z[(n, j), b] = sum_r g(x_nj, beta_r) phi_b(beta_r)``,
@@ -13,10 +14,12 @@ hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
 (84 of 545 at D=6 level 4).  The sweep takes the units in fixed tiles and,
 for each tile, the draws in the solver's row blocks, ordered by zero
 pattern: each tile and block is one kernel call, and multiplies only the
-columns the block touches.  ``Z`` is the only array of the sweep that grows
-with the number of units.  ``Phi`` is held once, as one CSR matrix, from its
+columns the block touches.  These tiles are the only ones: the kernel takes
+each call whole.  ``Z`` is the only array of the sweep that grows with the
+number of units.  ``Phi`` is held once, as one CSR matrix, from its
 evaluation to the solver.  The kernel drops the max shift for every unit
-whose utilities cannot overflow.
+whose utilities cannot overflow.  The dataset CSV is read by
+:func:`~sparserc.quasirand.read_csv_rows`, as draw CSVs are.
 """
 
 from __future__ import annotations
@@ -30,11 +33,8 @@ import scipy.sparse as sp
 from .basis import BasisSet, evaluate_basis_columns
 from .clsolver import ROW_BLOCK, as_csr, block_slabs, pattern_blocks
 from .hiergrid import SparseGrid
-from .quasirand import DrawSet
+from .quasirand import DrawSet, read_csv_rows
 
-# Bytes of kernel output per tile of units: small enough that a tile stays in
-# cache through the product, shift, exp and divide.
-KERNEL_TILE_BYTES = 1 << 20
 # Units per tile of :func:`kernel_sweep`: its kernel buffer and transposed
 # sums hold one tile, so only its output grows with the number of units.
 UNIT_TILE = 128
@@ -154,13 +154,11 @@ def choice_probabilities(
     Returns an ``(N, J, M)`` array for ``x`` of shape ``(N, J, D)`` and
     ``betas`` of shape ``(M, D)``, written into ``out`` when it is given (a
     C-contiguous array of that shape).  The output is the only array of that
-    size: it is filled in tiles of whole units, about ``KERNEL_TILE_BYTES``
-    each (one unit when a unit's ``J * M`` values are larger), and each tile
-    takes its utilities, ``exp`` and divide in place while it is in cache.
-    Memory grows with ``N * J * M``: :func:`kernel_sweep` passes at most
-    ``UNIT_TILE`` units and one pattern block of at most ``ROW_BLOCK``
-    points per call, and the fixed-grid baseline passes its ``M <= N * J``
-    points in one call.
+    size: the utilities' product, the shift, ``exp`` and divide all run in
+    place in it, and the row sums take ``1 / J`` of it.  The caller sizes
+    the call: :func:`kernel_sweep` passes at most ``UNIT_TILE`` units and one
+    pattern block of at most ``ROW_BLOCK`` points (1.3 MB at J=5), and the
+    fixed-grid baseline passes its ``M <= N * J`` points in one call.
 
     A unit's utilities are bounded over the box of ``betas`` by
     ``sum_d max(x_d lo_d, x_d hi_d)``.  A unit whose bound keeps ``exp`` and
@@ -185,20 +183,15 @@ def choice_probabilities(
         np.abs(x) @ np.maximum(-lo, hi)
     )
     shifted = bound.max(axis=1) > _LOG_MAX - np.log(j + 1.0)
-    units = max(1, KERNEL_TILE_BYTES // max(1, 8 * j * m))
-    for start in range(0, n, units):
-        u = out[start:start + units]
-        rows = u.shape[0] * j
-        np.matmul(x[start:start + units].reshape(rows, d), betas.T, out=u.reshape(rows, m))
-        over = shifted[start:start + units]
-        shift = 0.0
-        if over.any():
-            # zero for the tile's other units: u - 0 and exp(-0) = 1 are exact
-            shift = np.zeros((u.shape[0], 1, m))
-            shift[over] = np.maximum(u[over].max(axis=1, keepdims=True), 0.0)
-            u -= shift
-        np.exp(u, out=u)
-        u /= np.exp(-shift) + u.sum(axis=1, keepdims=True)
+    np.matmul(x.reshape(n * j, d), betas.T, out=out.reshape(n * j, m))
+    shift = 0.0
+    if shifted.any():
+        # zero for every other unit: u - 0 and exp(-0) = 1 are exact
+        shift = np.zeros((n, 1, m))
+        shift[shifted] = np.maximum(out[shifted].max(axis=1, keepdims=True), 0.0)
+        out -= shift
+    np.exp(out, out=out)
+    out /= np.exp(-shift) + out.sum(axis=1, keepdims=True)
     return out
 
 
@@ -348,66 +341,41 @@ def write_dataset_csv(data: ChoiceDataset, path) -> None:
                 )
 
 
+def _dataset_width(header) -> int:
+    if header[:3] != ["unit_id", "alt_id", "chosen"]:
+        raise ValueError(f"unexpected header {header[:3]}")
+    dim = len(header) - 3
+    if dim < 1 or header[3:] != [f"x_{d + 1}" for d in range(dim)]:
+        raise ValueError("malformed covariate header")
+    return 3 + dim
+
+
 def read_dataset_csv(path) -> ChoiceDataset:
     """Parse a dataset CSV written by :func:`write_dataset_csv`.
 
     Rows must be grouped by unit with alternatives in 1..J order; malformed
     rows raise with their line number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["unit_id", "alt_id", "chosen"]:
-            raise ValueError(f"{path}: unexpected header {header[:3]}")
-        dim = len(header) - 3
-        if dim < 1 or header[3:] != [f"x_{d + 1}" for d in range(dim)]:
-            raise ValueError(f"{path}: malformed covariate header")
-        units: list = []
-        x_rows: list = []
-        y_rows: list = []
-        current_id = None
-        cur_x: list = []
-        cur_y: list = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + dim:
-                raise ValueError(f"{path}: line {lineno}: expected {3 + dim} columns")
-            try:
-                unit_id = int(row[0])
-                alt_id = int(row[1])
-                chosen = int(row[2])
-                xs = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not np.all(np.isfinite(xs)):
-                raise ValueError(f"{path}: line {lineno}: covariates must be finite")
-            if chosen not in (0, 1):
-                raise ValueError(f"{path}: line {lineno}: chosen must be 0 or 1")
-            if unit_id != current_id:
-                if current_id is not None:
-                    units.append(current_id)
-                    x_rows.append(cur_x)
-                    y_rows.append(cur_y)
-                current_id, cur_x, cur_y = unit_id, [], []
-            if alt_id != len(cur_x) + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: alt_id {alt_id} out of order "
-                    f"(expected {len(cur_x) + 1})"
-                )
-            cur_x.append(xs)
-            cur_y.append(float(chosen))
-        if current_id is not None:
-            units.append(current_id)
-            x_rows.append(cur_x)
-            y_rows.append(cur_y)
-        if not units:
-            raise ValueError(f"{path}: no data rows")
-        n_alts = len(x_rows[0])
-        for k, rows in enumerate(x_rows):
-            if len(rows) != n_alts:
-                raise ValueError(f"{path}: unit {units[k]} has {len(rows)} alternatives, "
-                                 f"expected {n_alts}")
-    return ChoiceDataset(
-        x=np.asarray(x_rows, dtype=float),
-        y=np.asarray(y_rows, dtype=float),
-        unit_ids=np.asarray(units),
-    )
+    units, rows = [], []  # rows[k]: the [chosen, x_1..x_D] rows of unit units[k]
+
+    def parse(row) -> None:
+        unit_id, alt_id, chosen = (int(v) for v in row[:3])
+        xs = [float(v) for v in row[3:]]
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("covariates must be finite")
+        if chosen not in (0, 1):
+            raise ValueError("chosen must be 0 or 1")
+        if not units or unit_id != units[-1]:
+            units.append(unit_id)
+            rows.append([])
+        if alt_id != len(rows[-1]) + 1:
+            raise ValueError(f"alt_id {alt_id} out of order (expected {len(rows[-1]) + 1})")
+        rows[-1].append([chosen] + xs)
+
+    read_csv_rows(path, _dataset_width, parse)
+    for unit_id, alts in zip(units, rows):
+        if len(alts) != len(rows[0]):
+            raise ValueError(f"{path}: unit {unit_id} has {len(alts)} alternatives, "
+                             f"expected {len(rows[0])}")
+    table = np.asarray(rows, dtype=float)
+    return ChoiceDataset(x=table[..., 1:], y=table[..., 0], unit_ids=np.asarray(units))

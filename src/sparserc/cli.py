@@ -65,6 +65,8 @@ EXIT_WARNINGS = 2
 
 # Points per write of write_points_csv: bounds the Python floats alive at once
 _CSV_CHUNK_ROWS = 1 << 16
+# Points per axis of write_marginals_csv's distribution functions
+_MARGINAL_POINTS = 201
 
 
 class UsageError(Exception):
@@ -183,13 +185,14 @@ def write_points_csv(points: np.ndarray, values: np.ndarray, name: str, path) ->
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
 
-def write_marginals_csv(fit: FitResult, path, points_per_dim: int = 201) -> None:
-    """Per-dimension marginal distribution functions in long format."""
+def write_marginals_csv(fit: FitResult, path) -> None:
+    """Per-dimension marginal distribution functions in long format, at
+    ``_MARGINAL_POINTS`` points per axis."""
     dist = DiscreteDistribution.from_fit(fit)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dim", "t", "F_hat"])
-        for d, grid in enumerate(fit.domain.axes(points_per_dim)):
+        for d, grid in enumerate(fit.domain.axes(_MARGINAL_POINTS)):
             vals = marginal_cdf(dist, d, grid)
             for t, v in zip(grid, vals):
                 writer.writerow([d + 1, repr(float(t)), repr(float(v))])

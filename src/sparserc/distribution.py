@@ -4,8 +4,10 @@ A fit yields a discrete distribution: probability weights sitting on the
 integration draws (or on the fixed grid).  Everything here — joint and
 marginal distribution functions, moments, accuracy metrics — is computed
 from that weighted support.  The distribution function ``F(q) = P(X <= q)``
-(component-wise) is evaluated at free points by dominance counting and on
-full lattices by binning plus cumulative sums; the two agree to rounding.
+(component-wise) is evaluated at free points by one sorted dominance count
+and on full lattices by one binning plus cumulative sums; the two agree to
+rounding, ties included.  A truth's Monte Carlo distribution function sums
+the same count (or binning) over chunks of its samples.
 """
 
 from __future__ import annotations
@@ -72,30 +74,36 @@ class DiscreteDistribution:
         return cls(support=fit.support, weights=fit.density_at_draws)
 
 
+def _dominance_sums(x: np.ndarray, points: np.ndarray, weights=None) -> np.ndarray:
+    """The count (or ``weights`` sum) of the points ``x`` at or below each
+    query point in every coordinate.  ``x`` is sorted along the first
+    dimension, so one comparison per point and query bounds that dimension."""
+    order = np.argsort(x[:, 0], kind="stable")
+    x = x[order]
+    if weights is not None:
+        weights = weights[order]
+    cuts = np.searchsorted(x[:, 0], points[:, 0], side="right")
+    col = np.arange(x.shape[0])
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _POINT_BLOCK):
+        block = points[start:start + _POINT_BLOCK]
+        mask = col[None, :] < cuts[start:start + _POINT_BLOCK, None]
+        for d in range(1, x.shape[1]):
+            mask &= x[None, :, d] <= block[:, d, None]
+        out[start:start + _POINT_BLOCK] = (
+            np.count_nonzero(mask, axis=1) if weights is None else mask @ weights)
+    return out
+
+
 def joint_cdf(dist: DiscreteDistribution, points) -> np.ndarray:
     """Joint distribution function at each query point.
 
-    ``F(q) = sum_r weights[r] * 1[support[r] <= q component-wise]``.  Support
-    points are pre-sorted along the first dimension so each query only scans
-    the prefix that can possibly be dominated.
+    ``F(q) = sum_r weights[r] * 1[support[r] <= q component-wise]``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != dist.dim:
         raise ValueError("query dimension mismatch")
-    order = np.argsort(dist.support[:, 0], kind="stable")
-    sup = dist.support[order]
-    wts = dist.weights[order]
-    cuts = np.searchsorted(sup[:, 0], points[:, 0], side="right")
-    n = sup.shape[0]
-    col = np.arange(n)
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _POINT_BLOCK):
-        stop = min(start + _POINT_BLOCK, points.shape[0])
-        block = points[start:stop]
-        mask = np.all(sup[None, :, 1:] <= block[:, None, 1:], axis=2)
-        mask &= col[None, :] < cuts[start:stop, None]
-        out[start:stop] = mask @ wts
-    return out
+    return _dominance_sums(dist.support, points, dist.weights)
 
 
 def lattice_points(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -188,12 +196,7 @@ def true_mixture_cdf(
         raise ValueError("query dimension mismatch")
     counts = np.zeros(points.shape[0])
     for x in _sample_chunks(dgp, n_samples, seed):
-        for start in range(0, points.shape[0], _POINT_BLOCK):
-            stop = min(start + _POINT_BLOCK, points.shape[0])
-            block = points[start:stop]
-            counts[start:stop] += np.all(
-                x[None, :, :] <= block[:, None, :], axis=2
-            ).sum(axis=1)
+        counts += _dominance_sums(x, points)
     return counts / n_samples
 
 

@@ -403,6 +403,18 @@ def heldout_loglik(pred: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     return ll, clamped
 
 
+def _fold_scores(scored) -> tuple[list, list, int]:
+    """Held-out MSE and log-likelihood of each ``(prediction, outcomes)``
+    pair, and the number of probabilities clamped over all of them."""
+    mse, ll, n_clamped = [], [], 0
+    for pred, y in scored:
+        mse.append(heldout_mse(pred, y))
+        fold_ll, clamped = heldout_loglik(pred, y)
+        ll.append(fold_ll)
+        n_clamped += clamped
+    return mse, ll, n_clamped
+
+
 @dataclass
 class CvResult:
     per_fold: list
@@ -433,19 +445,14 @@ def kfold_cv(
     """
     if metric not in ("mse", "loglik"):
         raise ValueError(f"unknown metric {metric!r}")
-    per_fold = []
-    clamped_total = 0
-    for train_pos, test_pos in _folds(data, k, seed):
-        fit = fit_procedure(data.subset(train_pos))
-        test = data.subset(test_pos)
-        pred = predict_probabilities(fit, test)
-        if metric == "mse":
-            per_fold.append(heldout_mse(pred, test.y))
-        else:
-            ll, clamped = heldout_loglik(pred, test.y)
-            per_fold.append(ll)
-            clamped_total += clamped
-    return CvResult(per_fold=per_fold, mean=float(np.mean(per_fold)), n_clamped=clamped_total)
+    scored = [
+        (predict_probabilities(fit_procedure(data.subset(train)), data.subset(test)), data.y[test])
+        for train, test in _folds(data, k, seed)
+    ]
+    mse, ll, n_clamped = _fold_scores(scored)
+    if metric == "mse":
+        return CvResult(per_fold=mse, mean=float(np.mean(mse)))
+    return CvResult(per_fold=ll, mean=float(np.mean(ll)), n_clamped=n_clamped)
 
 
 def fit_asg(
@@ -546,15 +553,11 @@ def _fit_hierarchical(
         warm = None if fold_sols is None else [np.concatenate([f.alpha, pad]) for f in fold_sols]
         fold_sols = _solve(solve_cls_stack, solver, problems, x0=warm)
         del problems  # the next step's k copies of Z replace these
-        mse, ll = [], []
-        for (_, test_pos), fold_sol in zip(folds, fold_sols):
-            pred = design.Z[data.row_slice(test_pos)] @ fold_sol.alpha
-            pred = pred.reshape(test_pos.shape[0], data.n_alts)
-            y_test = data.y[test_pos]
-            mse.append(heldout_mse(pred, y_test))
-            fold_ll, clamped = heldout_loglik(pred, y_test)
-            ll.append(fold_ll)
-            clamped_total += clamped
+        mse, ll, clamped = _fold_scores(
+            ((design.Z[data.row_slice(test)] @ f.alpha).reshape(-1, data.n_alts), data.y[test])
+            for (_, test), f in zip(folds, fold_sols)
+        )
+        clamped_total += clamped
         record.oos_mse_folds, record.oos_mse_mean = tuple(mse), float(np.mean(mse))
         record.oos_loglik_folds, record.oos_loglik_mean = tuple(ll), float(np.mean(ll))
 

@@ -151,12 +151,10 @@ class SparseGrid:
                 raise ValueError(f"point dimension {p.dim} != grid dimension {self.dim}")
             if max(p.levels) > self.max_level:
                 raise ValueError(f"point {p} exceeds max_level {self.max_level}")
-            for d in range(self.dim):
-                parent = hierarchical_parent(p, d)
-                if parent is not None and parent not in self._pos:
-                    raise ValueError(
-                        f"grid not hierarchically closed: {p} lacks parent {parent} in dim {d}"
-                    )
+        for p, d, parent in _missing_parents(self):
+            raise ValueError(
+                f"grid not hierarchically closed: {p} lacks parent {parent} in dim {d}"
+            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -185,14 +183,19 @@ class SparseGrid:
         return self._pos[point]
 
 
-def is_hierarchically_closed(grid: SparseGrid) -> bool:
-    """True when every point's parent in every dimension is in the grid."""
+def _missing_parents(grid: SparseGrid):
+    """Yield ``(point, d, parent)`` for each point's parent along dimension
+    ``d`` that is not in the grid, in point and dimension order."""
     for p in grid.points:
         for d in range(grid.dim):
             parent = hierarchical_parent(p, d)
             if parent is not None and parent not in grid:
-                return False
-    return True
+                yield p, d, parent
+
+
+def is_hierarchically_closed(grid: SparseGrid) -> bool:
+    """True when every point's parent in every dimension is in the grid."""
+    return next(_missing_parents(grid), None) is None
 
 
 def _level_vectors(dim: int, max_total: int, cap: int):

@@ -105,24 +105,42 @@ def halton_draws(
     return DrawSet(draws=domain.from_unit(unit), domain=domain, burn_in=burn_in)
 
 
+def read_csv_rows(path, header_width, parse_row) -> list:
+    """``parse_row(row)`` of each data row of a CSV file, in file order.
+
+    ``header_width(header)`` checks the first row (``[]`` in an empty file)
+    and returns the column count every data row must have.  A ``ValueError``
+    from either names the file, and one from a data row its line number too;
+    so do a row of the wrong width and a file without data rows.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            width = header_width(next(reader, []))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}: line {lineno}: expected {width} columns")
+            try:
+                rows.append(parse_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows
+
+
+def _point(row) -> list:
+    point = [float(v) for v in row]
+    if np.isnan(point).any():
+        raise ValueError("NaN coordinate")
+    return point
+
+
 def read_draws_csv(path) -> np.ndarray:
     """Read a CSV of points (a header, then one point per row) into an
     ``(R, D)`` array; malformed rows and NaN coordinates raise with their
     line number (infinite ones are kept: the CDF is defined there)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim:
-                raise ValueError(f"{path}: line {lineno}: expected {dim} columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if np.isnan(rows[-1]).any():
-                raise ValueError(f"{path}: line {lineno}: NaN coordinate")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(read_csv_rows(path, len, _point), dtype=float)

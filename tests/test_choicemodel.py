@@ -7,7 +7,6 @@ import pytest
 from sparserc import choicemodel
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import (
-    KERNEL_TILE_BYTES,
     UNIT_TILE,
     ChoiceDataset,
     DeadColumnError,
@@ -102,18 +101,16 @@ class TestChoiceProbabilities:
 
 
 class TestKernelTiles:
-    """``choice_probabilities`` fills its output in tiles of whole units."""
+    """A unit's kernel values do not depend on the size of the call."""
 
     def test_unit_independent_of_other_units(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(600, 3, 2))
         betas = rng.normal(size=(100, 2)) * 3
-        units_per_tile = KERNEL_TILE_BYTES // (8 * 3 * 100)
-        assert 1 < units_per_tile < 600
-        k = units_per_tile + 64
+        k = 500
         full = choice_probabilities(x, betas)
         np.testing.assert_array_equal(choice_probabilities(x[:k], betas), full[:k])
-        # every unit moves to another position in its tile
+        # every unit moves to another row of the product
         np.testing.assert_array_equal(choice_probabilities(x[1:], betas), full[1:])
         np.testing.assert_allclose(full[k - 1, :, 7], logit_kernel(x[k - 1], betas[7]), atol=1e-14)
 
@@ -128,7 +125,7 @@ class TestKernelTiles:
     def test_unit_larger_than_a_tile(self):
         rng = np.random.default_rng(6)
         j = 5
-        m = KERNEL_TILE_BYTES // (8 * j) + 1
+        m = 26_215  # one unit's J * M values exceed 1 MB
         x = rng.normal(size=(3, j, 2))
         betas = rng.normal(size=(m, 2))
         probs = choice_probabilities(x, betas)
@@ -142,7 +139,7 @@ class TestKernelTiles:
         x = rng.uniform(-1.0, 1.0, size=(400, 5, 2))
         betas = rng.uniform(-250.0, 250.0, size=(300, 2))
         assert np.abs(x @ betas.T).max() > 400.0
-        assert 8 * 5 * 300 * 400 > 2 * KERNEL_TILE_BYTES
+        assert 8 * 5 * 300 * 400 > 2 << 20
         probs = choice_probabilities(x, betas)
         assert np.all(np.isfinite(probs))
         assert probs.min() >= 0.0
@@ -201,7 +198,6 @@ class TestOverflowBound:
         x = rng.normal(size=(200, 3, 2))
         x[77] *= 400.0
         betas = rng.uniform(-4.0, 4.0, size=(100, 2))
-        assert KERNEL_TILE_BYTES // (8 * 3 * 100) >= 200  # one tile holds every unit
         assert (x[77] @ betas.T).max() > 800.0
         assert np.abs(np.delete(x, 77, axis=0) @ betas.T).max() < 100.0
         probs = choice_probabilities(x, betas)

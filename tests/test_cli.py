@@ -269,6 +269,20 @@ class TestEstimateCommand:
         assert main(["estimate", cfg, str(bad)]) == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [("", "unexpected header []"), ("unit_id,alt_id,chosen,x_1\n", "no data rows")],
+        ids=["zero-byte", "header-only"],
+    )
+    def test_empty_csv_exits_one_naming_it(self, tmp_path, capsys, content, expected):
+        cfg = write_config(tmp_path / "est.json", {"estimator": "sg", "level": 2})
+        empty = tmp_path / "empty.csv"
+        empty.write_text(content)
+        code = main(["estimate", cfg, str(empty), "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {empty}: {expected}\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nonconvergence_exits_with_warning_code(self, simulated, capsys):
         cfg = write_config(
             simulated / "est.json",
@@ -361,9 +375,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "content, expected",
-        [("beta_1,beta_2\n", "no data rows"), ("beta_1,beta_2\n0.0,x\n", "line 2"),
-         ("beta_1,beta_2\n0.0,nan\n", "line 2: NaN")],
-        ids=["header-only", "not-a-number", "nan"],
+        [("", "no data rows"), ("beta_1,beta_2\n", "no data rows"),
+         ("beta_1,beta_2\n0.0,x\n", "line 2"), ("beta_1,beta_2\n0.0,nan\n", "line 2: NaN")],
+        ids=["zero-byte", "header-only", "not-a-number", "nan"],
     )
     def test_malformed_points_csv(self, fitted, tmp_path, capsys, content, expected):
         pts_file = tmp_path / "pts.csv"

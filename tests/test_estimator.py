@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ class TestKfoldCv:
         )
         assert np.isfinite(result.mean)
 
+    def test_clamps_counted_under_loglik_only(self):
+        # one coefficient far out makes each unit's choice near certain, so
+        # outcomes the truth drew otherwise get probabilities below the clamp
+        data = _data(n=30, j=3, d=2, seed=18)
+        far = types.SimpleNamespace(support=np.array([[80.0, -80.0]]), density_at_draws=np.ones(1))
+        assert kfold_cv(data, 3, lambda d: far, metric="loglik").n_clamped > 0
+        assert kfold_cv(data, 3, lambda d: far, metric="mse").n_clamped == 0
+
 
 class TestFitAsg:
     def _asg(self, selection="cv_mse", steps=3, seed=18, criterion="local_error"):
@@ -308,6 +317,8 @@ class TestFitAsg:
         ll = kfold_cv(data, 3, sg, metric="loglik", seed=7)
         np.testing.assert_allclose(step0.oos_mse_folds, mse.per_fold, rtol=1e-12)
         np.testing.assert_allclose(step0.oos_loglik_folds, ll.per_fold, rtol=1e-12)
+        assert ll.n_clamped == asg.trace.n_clamped_loglik
+        assert mse.n_clamped == 0
 
     def test_refinement_path_does_not_depend_on_selection(self):
         # fold refits never feed the full-data chain of grids and solves

@@ -333,3 +333,23 @@ def test_closure_and_count_properties(dim, level):
     grid = build_classical_sparse_grid(dim, level)
     assert is_hierarchically_closed(grid)
     assert len(grid) == closed_form_count(dim, level)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 3), level=st.integers(2, 4), data=st.data())
+def test_closure_check_agrees_with_validation(dim, level, data):
+    # dropping a leaf keeps the grid closed, dropping any other point does not
+    grid = build_classical_sparse_grid(dim, level)
+    k = data.draw(st.integers(1, len(grid) - 1))
+    points = grid.points[:k] + grid.points[k + 1:]
+    closed = is_hierarchically_closed(SparseGrid(dim, points, grid.max_level, validate=False))
+    try:
+        SparseGrid(dim, points, grid.max_level)
+        raised = False
+    except ValueError as exc:
+        assert "not hierarchically closed" in str(exc)
+        raised = True
+    assert closed is not raised
+    dropped = grid.points[k]
+    children = [c for d in range(dim) for c in hierarchical_children(dropped, d, level)]
+    assert closed is not any(c in grid for c in children)

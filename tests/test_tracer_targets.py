@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparserc import estimator, simulate
+from sparserc.basis import Domain
 from sparserc.choicemodel import DesignMatrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -42,3 +44,22 @@ def test_design_matrix_counts_columns():
         Z=np.zeros((6, 3)), column_mass=np.ones(3), basis_at_draws=np.ones((4, 3)), basis=None
     )
     assert design.n_columns == 3
+
+
+def test_every_target_is_reached(tracing):
+    # a target that resolves but is never called leaves its layer reading 0
+    dgp = simulate.two_normal_mixture(2)
+    data = simulate.make_dataset(dgp, 40, 3, np.random.default_rng(0))
+    domain = Domain.cube(2)
+    refine_opts = estimator.RefineOptions(steps=1, selection="cv_mse", k_folds=2)
+    with tracing.Tracer() as tracer:
+        estimator.fit_sg(data, domain, 2, r_draws=200)
+        estimator.fit_asg(data, domain, 2, r_draws=200, refine_opts=refine_opts)
+        estimator.fit_fkrb(data, domain, 3)
+        simulate.run_experiment(simulate.McConfig(
+            dgp=dgp, n_units=40, replicates=1, n_alts=3, r_draws=200, sg_levels=(2,),
+            asg_levels=(2,), fkrb_q=(3,), refine=refine_opts, truth_samples=1000,
+        ))
+    reached = {name for name, *_ in tracer.spans}
+    missing = [f"{m}.{a}" for m, a, *_ in tracing.TARGETS if f"{m}.{a}" not in reached]
+    assert not missing, missing
