@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .checks import finite_array, json_object
 from .hiergrid import GridPoint, SparseGrid, index_set
 
 
@@ -28,12 +29,12 @@ class Domain:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.atleast_1d(finite_array("lower", self.lower))
+        upper = np.atleast_1d(finite_array("upper", self.upper))
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D with equal length")
         if not np.all(lower < upper):
-            raise ValueError("domain requires lower < upper in every dimension")
+            raise ValueError("lower must be < upper in every dimension")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
@@ -65,6 +66,16 @@ class Domain:
     def axes(self, points_per_dim: int) -> list[np.ndarray]:
         """``points_per_dim`` evenly spaced coordinates per axis, bounds included."""
         return [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
+
+
+def domain_from_json(obj, where: str = "domain") -> Domain:
+    """The :class:`Domain` of JSON object ``{"lower": [...], "upper": [...]}``;
+    a ValueError names ``where`` and the bad key."""
+    obj = json_object(obj, where, allowed=(), required=("lower", "upper"))
+    try:
+        return Domain(obj["lower"], obj["upper"])
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def hat(t):

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import re
 import sys
 
 import numpy as np
 
-from .basis import Domain
+from .basis import Domain, domain_from_json
+from .checks import json_dataclass, json_field, json_object
 from .choicemodel import read_dataset_csv, write_dataset_csv
 from .distribution import (
     TRUTH_SAMPLES,
@@ -41,7 +41,6 @@ from .estimator import (
     fit_from_json,
     fit_sg,
     fit_to_json,
-    json_int,
 )
 from .quasirand import DEFAULT_BURN_IN, read_draws_csv
 from .simulate import (
@@ -81,60 +80,16 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json_object(json.load(fh), f"config {path}")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise UsageError(f"config {path} must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(
             f"config {path} must declare \"schema_version\": {SCHEMA_VERSION}"
         )
     return obj
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise UsageError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _get(obj: dict, key: str, default):
-    value = obj.get(key, default)
-    return default if value is None else value
-
-
-def _parse_domain(obj: dict | None, dim: int) -> Domain:
-    if obj is None:
-        return Domain.cube(dim)
-    _check_keys(obj, {"lower", "upper"}, "domain")
-    try:
-        domain = Domain(np.asarray(obj["lower"], float), np.asarray(obj["upper"], float))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"invalid domain: {exc}") from None
-    if domain.dim != dim:
-        raise UsageError(f"domain has dimension {domain.dim}, data has {dim}")
-    return domain
-
-
-def _options(cls, obj: dict | None, where: str, skip=(), **given):
-    """Build option dataclass ``cls`` from config object ``obj`` by field name.
-
-    The caller sets the ``given`` fields and reads the ``skip`` keys; every
-    other key must name a field.  A null value leaves its field at the
-    default, and a bad value is a usage error that names it.
-    """
-    obj = obj or {}
-    if not isinstance(obj, dict):
-        raise UsageError(f"{where} must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(cls)} - set(given)
-    _check_keys(obj, fields | set(skip), where)
-    try:
-        return cls(**{k: v for k, v in obj.items() if k in fields and v is not None}, **given)
-    except ValueError as exc:
-        raise UsageError(f"invalid {where}: {exc}") from None
 
 
 _DGP_PRESET = re.compile(r"^(two|four)-normals-d(\d+)$")
@@ -200,21 +155,15 @@ def write_marginals_csv(fit: FitResult, path) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    _check_keys(
-        config,
-        {"schema_version", "preset", "dgp", "n_units", "n_alts", "seed",
-         "out_data", "out_truth"},
-        "simulate config",
-    )
+    json_object(config, "simulate config", allowed=(
+        "schema_version", "preset", "dgp", "n_units", "n_alts", "seed", "out_data", "out_truth"))
     dgp = _parse_dgp(config)
-    n_units = json_int(config, "n_units", McConfig.n_units)
-    n_alts = json_int(config, "n_alts", McConfig.n_alts)
-    seed = json_int(config, "seed", 0, low=0)
-    out_data = _get(config, "out_data", "data.csv")
-    out_truth = _get(config, "out_truth", "truth.json")
-    for key, path in (("out_data", out_data), ("out_truth", out_truth)):
-        if not isinstance(path, str):  # an integer names an open file descriptor
-            raise UsageError(f"{key} must be a file name, got {path!r}")
+    n_units = json_field(config, "n_units", int, default=McConfig.n_units, low=1)
+    n_alts = json_field(config, "n_alts", int, default=McConfig.n_alts, low=1)
+    seed = json_field(config, "seed", int, default=0, low=0)
+    # a string, since an integer would name an open file descriptor
+    out_data = json_field(config, "out_data", str, default="data.csv")
+    out_truth = json_field(config, "out_truth", str, default="truth.json")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     data = make_dataset(dgp, n_units, n_alts, rng)
     try:
@@ -245,38 +194,32 @@ _ESTIMATOR_KEYS = {
 
 def cmd_estimate(args) -> int:
     config = _load_config(args.config)
-    estimator = _get(config, "estimator", "sg")
-    if estimator not in ("sg", "asg", "fkrb"):
-        raise UsageError(f"unknown estimator {estimator!r}")
-    _check_keys(
-        config,
-        {"schema_version", "estimator", "domain", "solver", "seed"} | _ESTIMATOR_KEYS[estimator],
-        f"{estimator} estimate config",
-    )
+    estimator = json_field(config, "estimator", str, default="sg", choices=tuple(_ESTIMATOR_KEYS))
+    json_object(config, f"{estimator} estimate config",
+                allowed={"schema_version", "estimator", "domain", "solver", "seed",
+                         *_ESTIMATOR_KEYS[estimator]},
+                required=("q",) if estimator == "fkrb" else ())
     data = read_dataset_csv(args.data)
-    domain = _parse_domain(config.get("domain"), data.dim)
-    solver = _options(SolverOptions, config.get("solver"), "solver", strict=False)
-    seed = json_int(config, "seed", 0, low=0)
-    draws_cfg = config.get("draws") or {}
-    _check_keys(draws_cfg, {"rule", "r", "burn_in"}, "draws")
-    if _get(draws_cfg, "rule", "halton") != "halton":
-        raise UsageError("only the halton draw rule is supported")
-    r_draws = json_int(draws_cfg, "r", None)
-    burn_in = json_int(draws_cfg, "burn_in", DEFAULT_BURN_IN, low=0)
+    domain = (Domain.cube(data.dim) if config.get("domain") is None
+              else domain_from_json(config["domain"]))
+    solver = json_dataclass(SolverOptions, config.get("solver"), "solver", strict=False)
+    seed = json_field(config, "seed", int, default=0, low=0)
+    draws = json_object(config.get("draws"), "draws", allowed=("rule", "r", "burn_in"))
+    json_field(draws, "rule", str, "draws", default="halton", choices=("halton",))
+    r_draws = json_field(draws, "r", int, "draws", low=1)
+    burn_in = json_field(draws, "burn_in", int, "draws", default=DEFAULT_BURN_IN, low=0)
 
     if estimator == "fkrb":
-        q = json_int(config, "q", None)
-        if q is None:
-            raise UsageError("fkrb estimation requires \"q\"")
+        q = json_field(config, "q", int, optional=False, low=1)
         fit = fit_fkrb(data, domain, q, solver=solver)
     else:
-        level = json_int(config, "level", 4)
+        level = json_field(config, "level", int, default=4, low=1)
         if estimator == "sg":
             fit = fit_sg(
                 data, domain, level, r_draws=r_draws, solver=solver, burn_in=burn_in
             )
         else:
-            refinement = _options(
+            refinement = json_dataclass(
                 RefineOptions, config.get("refinement"), "refinement", cv_seed=seed
             )
             fit = fit_asg(
@@ -315,8 +258,7 @@ def cmd_evaluate(args) -> int:
     try:
         with open(args.fit) as fh:
             fit = fit_from_json(json.load(fh))
-    # OverflowError: a JSON integer too large for a float or an index
-    except (OSError, ValueError, KeyError, OverflowError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load fit: {exc}") from None
     dist = DiscreteDistribution.from_fit(fit)
     if args.points:
@@ -344,11 +286,11 @@ def cmd_evaluate(args) -> int:
     if args.truth:
         try:
             with open(args.truth) as fh:
-                truth_obj = json.load(fh)
+                truth_obj = json_object(json.load(fh), "truth", required=("dgp",))
             if truth_obj.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError("unsupported truth schema version")
             dgp = dgp_from_json(truth_obj["dgp"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load truth: {exc}") from None
         if dgp.dim != fit.domain.dim:
             raise UsageError("truth and fit dimensions differ")
@@ -391,28 +333,23 @@ _REPLICATE_PRESETS = {
 
 def cmd_replicate(args) -> int:
     config = _load_config(args.config)
-    if config.get("preset"):
-        preset = _REPLICATE_PRESETS.get(config["preset"])
-        if preset is None:
-            raise UsageError(
-                f"unknown replicate preset {config['preset']!r}; "
-                f"available: {', '.join(sorted(_REPLICATE_PRESETS))}"
-            )
-        config = {**preset, **{k: v for k, v in config.items() if k != "preset"}}
+    preset = json_field(config, "preset", str, choices=sorted(_REPLICATE_PRESETS))
+    if preset is not None:
+        config = {**_REPLICATE_PRESETS[preset], **config}
     dgp = _parse_dgp(config, "preset_dgp")
-    domain = _parse_domain(config["domain"], dgp.dim) if config.get("domain") else None
+    domain = None if config.get("domain") is None else domain_from_json(config["domain"])
     # the CLI uses every core unless the config or --workers says otherwise
     workers = args.workers if args.workers is not None else config.get("workers")
-    mc = _options(
+    mc = json_dataclass(
         McConfig, config, "replicate config",
         skip=("schema_version", "preset", "preset_dgp", "dgp", "domain", "refinement",
               "solver", "workers"),
         dgp=dgp, domain=domain, workers=workers,
-        refine=_options(
+        refine=json_dataclass(
             RefineOptions, config.get("refinement"), "refinement",
-            cv_seed=json_int(config, "seed", McConfig.seed, low=0),
+            cv_seed=json_field(config, "seed", int, default=McConfig.seed, low=0),
         ),
-        solver=_options(SolverOptions, config.get("solver"), "solver", strict=False),
+        solver=json_dataclass(SolverOptions, config.get("solver"), "solver", strict=False),
     )
     report = run_experiment(mc)
     try:

@@ -17,15 +17,14 @@ code needs.
 from __future__ import annotations
 
 import math
-import sys
-import types
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSet, Domain
+from .basis import BasisSet, Domain, domain_from_json
+from .checks import check_fields, finite_array, json_dataclass, json_field, json_object
 from .choicemodel import (
     ChoiceDataset,
     DesignMatrix,
@@ -63,45 +62,6 @@ LOGLIK_CLAMP = 1e-12
 AIC_SENTINEL = -1e300
 # Halton draws per dimension when a fit is given no draw count.
 DRAWS_PER_DIM = 2000
-
-_NUMBER_TYPES = {int: int, float: (int, float)}
-# Largest magnitude of each: a 64-bit integer, a finite float (NaN fails too).
-_NUMBER_MAX = {int: 2**63 - 1, float: sys.float_info.max}
-
-
-def check_fields(obj, kind: type, *names: str, low=None, exclusive: bool = False,
-                 choices=None, optional: bool = False, each: bool = False) -> None:
-    """Check fields ``names`` of dataclass ``obj`` (with ``each``, the entries
-    of these lists): ``int`` admits Python and NumPy 64-bit integers and
-    ``float`` finite reals, neither a bool; values must be ``>= low`` (``> low``
-    when ``exclusive``) and in ``choices``; None passes when ``optional``.  Stores
-    numbers as Python ``int``/``float`` and lists as tuples; a ValueError
-    names the first bad field."""
-    need = {int: "a 64-bit integer", float: "a finite number"}.get(kind, f"a {kind.__name__}")
-    if low is not None:
-        need += f" {'>' if exclusive else '>='} {low}"
-    if choices is not None:
-        need = f"one of {', '.join(choices)}"
-    for name in names:
-        value = getattr(obj, name)
-        if value is None and optional:
-            continue
-        if each and not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name} must be a list, got {value!r}")
-        items = list(value) if each else [value]
-        for i, v in enumerate(items):
-            v = v.item() if isinstance(v, np.generic) else v  # NumPy scalar to Python
-            if not (
-                isinstance(v, _NUMBER_TYPES.get(kind, kind))
-                and not (kind in _NUMBER_TYPES and isinstance(v, bool))
-                and (kind not in _NUMBER_MAX or abs(v) <= _NUMBER_MAX[kind])
-                and (low is None or (v > low if exclusive else v >= low))
-                and (choices is None or v in choices)
-            ):
-                raise ValueError(f"{name}{' entries' * each} must be {need}, got {v!r}")
-            items[i] = kind(v) if kind in _NUMBER_TYPES else v
-        object.__setattr__(obj, name, tuple(items) if each else items[0])
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -593,45 +553,24 @@ def _fit_hierarchical(
     )
 
 
-def _trace_from_json(obj: dict) -> RefinementTrace:
+def _trace_from_json(obj) -> RefinementTrace:
     """Rebuild the trace that ``asdict`` wrote; JSON written before traces
-    recorded ``n_clamped_loglik`` gets the field's default.  A value of the
-    wrong type raises a ``ValueError`` naming the trace."""
+    recorded ``n_clamped_loglik`` gets the field's default.  A malformed
+    trace raises a ``ValueError`` naming it."""
+    trace = json_dataclass(RefinementTrace, obj, "fit trace")
     try:
-        records = []
-        for r in obj["records"]:
-            r = dict(r)
+        trace.records = [json_dataclass(StepRecord, r, f"fit trace record {k}")
+                         for k, r in enumerate(trace.records)]
+        for r in trace.records:
             for key in ("refined_points", "added_points"):
-                r[key] = tuple(GridPoint(tuple(p["levels"]), tuple(p["indices"])) for p in r[key])
+                points = [GridPoint(tuple(p["levels"]), tuple(p["indices"]))
+                          for p in getattr(r, key)]
+                setattr(r, key, tuple(points))
             for key in ("oos_mse_folds", "oos_loglik_folds"):
-                r[key] = tuple(r[key]) if r[key] else None
-            records.append(StepRecord(**r))
-        return RefinementTrace(**{**obj, "records": records})
-    except (TypeError, ValueError) as exc:
+                setattr(r, key, tuple(getattr(r, key)) if getattr(r, key) else None)
+    except (TypeError, KeyError) as exc:
         raise ValueError(f"fit trace is malformed: {exc}") from None
-
-
-def json_int(obj, key: str, default=None, low: int = 1, optional: bool = True, where: str = ""):
-    """``obj[key]`` of a JSON object (``default`` when absent or null),
-    checked as :func:`check_fields` checks an integer option ``>= low``, None
-    passing when ``optional``; an error names the key after ``where``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {obj!r:.40}")
-    value = obj.get(key)
-    field = types.SimpleNamespace(**{key: default if value is None else value})
-    try:
-        check_fields(field, int, key, low=low, optional=optional)
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}".lstrip()) from None
-    return getattr(field, key)
-
-
-def _json_numbers(value, name: str) -> np.ndarray:
-    """The numbers of the fit's JSON value ``name`` as a float array."""
-    try:
-        return np.asarray(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"fit {name} must hold numbers, got {value!r:.60}") from None
+    return trace
 
 
 def fit_to_json(fit: FitResult) -> dict:
@@ -656,39 +595,34 @@ def fit_to_json(fit: FitResult) -> dict:
 
 
 def fit_from_json(obj: dict) -> FitResult:
-    """Rebuild a :class:`FitResult` from :func:`fit_to_json` output; a value
-    of the wrong type raises a ``ValueError`` that names its key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"fit must be a JSON object, got {type(obj).__name__}")
-    for key in ("config", "diagnostics"):
-        if not isinstance(obj.get(key), dict):
-            raise ValueError(f"fit {key} must be a JSON object, got {obj.get(key)!r:.40}")
+    """Rebuild a :class:`FitResult` from :func:`fit_to_json` output; a bad
+    value raises a ``ValueError`` that names its key."""
+    obj = json_object(obj, "fit", required=("estimator", "config", "alpha", "diagnostics"))
     if obj.get("schema_version") != 1:
         raise ValueError("unsupported fit schema version")
-    kind, config = obj["estimator"], obj["config"]
-    bounds = config.get("domain")
-    if not isinstance(bounds, dict):
-        raise ValueError(f"fit config domain must be a JSON object, got {bounds!r:.40}")
-    domain = Domain(_json_numbers(bounds["lower"], "config domain lower"),
-                    _json_numbers(bounds["upper"], "config domain upper"))
-    alpha = _json_numbers(obj["alpha"], "alpha")
+    kind = json_field(obj, "estimator", str, "fit", optional=False, choices=("sg", "asg", "fkrb"))
+    config = json_object(obj["config"], "fit config", required=("domain",))
+    domain = domain_from_json(config["domain"], "fit config domain")
+    alpha = finite_array("fit alpha", obj["alpha"])
+    diagnostics = json_object(obj["diagnostics"], "fit diagnostics")
     trace = _trace_from_json(obj["trace"]) if obj.get("trace") else None
     if kind == "fkrb":
-        q = json_int(config, "q", optional=False, where="fit config")
+        q = json_field(config, "q", int, "fit config", optional=False, low=1)
         grid, support, density = None, fkrb_grid(domain, q), alpha
     else:
-        level = json_int(config, "level", optional=False, where="fit config")
+        level = json_field(config, "level", int, "fit config", optional=False, low=1)
+        refinement = json_object(config.get("refinement"), "fit config refinement")
         # Fit JSON written before sg configs recorded ``max_level`` falls
         # back to the default cap.
         max_level = (
-            json_int(config, "max_level", where="fit config")
-            or json_int(config.get("refinement") or {}, "max_level", where="fit config refinement")
+            json_field(config, "max_level", int, "fit config", low=1)
+            or json_field(refinement, "max_level", int, "fit config refinement", low=1)
             or max(DEFAULT_MAX_LEVEL, level)
         )
-        grid = grid_from_json(obj["grid"], max_level=max_level)
-        draws = config.get("draws")
-        r = json_int(draws, "r", optional=False, where="fit config draws")
-        burn_in = json_int(draws, "burn_in", low=0, optional=False, where="fit config draws")
+        grid = grid_from_json(obj.get("grid"), max_level=max_level)
+        draws = json_object(config.get("draws"), "fit config draws")
+        r = json_field(draws, "r", int, "fit config draws", optional=False, low=1)
+        burn_in = json_field(draws, "burn_in", int, "fit config draws", optional=False, low=0)
         support = halton_draws(r, domain.dim, burn_in=burn_in, domain=domain).draws
         density = BasisSet(grid, domain).evaluate(support) @ alpha
     return FitResult(
@@ -697,7 +631,7 @@ def fit_from_json(obj: dict) -> FitResult:
         alpha=alpha,
         support=support,
         density_at_draws=density,
-        diagnostics=obj["diagnostics"],
+        diagnostics=diagnostics,
         config=config,
         grid=grid,
         trace=trace,

@@ -28,25 +28,14 @@ from .distribution import (
     joint_cdf_lattice,
     mixture_cdf_lattice,
 )
-from .estimator import DRAWS_PER_DIM, RefineOptions, SolverOptions, check_fields
+from .checks import check_fields, finite_array, json_object
+from .estimator import DRAWS_PER_DIM, RefineOptions, SolverOptions
 from .estimator import fit_asg, fit_fkrb, fit_sg
 from .quasirand import DEFAULT_BURN_IN
 
 # Draws per slice of the mixture transform: its gathered Cholesky factors
 # stay about 1 MB at D=6.
 _SAMPLE_SLICE = 4096
-
-
-def _finite(name: str, value) -> np.ndarray:
-    """``value`` as a float array; a ``ValueError`` naming the component
-    field ``name`` unless it holds only finite numbers."""
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):  # ragged nesting: no numeric array
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise ValueError(f"component {name} must hold finite numbers, got {value!r}")
-    return arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -56,9 +45,9 @@ class MixtureComponent:
     cov: np.ndarray
 
     def __post_init__(self):
-        weight = _finite("weight", self.weight)
-        mean = np.atleast_1d(_finite("mean", self.mean))
-        cov = np.atleast_2d(_finite("cov", self.cov))
+        weight = finite_array("component weight", self.weight)
+        mean = np.atleast_1d(finite_array("component mean", self.mean))
+        cov = np.atleast_2d(finite_array("component cov", self.cov))
         if weight.ndim != 0 or weight <= 0:
             raise ValueError(f"component weight must be a positive number, got {self.weight!r}")
         if cov.shape != (mean.shape[0], mean.shape[0]):
@@ -143,29 +132,16 @@ def dgp_to_json(dgp: MixtureDgp) -> dict:
     }
 
 
-def _fields(obj, keys: tuple, where: str) -> list:
-    """The values of exactly ``keys`` in JSON object ``obj``; a
-    ``ValueError`` naming ``where`` for anything else."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{where} lacks {', '.join(missing)}")
-    return [obj[k] for k in keys]
-
-
 def dgp_from_json(obj: dict) -> MixtureDgp:
     """Inverse of :func:`dgp_to_json`; a malformed object raises a
     ``ValueError`` that names the offending field."""
-    (components,) = _fields(obj, ("components",), "dgp")
+    components = json_object(obj, "dgp", allowed=(), required=("components",))["components"]
     if not isinstance(components, list):
         raise ValueError(f"dgp components must be a list, got {components!r}")
     return MixtureDgp(
         components=tuple(
-            MixtureComponent(*_fields(c, ("weight", "mean", "cov"), f"dgp component {k}"))
+            MixtureComponent(**json_object(c, f"dgp component {k}", allowed=(),
+                                           required=("weight", "mean", "cov")))
             for k, c in enumerate(components)
         )
     )
@@ -236,6 +212,8 @@ class McConfig:
         check_fields(self, RefineOptions, "refine")
         check_fields(self, SolverOptions, "solver")
         check_fields(self, Domain, "domain", optional=True)
+        if self.domain is not None and self.domain.dim != self.dgp.dim:
+            raise ValueError(f"domain has dimension {self.domain.dim}, dgp has {self.dgp.dim}")
         cap, rows = self.refine.max_level, self.n_units * self.n_alts
         for name in ("sg_levels", "asg_levels"):
             if max(getattr(self, name), default=0) > cap:

@@ -89,6 +89,13 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("lower, upper, name", [
+        ([-np.inf, 0.0], [1.0, 1.0], "lower"), ([0.0], [np.inf], "upper"),
+    ])
+    def test_rejects_infinite_bounds(self, lower, upper, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold finite numbers"):
+            Domain(np.array(lower), np.array(upper))
+
 
 class TestEvalNd:
     def setup_method(self):

@@ -141,7 +141,7 @@ class TestSimulateCommand:
         config = {"preset": "two-normals-d2", "n_units": 20, "out_data": str(tmp_path / "d.csv"),
                   "out_truth": str(tmp_path / "t.json"), key: value}
         assert main(["simulate", write_config(tmp_path / "sim.json", config)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {key} must be a file name, got {value!r}\n"
+        assert capsys.readouterr().err == f"error: {key} must be a string, got {value!r}\n"
         assert not (tmp_path / "d.csv").exists()
 
     def test_non_finite_mixture_mean_exits_one_naming_it(self, tmp_path, capsys):
@@ -676,6 +676,87 @@ def test_estimate_rejects_keys_its_estimator_ignores(simulated, capsys, config, 
     assert not (simulated / "never.json").exists()
 
 
+@pytest.mark.parametrize("draws", ["r", ["rule"]], ids=["string", "list"])
+def test_estimate_draws_not_an_object_exits_one(simulated, capsys, draws):
+    cfg = write_config(simulated / "est.json", {"estimator": "sg", "level": 2, "draws": draws})
+    code = main(["estimate", cfg, str(simulated / "data.csv"),
+                 "--out", str(simulated / "never.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: draws ") and "Traceback" not in err
+    assert not (simulated / "never.json").exists()
+
+
+def test_evaluate_truth_not_an_object_exits_one(fitted, capsys):
+    (fitted / "bad_truth.json").write_text("[1]")
+    code = main(["evaluate", str(fitted / "fit.json"), "--truth", str(fitted / "bad_truth.json"),
+                 "--out-cdf", str(fitted / "cdf.csv"),
+                 "--out-marginals", str(fitted / "marg.csv"),
+                 "--out-summary", str(fitted / "summary.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truth" in err and "Traceback" not in err
+    assert not (fitted / "summary.json").exists()
+
+
+def _without(path: str):
+    """An edit of a JSON document that deletes its dotted key ``path``."""
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        *blocks, key = path.split(".")
+        target = doc
+        for block in blocks:
+            target = target[block]
+        del target[key]
+        return doc
+    return edit
+
+
+# Bad inputs whose message once named no key: (command, the config entries
+# or the fit or truth edit, message).
+NAMED_ERRORS = {
+    "domain-list": ("estimate", {"domain": ["lower"]},
+                    "domain must be a JSON object, got ['lower']"),
+    "domain-string": ("estimate", {"domain": "x"}, "domain must be a JSON object, got 'x'"),
+    # JSON 1e400 parses to an infinite float
+    "domain-1e400": ("estimate", {"domain": {"lower": [-4, -4], "upper": [4, math.inf]}},
+                     "domain upper must hold finite numbers, got [4, inf]"),
+    "draws-list": ("estimate", {"draws": [0]}, "draws must be a JSON object, got [0]"),
+    "preset-list": ("replicate", {"preset": ["smoke"]},
+                    "preset must be one of adaptive-d2-n1000-scaled, smoke, "
+                    "table2-d2-n1000-scaled, got ['smoke']"),
+    "fit-estimator": ("fit", _without("estimator"), "cannot load fit: fit lacks estimator"),
+    "fit-alpha": ("fit", _without("alpha"), "cannot load fit: fit lacks alpha"),
+    "fit-domain-upper": ("fit", _without("config.domain.upper"),
+                         "cannot load fit: fit config domain lacks upper"),
+    "truth-dgp": ("truth", _without("dgp"), "cannot load truth: truth lacks dgp"),
+}
+
+
+@pytest.mark.parametrize("command, edit, message", NAMED_ERRORS.values(), ids=list(NAMED_ERRORS))
+def test_bad_input_message_names_its_key(fitted, capsys, command, edit, message):
+    out = fitted / "out"
+    out.mkdir()
+    if command == "estimate":
+        cfg = out / "bad.json"
+        write_config(cfg, {"estimator": "sg", "level": 2, **edit})
+        cfg.write_text(cfg.read_text().replace("Infinity", "1e400"))
+        argv = [command, str(cfg), str(fitted / "data.csv"), "--out", str(out / "fit.json")]
+    elif command == "replicate":
+        argv = [command, write_config(out / "bad.json", {**TINY_REPLICATE, **edit}),
+                "--report", str(out / "r.json"), "--table", str(out / "t.csv")]
+    else:
+        for name in ("fit", "truth"):
+            doc = json.loads((fitted / f"{name}.json").read_text())
+            (out / f"{name}.json").write_text(json.dumps(edit(doc) if name == command else doc))
+        argv = ["evaluate", str(out / "fit.json"), "--truth", str(out / "truth.json"),
+                "--truth-samples", "1000", "--out-cdf", str(out / "cdf.csv"),
+                "--out-marginals", str(out / "marg.csv"), "--out-summary", str(out / "s.json")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Valid levels and grid sizes of each estimator.
 SG_LEVEL, ASG_LEVEL, FKRB_Q = st.integers(1, 2), st.just(1), st.integers(1, 3)
 # Valid values of the fuzzed replicate, solver and refinement keys: at most
@@ -703,10 +784,11 @@ VALID_SETTINGS = {
     "refinement.k_folds": st.integers(2, 4),
     "refinement.max_level": st.integers(1, 4),
 }
-# Zero, negatives, strings, bools, nulls, floats for ints, non-finite numbers
-# and an integer too large for a float.
+# Zero, negatives, strings, bools, nulls, floats for ints, non-finite numbers,
+# an integer too large for a float, and lists, one of them naming a key.
 BAD_VALUES = st.sampled_from(
-    [0, -1, -2.5, "3", "", True, False, None, 2.0, 1.5, math.nan, math.inf, 10**400, [], [0]]
+    [0, -1, -2.5, "3", "", True, False, None, 2.0, 1.5, math.nan, math.inf, 10**400, [], [0],
+     ["r"]]
 )
 
 
@@ -716,7 +798,7 @@ def fuzzed_replicate_configs(draw):
     for path, valid in VALID_SETTINGS.items():
         config = _set(config, path, draw(valid))
     for _ in range(draw(st.integers(0, 2))):
-        path = draw(st.sampled_from(sorted(VALID_SETTINGS)))
+        path = draw(st.sampled_from(sorted(VALID_SETTINGS) + ["domain", "preset"]))
         # a null means "all cores" for workers, which this property does not spawn
         bad = BAD_VALUES.filter(lambda v: v is not None) if path == "workers" else BAD_VALUES
         config = _set(config, path, draw(bad))
@@ -754,8 +836,9 @@ def tiny_data(tmp_path_factory):
 
 @st.composite
 def fuzzed_estimate_configs(draw):
-    """A valid estimate config: the keys its estimator reads, each drawn from
-    the strategy of the matching replicate key."""
+    """An estimate config: the keys its estimator reads, each drawn from the
+    strategy of the matching replicate key, then up to two of these keys or
+    of the blocks replaced by bad values."""
     estimator = draw(st.sampled_from(["sg", "asg", "fkrb"]))
     size_key, size = {"sg": ("level", SG_LEVEL), "asg": ("level", ASG_LEVEL),
                       "fkrb": ("q", FKRB_Q)}[estimator]
@@ -767,6 +850,9 @@ def fuzzed_estimate_configs(draw):
         paths.update({path: path for path in VALID_SETTINGS if path.startswith("refinement.")})
     for path, key in paths.items():
         config = _set(config, path, draw(VALID_SETTINGS[key]))
+    targets = sorted(paths) + ["draws", "domain", "solver", "refinement"]
+    for _ in range(draw(st.integers(0, 2))):
+        config = _replace(config, draw(st.sampled_from(targets)), draw(BAD_VALUES))
     return config
 
 
@@ -790,7 +876,7 @@ def test_fuzzed_estimate_config_never_crashes(tiny_data, config):
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(lambda fit: [], "fit must be a JSON object, got list"),
+    [(lambda fit: [], "fit must be a JSON object, got []"),
      (lambda fit: {**fit, "diagnostics": []}, "fit diagnostics must be a JSON object, got []"),
      (lambda fit: {**fit, "config": [1]}, "fit config must be a JSON object, got [1]")],
     ids=["list", "diagnostics-list", "config-list"],
@@ -903,13 +989,21 @@ def test_fuzzed_evaluate_never_crashes(tiny_fits, tiny_data, data, points_per_di
                 "--out-marginals", str(tmp / "marg.csv"),
                 "--out-summary", str(tmp / "summary.json")]
         if with_truth:
-            argv += ["--truth", str(tiny_data.parent / "truth.json")]
+            # the truth document as simulate wrote it, or with the document
+            # itself, its dgp or the dgp's components replaced by a bad value
+            truth = json.loads((tiny_data.parent / "truth.json").read_text())
+            path = data.draw(st.sampled_from([None, "", "dgp", "dgp.components"]))
+            if path is not None:
+                bad = data.draw(BAD_VALUES)
+                truth = _replace(truth, path, bad) if path else bad
+            (tmp / "truth.json").write_text(json.dumps(truth))
+            argv += ["--truth", str(tmp / "truth.json")]
         code, err = _run_fuzzed(argv)
-    # a malformed fit is reported as one that cannot load, never with the
-    # text of a TypeError from deep inside the loader
+    # a malformed fit or truth is reported as one that cannot load, never
+    # with the text of a TypeError from deep inside the loader
     if code == 1:
-        assert err.startswith(("error: cannot load fit: ", "error: --points-per-dim",
-                               "error: --truth-samples")), err
+        assert err.startswith(("error: cannot load fit: ", "error: cannot load truth: ",
+                               "error: --points-per-dim", "error: --truth-samples")), err
 
 
 # Valid values of the simulate keys, a dgp given in full among them.

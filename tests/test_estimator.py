@@ -577,10 +577,14 @@ class TestFitSerialization:
         ("sg", "grid", 3, "grid must be a list of points with levels and indices: TypeError"),
         ("sg", "grid", [{"levels": [1.0, 1], "indices": [1, 1]}],
          "grid levels and indices must be integers"),
-        ("asg", "trace", {"records": 2}, "fit trace is malformed: 'int' object is not iterable"),
-        ("sg", "alpha", {"a": 1}, "fit alpha must hold numbers, got {'a': 1}"),
+        ("asg", "trace", {"records": 2, "selected_step": 0},
+         "fit trace is malformed: 'int' object is not iterable"),
+        ("sg", "alpha", {"a": 1}, "fit alpha must hold finite numbers, got {'a': 1}"),
         ("sg", "config", {"domain": [0.0]}, "fit config domain must be a JSON object"),
-    ], ids=["grid", "grid-entry", "trace", "alpha", "domain"])
+        ("sg", "config", {"domain": {"lower": [-4.0, -4.0], "upper": [4.0, math.inf]}},
+         "fit config domain upper must hold finite numbers, got [4.0, inf]"),
+        ("asg", "trace", {"records": []}, "fit trace lacks selected_step"),
+    ], ids=["grid", "grid-entry", "trace", "alpha", "domain", "domain-inf", "trace-key"])
     def test_malformed_value_names_its_key(self, saved, kind, key, value, message):
         obj = copy.deepcopy(saved[kind])
         obj[key] = value
