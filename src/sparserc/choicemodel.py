@@ -201,7 +201,8 @@ class DesignMatrix:
 
     ``Z`` is the ``(N * J, B)`` design, C-ordered, filled by
     :func:`kernel_sweep` one unit tile at a time.  It is a fit's one array
-    that grows with ``N * J``: the solver reads it in place.
+    that grows with ``N * J``; the solver never reads it, only its Gram
+    form (:meth:`~sparserc.clsolver.CLSProblem.from_rows`).
     ``column_mass[b] = sum_r phi_b(beta_r)`` is both the unit-mass constraint
     vector and an assembly sanity check (every column of ``Z`` lies between 0
     and its mass entry).  ``basis_at_draws`` keeps the raw ``(R, B)`` basis
@@ -235,9 +236,10 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
     block: one kernel call per tile and block, so each live point reaches
     the kernel once per tile.  Every call writes into one buffer of one
     tile by ``ROW_BLOCK`` points, and each tile's sums go into one
-    ``(K, tile * J)`` array, copied into the output when the tile is done.  The output is the only array of the sweep that grows with
-    ``N``.  A unit's kernel values depend on its own covariates alone; its
-    sums can differ in the last bits with the ``gemm`` shape of its tile.
+    ``(K, tile * J)`` array, copied into the output when the tile is done.
+    The output is the only array of the sweep that grows with ``N``.  A
+    unit's kernel values depend on its own covariates alone; its sums can
+    differ in the last bits with the ``gemm`` shape of its tile.
     """
     n, j = x.shape[:2]
     weights = as_csr(weights)

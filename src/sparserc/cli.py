@@ -260,6 +260,17 @@ def cmd_evaluate(args) -> int:
             fit = fit_from_json(json.load(fh))
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load fit: {exc}") from None
+    if args.truth:  # checked before anything is evaluated or written
+        try:
+            with open(args.truth) as fh:
+                truth_obj = json_object(json.load(fh), "truth", required=("dgp",))
+            if truth_obj.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError("unsupported truth schema version")
+            dgp = dgp_from_json(truth_obj["dgp"])
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load truth: {exc}") from None
+        if dgp.dim != fit.domain.dim:
+            raise UsageError("truth and fit dimensions differ")
     dist = DiscreteDistribution.from_fit(fit)
     if args.points:
         points = read_draws_csv(args.points)
@@ -284,16 +295,6 @@ def cmd_evaluate(args) -> int:
         "ise": None,
     }
     if args.truth:
-        try:
-            with open(args.truth) as fh:
-                truth_obj = json_object(json.load(fh), "truth", required=("dgp",))
-            if truth_obj.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError("unsupported truth schema version")
-            dgp = dgp_from_json(truth_obj["dgp"])
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load truth: {exc}") from None
-        if dgp.dim != fit.domain.dim:
-            raise UsageError("truth and fit dimensions differ")
         truth = truth_cdf(dgp, where, n_samples=args.truth_samples, seed=0).reshape(-1)
         summary["ise"] = ise(values, truth)
     with open(args.out_summary, "w") as fh:

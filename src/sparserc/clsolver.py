@@ -4,11 +4,14 @@ Three entry points share one contract:
 
 * :func:`solve_cls` minimizes ``||y - Z a||^2 / (2 m)``, ``m`` the rows of
   ``Z``, subject to ``A_ineq a >= 0`` row-wise and ``c_eq' a = 1``
-  (nonnegative implied density at every draw, total mass one).  ``A_ineq``
-  has at least one row (every fit has at least one draw) and no negative
-  entry (hat-basis values), and every mass in ``c_eq`` is positive, so the
-  point spreading unit mass evenly, ``a_b = 1 / (B c_b)``, is always
-  feasible; a cold solve starts there.
+  (nonnegative implied density at every draw, total mass one).  It reads
+  the rows only through their sufficient statistics ``H = Z' Z / m``,
+  ``b = Z' y / m``, ``y' y`` and ``m``, which a :class:`CLSProblem` holds
+  (:meth:`CLSProblem.from_rows` forms them from ``Z`` and ``y``).
+  ``A_ineq`` has at least one row (every fit has at least one draw) and no
+  negative entry (hat-basis values), and every mass in ``c_eq`` is
+  positive, so the point spreading unit mass evenly, ``a_b = 1 / (B c_b)``,
+  is always feasible; a cold solve starts there.
 * :func:`solve_cls_stack` solves several such problems that share ``A_ineq``
   and ``c_eq`` in one iteration; :func:`solve_cls` is its one-problem case.
 * :func:`solve_simplex_cls` is the identity-constrained case ``A_ineq = I``,
@@ -45,10 +48,12 @@ slowing both.  Only the level-2 triangular solves (``cho_solve``) go
 through SciPy's BLAS, handed the F-contiguous upper factor so that SciPy
 does not copy it; its CSR products are plain loops.
 
-``Z`` is read in place and never copied whole: ``H = Z_s' Z_s / m`` and
-``b = Z_s' y / m`` of the mass-scaled ``Z_s = Z / c_eq`` are summed over
-chunks of ``_Z_CHUNK`` rows, and :func:`check_kkt` forms its gradient as
-``Z' (Z a - y) / c_eq / m``.
+No solve and no check reads the rows: the iteration runs on the
+mass-scaled ``H / c_eq / c_eq'`` and ``b / c_eq``, :func:`check_kkt` forms
+its gradient as ``(H a - b) / c_eq``, and the residual sum of squares is
+``m (a' H a - 2 b' a) + y' y``.  So a problem of many rows, or the sum of
+several row sets' statistics, costs the solver no more than its ``B x B``
+Gram matrix.
 
 The iteration runs on a stack of ``k`` problems, such as the cross-validation
 refits of one refinement step, which share ``Phi``.  The scaled constraints
@@ -79,9 +84,6 @@ DEFAULT_MAX_ITER = 10_000
 # Constraint rows per block of the normal-matrix build; fixed, so results do
 # not depend on memory or worker count.
 ROW_BLOCK = 256
-# Rows of Z / c_eq per product of H and b; fixed, so results do not depend
-# on memory.
-_Z_CHUNK = 1024
 # Leading columns whose zero pattern orders the rows; the pattern of up to
 # 62 columns packs into a nonnegative int64 key.
 _PATTERN_COLUMNS = 62
@@ -97,53 +99,76 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
+def _reject_bad_entry(name: str, arr, rule: str, ok) -> None:
+    """Raise a ``ValueError`` naming the first entry of ``arr`` (the first
+    stored one of a sparse matrix, by row and column) that fails ``ok``."""
+    values = arr.data if sp.issparse(arr) else np.atleast_1d(arr)  # stored entries, in row order
+    good = ok(values)
+    if not good.all():
+        idx = np.argwhere(~good)[0]
+        value = values[tuple(idx)]
+        if sp.issparse(arr):  # the stored entry's row and column
+            idx = (np.searchsorted(arr.indptr, idx[0], "right") - 1, arr.indices[idx[0]])
+        where = int(idx[0]) if len(idx) == 1 else tuple(int(i) for i in idx)
+        raise ValueError(f"{name} must {rule}: entry {where} is {value}")
+
+
 @dataclass
 class CLSProblem:
-    """Data of one constrained least-squares instance.
+    """Data of one constrained least-squares instance, in Gram form.
 
-    The objective is ``||y - Z a||^2 / (2 m)`` with ``m`` the number of rows
-    of ``Z``; ``A_ineq`` needs at least one row and no negative entry, and
-    ``c_eq`` positive entries.  ``A_ineq`` may be sparse: an array solves
-    bit for bit as the CSR matrix of its nonzeros, which the solver reads.
+    The objective is ``||y - Z a||^2 / (2 m)`` of ``m`` rows ``Z`` and
+    outcomes ``y``, held as ``H = Z' Z / m``, ``b = Z' y / m`` and
+    ``yy = y' y``; :meth:`from_rows` forms them.  ``A_ineq`` needs at least
+    one row and no negative entry, and ``c_eq`` positive entries.
+    ``A_ineq`` may be sparse: an array solves bit for bit as the CSR matrix
+    of its nonzeros, which the solver reads.
     """
 
-    Z: np.ndarray
-    y: np.ndarray
+    H: np.ndarray
+    b: np.ndarray
+    yy: float
+    m: int
     A_ineq: np.ndarray | sp.csr_array
     c_eq: np.ndarray
 
+    @classmethod
+    def from_rows(cls, Z, y, A_ineq, c_eq) -> CLSProblem:
+        """The problem of the rows ``Z`` and outcomes ``y``."""
+        Z = np.asarray(Z, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if Z.ndim != 2 or not Z.shape[0] or y.shape != (Z.shape[0],):
+            raise ValueError("Z must be (m, B) with m >= 1 and y (m,)")
+        _reject_bad_entry("Z", Z, "be finite", np.isfinite)
+        _reject_bad_entry("y", y, "be finite", np.isfinite)
+        m = Z.shape[0]
+        return cls(H=Z.T @ Z / m, b=Z.T @ y / m, yy=float(y @ y), m=m, A_ineq=A_ineq, c_eq=c_eq)
+
     def __post_init__(self):
-        self.Z = np.asarray(self.Z, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        self.H = np.asarray(self.H, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        self.yy = float(self.yy)
         self.A_ineq = (as_csr(self.A_ineq) if sp.issparse(self.A_ineq)
                        else np.asarray(self.A_ineq, dtype=float))
         self.c_eq = np.asarray(self.c_eq, dtype=float)
-        if self.Z.ndim != 2 or self.y.shape != (self.Z.shape[0],):
-            raise ValueError("Z must be (m, B) and y (m,)")
-        if self.A_ineq.ndim != 2 or self.A_ineq.shape[1] != self.Z.shape[1]:
+        if self.b.ndim != 1 or self.H.shape != (self.n_coef,) * 2:
+            raise ValueError("H must be (B, B) and b (B,)")
+        if self.A_ineq.ndim != 2 or self.A_ineq.shape[1] != self.n_coef:
             raise ValueError("A_ineq must have one column per coefficient")
         if self.A_ineq.shape[0] == 0:
             raise ValueError("A_ineq needs at least one row")
-        if self.c_eq.shape != (self.Z.shape[1],):
+        if self.c_eq.shape != (self.n_coef,):
             raise ValueError("c_eq must have one entry per coefficient")
-        checks = [(name, "be finite", np.isfinite) for name in ("Z", "y", "A_ineq", "c_eq")]
+        checks = [(name, "be finite", np.isfinite) for name in ("H", "b", "yy", "A_ineq", "c_eq")]
+        checks += [("m", "be >= 1", lambda a: a >= 1)]
         checks += [("A_ineq", "be >= 0", lambda a: a >= 0.0)]
         checks += [("c_eq", "be > 0", lambda a: a > 0.0)]
         for name, rule, ok in checks:
-            arr = getattr(self, name)
-            values = arr.data if sp.issparse(arr) else arr  # stored entries, in row order
-            bad = ~ok(values)
-            if bad.any():
-                idx = np.argwhere(bad)[0]
-                value = values[tuple(idx)]
-                if sp.issparse(arr):  # the stored entry's row and column
-                    idx = (np.searchsorted(arr.indptr, idx[0], "right") - 1, arr.indices[idx[0]])
-                where = int(idx[0]) if len(idx) == 1 else tuple(int(i) for i in idx)
-                raise ValueError(f"{name} must {rule}: entry {where} is {value}")
+            _reject_bad_entry(name, getattr(self, name), rule, ok)
 
     @property
     def n_coef(self) -> int:
-        return self.Z.shape[1]
+        return self.b.shape[0]
 
     @property
     def n_ineq(self) -> int:
@@ -167,19 +192,23 @@ class CLSSolution:
     stop_reason: str = "converged"
 
 
+def _ssr_raw(problem: CLSProblem, alpha: np.ndarray) -> float:
+    """``||y - Z a||^2`` from the Gram form, ``m (a' H a - 2 b' a) + y' y``;
+    at 0 where an exact fit rounds below it."""
+    return max(0.0, problem.m * float(alpha @ (problem.H @ alpha - 2.0 * problem.b)) + problem.yy)
+
+
 def objective(problem: CLSProblem, alpha: np.ndarray) -> float:
     """The objective ``||y - Z a||^2 / (2 m)``."""
-    r = problem.y - problem.Z @ np.asarray(alpha, dtype=float)
-    return float(r @ r) / (2.0 * problem.Z.shape[0])
+    return _ssr_raw(problem, np.asarray(alpha, dtype=float)) / (2.0 * problem.m)
 
 
 def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
     alpha = v / s
-    resid = problem.y - problem.Z @ alpha
-    ssr_raw = float(resid @ resid)
+    ssr_raw = _ssr_raw(problem, alpha)
     sol = CLSSolution(
         alpha=alpha,
-        ssr=ssr_raw / (2.0 * problem.Z.shape[0]),
+        ssr=ssr_raw / (2.0 * problem.m),
         ssr_raw=ssr_raw,
         kkt_residual=np.nan,
         max_ineq_violation=np.nan,
@@ -418,19 +447,10 @@ def solve_cls_stack(
     # scaled coordinates v = a * c_eq: uniform mass is v = 1 / B
     s = first.c_eq
     cs = np.ones(B)
-    # summed over fixed chunks of rows of Z / c_eq: no copy of a whole Z
-    H = np.zeros((k, B, B))
-    b = np.zeros((k, B))
+    H = np.stack([p.H / s / s[:, None] for p in problems])
+    b = np.stack([p.b / s for p in problems])
     v = np.empty((k, B))
-    for i, (problem, a0) in enumerate(zip(problems, x0)):
-        m = problem.Z.shape[0]
-        for lo in range(0, m, _Z_CHUNK):
-            Zs = problem.Z[lo:lo + _Z_CHUNK] / s
-            H[i] += Zs.T @ Zs
-            b[i] += Zs.T @ problem.y[lo:lo + _Z_CHUNK]
-        del Zs
-        H[i] /= m
-        b[i] /= m
+    for i, a0 in enumerate(x0):
         if a0 is not None:
             a0 = np.asarray(a0, dtype=float)
             # the start is rescaled to mass one, so it needs a mass
@@ -566,7 +586,7 @@ def solve_simplex_cls(
     """Least squares over the probability simplex: :func:`solve_cls` with
     ``A_ineq = I`` and ``c_eq = 1``."""
     B = np.shape(Z)[1]
-    problem = CLSProblem(Z=Z, y=y, A_ineq=sp.eye_array(B, format="csr"), c_eq=np.ones(B))
+    problem = CLSProblem.from_rows(Z, y, sp.eye_array(B, format="csr"), np.ones(B))
     return solve_cls(problem, tol, max_iter)
 
 
@@ -582,8 +602,8 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     lam = np.asarray(solution.lambda_ineq, dtype=float)
     A = as_csr(problem.A_ineq)
     s = problem.c_eq
-    # the gradient in v = alpha * c_eq, formed without a scaled copy of Z
-    grad = problem.Z.T @ (problem.Z @ alpha - problem.y) / s / problem.Z.shape[0]
+    # the gradient in v = alpha * c_eq
+    grad = (problem.H @ alpha - problem.b) / s
     stat = grad + solution.mu_eq - (A.T @ lam) / s
     gx = A @ alpha
     return {

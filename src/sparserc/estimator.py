@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,13 +198,6 @@ def _diagnostics(sol: CLSSolution, n_rows: int) -> dict:
         "n_rows": n_rows,
         "warnings": list(sol.warnings),
     }
-
-
-def _design_problem(design: DesignMatrix, y: np.ndarray, rows=slice(None)) -> CLSProblem:
-    """The CLS problem of a design on the selected regression rows."""
-    return CLSProblem(
-        Z=design.Z[rows], y=y[rows], A_ineq=design.basis_at_draws, c_eq=design.column_mass
-    )
 
 
 def _config(
@@ -467,8 +460,7 @@ def _fit_hierarchical(
     y = data.y_flat
     cv = opts is not None and opts.selection in ("cv_mse", "cv_ll")
     if cv:
-        folds = list(_folds(data, opts.k_folds, opts.cv_seed))
-        train_rows = [data.row_slice(train_pos) for train_pos, _ in folds]
+        test_rows = [data.row_slice(test) for _, test in _folds(data, opts.k_folds, opts.cv_seed)]
 
     grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
     draws = halton_draws(r, data.dim, burn_in=burn_in, domain=domain)
@@ -493,7 +485,8 @@ def _fit_hierarchical(
             grid = new_grid
         pad = np.zeros(len(added))
         warm = None if sol is None else np.concatenate([sol.alpha, pad])
-        sol = _solve(solve_cls, solver, _design_problem(design, y), x0=warm)
+        problem = CLSProblem.from_rows(design.Z, y, design.basis_at_draws, design.column_mass)
+        sol = _solve(solve_cls, solver, problem, x0=warm)
         path.append((grid, sol))
         if opts is None:
             break
@@ -508,15 +501,22 @@ def _fit_hierarchical(
         records.append(record)
         if not cv:
             continue
-        # the k fold refits share Phi, so they run as one stack
-        problems = [_design_problem(design, y, rows) for rows in train_rows]
+        # the k fold refits share Phi, so they run as one stack.  Fold f trains
+        # on the sum of the other folds' statistics, each taken from the fold's
+        # held-out rows: no total less its own, which cancels
+        held = [(design.Z[rows], y[rows]) for rows in test_rows]
+        stats = [(Zf.T @ Zf, Zf.T @ yf, yf @ yf, yf.size) for Zf, yf in held]
+        problems = []
+        for f in range(len(stats)):
+            G, g, yy, m = (sum(t) for t in zip(*stats[:f], *stats[f + 1:]))
+            problems.append(replace(problem, H=G / m, b=g / m, yy=yy, m=m))
         warm = None if fold_sols is None else [np.concatenate([f.alpha, pad]) for f in fold_sols]
         fold_sols = _solve(solve_cls_stack, solver, problems, x0=warm)
-        del problems  # the next step's k copies of Z replace these
         mse, ll, clamped = _fold_scores(
-            ((design.Z[data.row_slice(test)] @ f.alpha).reshape(-1, data.n_alts), data.y[test])
-            for (_, test), f in zip(folds, fold_sols)
+            ((Zf @ f.alpha).reshape(-1, data.n_alts), yf.reshape(-1, data.n_alts))
+            for (Zf, yf), f in zip(held, fold_sols)
         )
+        del held  # not kept through the next step's copy of Z
         clamped_total += clamped
         record.oos_mse_folds, record.oos_mse_mean = tuple(mse), float(np.mean(mse))
         record.oos_loglik_folds, record.oos_loglik_mean = tuple(ll), float(np.mean(ll))

@@ -17,7 +17,7 @@ from sparserc.simulate import report_to_json
 from test_clsolver import (
     enumerate_face_optimum,
     grid_search_optimum,
-    random_instance,
+    random_rows,
 )
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -159,10 +159,11 @@ class TestCriterion3SolverCorrectness:
         worst_enum = 0.0
         worst_grid = 0.0
         for seed in range(50):
-            problem = random_instance(seed)
+            rows = random_rows(seed)
+            problem = s.CLSProblem.from_rows(*rows)
             sol = s.solve_cls(problem)
             best_enum, _ = enumerate_face_optimum(problem)
-            best_grid = grid_search_optimum(problem)
+            best_grid = grid_search_optimum(*rows)
             worst_enum = max(worst_enum, abs(sol.ssr - best_enum))
             worst_grid = max(worst_grid, abs(sol.ssr - best_grid))
         ok = worst_enum < 1e-5 and worst_grid < 1e-5

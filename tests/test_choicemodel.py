@@ -635,12 +635,7 @@ class TestPredictedProbabilityBound:
         basis = BasisSet(build_classical_sparse_grid(d, 2), Domain.cube(d))
         design = build_design_matrix(data, draws, basis)
         sol = solve_cls(
-            CLSProblem(
-                Z=design.Z,
-                y=data.y_flat,
-                A_ineq=design.basis_at_draws,
-                c_eq=design.column_mass,
-            )
+            CLSProblem.from_rows(design.Z, data.y_flat, design.basis_at_draws, design.column_mass)
         )
         predicted = design.Z @ sol.alpha
         assert predicted.min() >= -1e-8

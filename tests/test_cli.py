@@ -24,7 +24,7 @@ from sparserc.distribution import (
     mixture_cdf_lattice,
 )
 from sparserc.estimator import fit_from_json
-from sparserc.simulate import dgp_from_json
+from sparserc.simulate import dgp_from_json, dgp_to_json, two_normal_mixture
 
 
 # one valid mixture component, for configs that spell out their dgp
@@ -697,6 +697,22 @@ def test_evaluate_truth_not_an_object_exits_one(fitted, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truth" in err and "Traceback" not in err
     assert not (fitted / "summary.json").exists()
+
+
+@pytest.mark.parametrize("dim", [None, 3], ids=["not-an-object", "other-dimension"])
+def test_evaluate_bad_truth_writes_no_csv(fitted, tmp_path, dim):
+    # the truth is checked before the CDF is evaluated and the CSVs written
+    truth = [1] if dim is None else {
+        "schema_version": 1, "dgp": dgp_to_json(two_normal_mixture(dim))
+    }
+    (tmp_path / "truth.json").write_text(json.dumps(truth))
+    code = main(["evaluate", str(fitted / "fit.json"), "--truth", str(tmp_path / "truth.json"),
+                 "--out-cdf", str(tmp_path / "cdf.csv"),
+                 "--out-marginals", str(tmp_path / "marginals.csv"),
+                 "--out-summary", str(tmp_path / "summary.json")])
+    assert code == EXIT_USAGE
+    assert not any((tmp_path / name).exists()
+                   for name in ("cdf.csv", "marginals.csv", "summary.json"))
 
 
 def _without(path: str):

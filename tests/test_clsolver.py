@@ -23,8 +23,9 @@ from sparserc.hiergrid import build_classical_sparse_grid
 from sparserc.quasirand import halton_draws
 
 
-def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None):
-    """A random instance within the tiny-oracle size bounds.
+def random_rows(seed, n_coef=None, n_ineq=None, n_rows=None):
+    """The rows ``Z``, outcomes ``y``, constraints and masses of a random
+    instance within the tiny-oracle size bounds.
 
     Constraint rows are nonnegative and masses positive, as for hat-basis
     values, so uniform mass is feasible.
@@ -38,7 +39,12 @@ def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None):
     y = Z @ target + 0.3 * rng.normal(size=m)
     c = rng.uniform(0.5, 2.0, size=B)
     A = np.abs(rng.normal(size=(R, B)))
-    return CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c)
+    return Z, y, A, c
+
+
+def random_instance(seed, n_coef=None, n_ineq=None, n_rows=None):
+    """The problem of :func:`random_rows`."""
+    return CLSProblem.from_rows(*random_rows(seed, n_coef, n_ineq, n_rows))
 
 
 def enumerate_face_optimum(problem, feas_tol=1e-9):
@@ -48,10 +54,8 @@ def enumerate_face_optimum(problem, feas_tol=1e-9):
     active constraints, so the best feasible face minimizer over all active
     subsets of size <= B is the global optimum.
     """
-    Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
+    H, b, A, c = problem.H, problem.b, problem.A_ineq, problem.c_eq
     B, R = problem.n_coef, problem.n_ineq
-    H = Z.T @ Z / Z.shape[0]
-    b = Z.T @ y / Z.shape[0]
     best = np.inf
     best_x = None
     for size in range(0, min(B, R) + 1):
@@ -76,10 +80,9 @@ def enumerate_face_optimum(problem, feas_tol=1e-9):
     return best, best_x
 
 
-def grid_search_optimum(problem, rounds=7, points=31, width=8.0):
+def grid_search_optimum(Z, y, A, c, rounds=7, points=31, width=8.0):
     """Multiresolution grid search over the equality-reduced coordinates."""
-    Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
-    B = problem.n_coef
+    B = Z.shape[1]
     pivot = int(np.argmax(c))
     others = [j for j in range(B) if j != pivot]
     # centred on the one-column vertex e_0 / c_0, which is feasible
@@ -119,7 +122,7 @@ class TestTrivialSolves:
         y = rng.uniform(size=20)
         A = rng.uniform(0.1, 1.0, size=(8, 1))
         c = np.array([3.7])
-        sol = solve_cls(CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c))
+        sol = solve_cls(CLSProblem.from_rows(Z, y, A, c))
         assert sol.alpha[0] == pytest.approx(1 / 3.7, abs=1e-10)
 
     def test_zero_residual_recovery(self):
@@ -130,35 +133,53 @@ class TestTrivialSolves:
         c = np.ones(B)
         alpha_true = rng.dirichlet(np.ones(B))
         y = Z @ alpha_true
-        sol = solve_cls(CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c))
+        sol = solve_cls(CLSProblem.from_rows(Z, y, A, c))
         np.testing.assert_allclose(sol.alpha, alpha_true, atol=1e-6)
-        assert sol.ssr < 1e-12
+        assert 0.0 <= sol.ssr < 1e-12
+        assert sol.ssr_raw >= 0.0
+        # the Gram form of the residual sum rounds below 0 on about half of
+        # these exact fits at the true weights
+        for seed in range(20):
+            Z = np.random.default_rng(seed).normal(size=(m, B))
+            assert objective(CLSProblem.from_rows(Z, Z @ alpha_true, A, c), alpha_true) >= 0.0
+
+    def test_ssr_raw_is_the_residual_sum_at_d6_size(self):
+        # B and the rows of a D=6 level-4 fit, where the Gram form's residual
+        # sum is a small difference of large terms
+        rng = np.random.default_rng(3)
+        m, B = 6000, 545
+        c = rng.uniform(0.001, 0.01, size=B)
+        Z = rng.uniform(size=(m, B)) * c
+        y = Z @ (rng.dirichlet(np.ones(B)) / c) + 0.1 * rng.normal(size=m)
+        sol = solve_cls(CLSProblem.from_rows(Z, y, sp.eye_array(B, format="csr"), c))
+        resid = y - Z @ sol.alpha
+        assert sol.ssr_raw == pytest.approx(float(resid @ resid), rel=1e-10)
 
     def test_no_inequalities(self):
         rng = np.random.default_rng(2)
         Z = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         with pytest.raises(ValueError, match="A_ineq"):
-            CLSProblem(Z=Z, y=y, A_ineq=np.zeros((0, 3)), c_eq=np.ones(3))
+            CLSProblem.from_rows(Z, y, np.zeros((0, 3)), np.ones(3))
 
 
 class TestBruteForceAgreement:
     def test_fifty_random_instances_match_enumeration_and_grid_search(self):
         for seed in range(50):
-            problem = random_instance(seed)
+            rows = random_rows(seed)
+            problem = CLSProblem.from_rows(*rows)
             sol = solve_cls(problem)
             best_enum, _ = enumerate_face_optimum(problem)
             assert sol.ssr <= best_enum + 1e-7, seed
             assert sol.ssr >= best_enum - 1e-7, seed
-            best_grid = grid_search_optimum(problem)
+            best_grid = grid_search_optimum(*rows)
             assert abs(sol.ssr - best_grid) < 1e-5, seed
 
     def test_literal_fixed_step_grid_search_b3(self):
         # single B=3 instance against a flat 1e-3-step search over the
         # 2-dimensional reduced feasible set
-        problem = random_instance(7, n_coef=3, n_ineq=16, n_rows=40)
-        sol = solve_cls(problem)
-        Z, y, A, c = problem.Z, problem.y, problem.A_ineq, problem.c_eq
+        Z, y, A, c = random_rows(7, n_coef=3, n_ineq=16, n_rows=40)
+        sol = solve_cls(CLSProblem.from_rows(Z, y, A, c))
         others = [j for j in range(3) if j != int(np.argmax(c))]
         pivot = int(np.argmax(c))
         lo = sol.alpha[others] - 0.5
@@ -214,8 +235,8 @@ class TestSolverContracts:
         A2 = np.abs(rng.normal(size=(R, B2)))
         c2 = rng.uniform(0.5, 1.5, size=B2)
         y = rng.normal(size=m)
-        p1 = CLSProblem(Z=Z2[:, :B1], y=y, A_ineq=A2[:, :B1], c_eq=c2[:B1])
-        p2 = CLSProblem(Z=Z2, y=y, A_ineq=A2, c_eq=c2)
+        p1 = CLSProblem.from_rows(Z2[:, :B1], y, A2[:, :B1], c2[:B1])
+        p2 = CLSProblem.from_rows(Z2, y, A2, c2)
         s1 = solve_cls(p1)
         s2 = solve_cls(p2, x0=np.concatenate([s1.alpha, np.zeros(B2 - B1)]))
         assert s2.ssr <= s1.ssr + 1e-10
@@ -229,15 +250,12 @@ class TestSolverContracts:
         ids=["negative-constraint-entry", "zero-mass"],
     )
     def test_outside_problem_class_rejected(self, name, index, value, message):
-        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
-        arrays = {
-            "Z": problem.Z, "y": problem.y, "A_ineq": problem.A_ineq, "c_eq": problem.c_eq,
-        }
+        arrays = dict(zip(("Z", "y", "A_ineq", "c_eq"), random_rows(3, 3, 8, 10)))
         arrays[name][index] = value
         # a later bad entry must not be the one reported
         arrays[name][(-1,) * len(index)] = -1.0
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            CLSProblem(**arrays)
+            CLSProblem.from_rows(**arrays)
 
     def test_nonconvergence_carries_best_iterate(self):
         problem = random_instance(15)
@@ -254,18 +272,12 @@ class TestSolverContracts:
         assert exc_info.value.best.iterations == 3
 
     def test_overflowing_normal_matrix_is_factorization_failure(self):
-        # H = Z'Z / m overflows to inf; the solve must stop at once with its
-        # best iterate instead of escaping a finiteness check or iterating
-        # on NaN
-        rng = np.random.default_rng(0)
-        Z = rng.normal(size=(10, 3)) * 1e200
-        problem = CLSProblem(
-            Z=Z, y=rng.normal(size=10), A_ineq=np.abs(rng.normal(size=(10, 3))),
-            c_eq=np.ones(3),
-        )
+        # H is finite but its mass-scaled normal matrix overflows to inf; the
+        # solve must stop at once with its best iterate instead of escaping a
+        # finiteness check or iterating on NaN
         with np.errstate(all="ignore"):
             with pytest.raises(NonConvergenceError, match="factorization failed") as exc_info:
-                solve_cls(problem)
+                solve_cls(overflowing_instance())
         assert exc_info.value.best.iterations <= 2
 
 
@@ -279,7 +291,7 @@ class TestThreadedSize:
         y = Z @ rng.dirichlet(np.ones(B)) + 0.3 * rng.normal(size=m)
         A = np.abs(rng.normal(size=(R, B))) * (rng.random((R, B)) < 0.15)
         c = rng.uniform(0.5, 2.0, size=B)
-        problem = CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c)
+        problem = CLSProblem.from_rows(Z, y, A, c)
         sol = solve_cls(problem)
         chk = check_kkt(problem, sol)
         assert chk["stationarity"] <= 1e-8
@@ -289,7 +301,8 @@ class TestThreadedSize:
 
 
 class TestNoCopyOfZ:
-    """A solve's ``H`` and ``b`` and the KKT check read ``Z`` in place."""
+    """A problem's Gram form is taken from ``Z`` in place, and a solve and
+    the KKT check read only the Gram form."""
 
     @staticmethod
     def traced_peak(fn):
@@ -305,7 +318,10 @@ class TestNoCopyOfZ:
         Z = rng.uniform(size=(m, B))
         y = Z @ rng.dirichlet(np.ones(B)) + 0.1 * rng.normal(size=m)
         c = rng.uniform(0.5, 2.0, size=B)
-        problem = CLSProblem(Z=Z, y=y, A_ineq=sp.eye_array(B, format="csr"), c_eq=c)
+        problem, peak = self.traced_peak(
+            lambda: CLSProblem.from_rows(Z, y, sp.eye_array(B, format="csr"), c)
+        )
+        assert peak < Z.nbytes / 4
         # with B constraint rows, every other array of the solve is small
         sol, peak = self.traced_peak(lambda: solve_cls(problem))
         assert peak < Z.nbytes / 4
@@ -321,8 +337,8 @@ class TestSparseConstraints:
     def test_dense_and_csr_give_the_same_solution_bit_for_bit(self, seed):
         problem = random_instance(seed)
         A = problem.A_ineq * (np.random.default_rng(seed).random(problem.A_ineq.shape) < 0.6)
-        dense = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=A, c_eq=problem.c_eq)
-        sparse = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=sp.csr_array(A), c_eq=problem.c_eq)
+        dense = dataclasses.replace(problem, A_ineq=A)
+        sparse = dataclasses.replace(problem, A_ineq=sp.csr_array(A))
         a, b = solve_cls(dense), solve_cls(sparse)
         for f in dataclasses.fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
@@ -339,14 +355,14 @@ class TestSparseConstraints:
         # a later bad entry must not be the one reported
         A[-1, -1] = -1.0
         with pytest.raises(ValueError, match=rf"^A_ineq must {rule}: entry \(3, 1\) is "):
-            CLSProblem(Z=problem.Z, y=problem.y, A_ineq=sp.csr_array(A), c_eq=problem.c_eq)
+            dataclasses.replace(problem, A_ineq=sp.csr_array(A))
 
     def test_stacked_problems_must_share_sparse_constraints(self):
         problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
         A = sp.csr_array(problem.A_ineq)
         other = problem.A_ineq.copy()
         other[2, 2] += 1.0
-        problems = [CLSProblem(Z=problem.Z, y=problem.y, A_ineq=a, c_eq=problem.c_eq)
+        problems = [dataclasses.replace(problem, A_ineq=a)
                     for a in (A, problem.A_ineq, sp.csr_array(other))]
         # the same matrix, dense or sparse, is shared
         assert len(solve_cls_stack(problems[:2])) == 2
@@ -365,23 +381,27 @@ class TestNonFiniteData:
         ],
     )
     def test_rejected_naming_array_and_first_index(self, name, index, shown):
-        problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
-        arrays = {
-            "Z": problem.Z, "y": problem.y, "A_ineq": problem.A_ineq, "c_eq": problem.c_eq,
-        }
+        arrays = dict(zip(("Z", "y", "A_ineq", "c_eq"), random_rows(3, 3, 8, 10)))
         arrays[name][index] = np.nan
         # a later bad entry must not be the one reported
         arrays[name][(-1,) * len(index)] = np.inf
         message = rf"^{name} must be finite: entry {re.escape(shown)} is nan"
         with pytest.raises(ValueError, match=message):
-            CLSProblem(**arrays)
+            CLSProblem.from_rows(**arrays)
+
+    def test_gram_that_overflows_is_rejected(self):
+        Z, y, A, c = random_rows(3, 3, 8, 10)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^H must be finite: entry \(0, 0\) is inf$"
+        ):
+            CLSProblem.from_rows(Z * 1e200, y, A, c)
 
 
 class TestZeroConstraintRow:
     def test_vacuous_row_keeps_certificate_finite(self):
         problem = random_instance(4, n_coef=3, n_rows=20)
         A = np.vstack([np.eye(3), np.zeros((1, 3))])
-        problem = CLSProblem(Z=problem.Z, y=problem.y, A_ineq=A, c_eq=problem.c_eq)
+        problem = dataclasses.replace(problem, A_ineq=A)
         sol = solve_cls(problem)
         assert np.all(np.isfinite(sol.lambda_ineq))
         assert sol.kkt_residual <= 1e-8
@@ -498,20 +518,29 @@ class TestBlockedNormalMatrix:
         assert touched < 0.6 * At.shape[1]
 
 
-def overflowing_instance():
-    """``H = Z'Z / m`` overflows to inf, so the normal matrix never factors."""
-    rng = np.random.default_rng(0)
-    return CLSProblem(
-        Z=rng.normal(size=(10, 3)) * 1e200, y=rng.normal(size=10),
-        A_ineq=np.abs(rng.normal(size=(10, 3))), c_eq=np.ones(3),
+def overflowing(problem):
+    """``problem`` with ``H`` scaled to half the largest double: finite, but
+    with masses below one its mass-scaled ``H / c_eq / c_eq'``, and so the
+    normal matrix, overflow to inf and never factor."""
+    assert problem.c_eq.max() < 1.0
+    return dataclasses.replace(
+        problem, H=problem.H / np.abs(problem.H).max() * (0.5 * np.finfo(float).max)
     )
+
+
+def overflowing_instance():
+    rng = np.random.default_rng(0)
+    return overflowing(CLSProblem.from_rows(
+        rng.normal(size=(10, 3)), rng.normal(size=10), np.abs(rng.normal(size=(10, 3))),
+        np.full(3, 0.5),
+    ))
 
 
 class TestStopReason:
     def test_converged(self):
-        problem = random_instance(15)
-        assert solve_cls(problem).stop_reason == "converged"
-        assert solve_simplex_cls(problem.Z, problem.y).stop_reason == "converged"
+        Z, y, A, c = random_rows(15)
+        assert solve_cls(CLSProblem.from_rows(Z, y, A, c)).stop_reason == "converged"
+        assert solve_simplex_cls(Z, y).stop_reason == "converged"
 
     def test_factorization_failed(self):
         with np.errstate(all="ignore"):
@@ -522,14 +551,15 @@ class TestStopReason:
         assert sol.stop_reason == "factorization_failed"
 
     def test_iteration_cap(self):
-        problem = random_instance(15)
+        Z, y, A, c = random_rows(15)
+        problem = CLSProblem.from_rows(Z, y, A, c)
         with pytest.raises(NonConvergenceError) as exc_info:
             solve_cls(problem, max_iter=3)
         assert exc_info.value.best.stop_reason == "iteration_cap"
         (sol,) = solve_cls_stack([problem], max_iter=3)
         assert (sol.stop_reason, sol.iterations) == ("iteration_cap", 3)
         with pytest.raises(NonConvergenceError) as exc_info:
-            solve_simplex_cls(problem.Z, problem.y, max_iter=1)
+            solve_simplex_cls(Z, y, max_iter=1)
         assert exc_info.value.best.stop_reason == "iteration_cap"
 
 
@@ -544,7 +574,7 @@ def shared_constraint_instances(n, seed=40):
         m = 40 + 7 * i
         Z = rng.uniform(size=(m, A.shape[1])) * c
         y = Z @ (rng.dirichlet(np.ones(A.shape[1])) / c) + 0.05 * rng.normal(size=m)
-        problems.append(CLSProblem(Z=Z, y=y, A_ineq=A, c_eq=c))
+        problems.append(CLSProblem.from_rows(Z, y, A, c))
     return problems
 
 
@@ -568,8 +598,7 @@ class TestSolveStack:
 
     def test_failed_factorization_leaves_the_others(self):
         problems = shared_constraint_instances(3)
-        bad = problems[1]
-        problems[1] = CLSProblem(Z=bad.Z * 1e200, y=bad.y, A_ineq=bad.A_ineq, c_eq=bad.c_eq)
+        problems[1] = overflowing(problems[1])
         with np.errstate(all="ignore"):
             sols = solve_cls_stack(problems)
         assert sols[1].stop_reason == "factorization_failed"
@@ -601,10 +630,9 @@ class TestSolveStack:
     @pytest.mark.parametrize("name", ["A_ineq", "c_eq"])
     def test_problems_must_share_constraints(self, name):
         first, second = shared_constraint_instances(2)
-        arrays = {"Z": second.Z, "y": second.y, "A_ineq": second.A_ineq, "c_eq": second.c_eq}
-        arrays[name] = arrays[name] * 2.0
+        other = dataclasses.replace(second, **{name: getattr(second, name) * 2.0})
         with pytest.raises(ValueError, match=name):
-            solve_cls_stack([first, CLSProblem(**arrays)])
+            solve_cls_stack([first, other])
 
 
 def enumerate_simplex_optimum(Z, y):
@@ -652,7 +680,7 @@ class TestSimplexSolver:
         "solve",
         [
             solve_simplex_cls,
-            lambda Z, y: solve_cls(CLSProblem(Z=Z, y=y, A_ineq=np.eye(2), c_eq=np.ones(2))),
+            lambda Z, y: solve_cls(CLSProblem.from_rows(Z, y, np.eye(2), np.ones(2))),
         ],
         ids=["solve_simplex_cls", "solve_cls"],
     )
@@ -690,7 +718,7 @@ class TestSimplexSolver:
         Z = rng.normal(size=(40, 5))
         y = Z @ rng.dirichlet(np.ones(5)) + 0.1 * rng.normal(size=40)
         sol = solve_simplex_cls(Z, y)
-        problem = CLSProblem(Z=Z, y=y, A_ineq=np.eye(5), c_eq=np.ones(5))
+        problem = CLSProblem.from_rows(Z, y, np.eye(5), np.ones(5))
         chk = check_kkt(problem, sol)
         assert chk["stationarity"] <= 1e-8
         assert chk["complementarity"] <= 1e-8

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sparserc import estimator
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import UNIT_TILE, ChoiceDataset, build_design_matrix
-from sparserc.clsolver import NonConvergenceError, check_kkt, solve_cls
+from sparserc.clsolver import CLSProblem, NonConvergenceError, check_kkt, solve_cls
 from sparserc.distribution import DiscreteDistribution
 from sparserc.estimator import (
     RefineOptions,
@@ -384,8 +384,9 @@ class TestFitAsg:
 
 
 class _Recorder:
-    """Stands in for a solver entry point of the ``estimator`` namespace and
-    records each call's arguments and result."""
+    """Stands in for a function of the ``estimator`` namespace (a solver
+    entry point, a design builder) and records each call's arguments and
+    result."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -422,6 +423,33 @@ class TestFoldRefits:
                 solo = solve_cls(problem, x0=a0)
                 assert sol.iterations == solo.iterations
                 np.testing.assert_allclose(sol.alpha, solo.alpha, rtol=0.0, atol=1e-12)
+
+    def test_fold_problems_are_their_training_rows(self, monkeypatch):
+        # the fit sums each fold's Gram terms; this builds every fold's problem
+        # from its training rows of the design the fit solved at each step
+        _, stack = _record_solvers(monkeypatch)
+        designs = []
+        for name in ("build_design_matrix", "incremental_columns"):
+            designs.append(_Recorder(getattr(estimator, name)))
+            monkeypatch.setattr(estimator, name, designs[-1])
+        data = _data(n=120, j=3, d=2, seed=18)
+        opts = RefineOptions(steps=2, selection="cv_mse", k_folds=3)
+        fit_asg(data, Domain.cube(2), 2, r_draws=600, refine_opts=opts)
+        steps = [out for recorder in designs for _, _, out in recorder.calls]
+        assert len(steps) == len(stack.calls) == 3
+        folds = list(estimator._folds(data, 3, opts.cv_seed))
+        for design, ((problems,), _, sols) in zip(steps, stack.calls):
+            for (train, _), problem, sol in zip(folds, problems, sols):
+                rows = data.row_slice(train)
+                direct = CLSProblem.from_rows(
+                    design.Z[rows], data.y_flat[rows], design.basis_at_draws, design.column_mass
+                )
+                assert problem.m == direct.m == rows.size
+                for name in ("H", "b", "yy"):
+                    np.testing.assert_allclose(
+                        getattr(problem, name), getattr(direct, name), rtol=1e-13, atol=0.0
+                    )
+                assert check_kkt(direct, sol)["stationarity"] <= 1e-8
 
     def test_warm_starts_follow_each_fold(self, monkeypatch):
         _, stack = _record_solvers(monkeypatch)
@@ -478,7 +506,11 @@ class TestStopReason:
             BasisSet(build_classical_sparse_grid(2, 2), Domain.cube(2)),
         )
         rows = [np.arange(0, 90), np.arange(90, 180)]
-        problems = [estimator._design_problem(design, data.y_flat, r) for r in rows]
+        problems = [
+            CLSProblem.from_rows(design.Z[r], data.y_flat[r], design.basis_at_draws,
+                                 design.column_mass)
+            for r in rows
+        ]
         lenient = estimator._solve(
             estimator.solve_cls_stack, SolverOptions(max_iter=3, strict=False), problems
         )
