@@ -64,7 +64,7 @@ from .hiergrid import (
     refinable_points,
     refine,
 )
-from .quasirand import DrawSet, halton_draws, radical_inverse
+from .quasirand import halton_draws, radical_inverse
 from .simulate import (
     McConfig,
     McReport,

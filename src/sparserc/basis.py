@@ -197,10 +197,6 @@ class BasisSet:
         if self.grid.dim != self.domain.dim:
             raise ValueError("grid and domain dimensions differ")
 
-    @property
-    def size(self) -> int:
-        return len(self.grid)
-
     def evaluate(self, at: np.ndarray) -> sp.csr_array:
         """Matrix of all basis functions at the given domain points, ``(n, B)``,
         as the CSR matrix of :func:`evaluate_basis_columns`."""

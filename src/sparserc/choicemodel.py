@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .basis import BasisSet, evaluate_basis_columns
 from .clsolver import ROW_BLOCK, as_csr, block_slabs, pattern_blocks
 from .hiergrid import SparseGrid
-from .quasirand import DrawSet, read_csv_rows
+from .quasirand import read_csv_rows
 
 # Units per tile of :func:`kernel_sweep`: its kernel buffer and transposed
 # sums hold one tile, so only its output grows with the number of units.
@@ -64,7 +64,8 @@ class ChoiceDataset:
 
     ``x`` is the ``(N, J, D)`` covariate tensor and ``y`` the ``(N, J)``
     one-hot outcome matrix; a unit that picked the outside option has an
-    all-zero row.
+    all-zero row.  ``unit_ids`` holds each unit's distinct integer id, as
+    int64 (default: the unit positions).
     """
 
     x: np.ndarray
@@ -90,14 +91,23 @@ class ChoiceDataset:
                 f"each outcome row must hold 0/1 entries that sum to 0 or 1: "
                 f"unit {n} has {self.y[n].tolist()}"
             )
-        if self.unit_ids is None:
-            self.unit_ids = np.arange(self.x.shape[0])
+        n = self.x.shape[0]
+        ids = np.arange(n) if self.unit_ids is None else np.asarray(self.unit_ids)
+        if ids.shape != (n,):
+            raise ValueError("unit_ids must have one entry per unit")
+        kind = ids.dtype.kind
+        if kind == "f":  # whole numbers that fit int64, such as 3.0
+            good = (ids == np.trunc(ids)) & (ids >= -(2.0**63)) & (ids < 2.0**63)
+        elif kind == "u":
+            good = ids <= 2**63 - 1
         else:
-            self.unit_ids = np.asarray(self.unit_ids)
-            if self.unit_ids.shape != (self.x.shape[0],):
-                raise ValueError("unit_ids must have one entry per unit")
-            if len(np.unique(self.unit_ids)) != self.unit_ids.shape[0]:
-                raise ValueError("unit_ids must be unique")
+            good = np.full(n, kind == "i")
+        bad = np.flatnonzero(~good)
+        if bad.size:
+            raise ValueError(f"unit_ids must be integers: unit {bad[0]} has {ids[bad[0]].item()!r}")
+        self.unit_ids = ids.astype(np.int64, copy=False)
+        if len(np.unique(self.unit_ids)) != n:
+            raise ValueError("unit_ids must be unique")
 
     @property
     def n_units(self) -> int:
@@ -270,12 +280,13 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
 def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
     """The columns of ``points`` appended to ``existing`` (None: no columns yet).
 
-    ``Z`` is the :func:`kernel_sweep` of the columns' ``Phi`` over the draws;
+    ``Z`` is the :func:`kernel_sweep` of the columns' ``Phi`` over the
+    ``(R, D)`` draws;
     ``basis`` is the basis of the resulting design.  A column's mass adds its
     stored entries in row order, as a dense column sum would.
     """
-    phi = evaluate_basis_columns(points, basis.domain, draws.draws)
-    Z = kernel_sweep(data.x, draws.draws, phi)
+    phi = evaluate_basis_columns(points, basis.domain, draws)
+    Z = kernel_sweep(data.x, draws, phi)
     column_mass = np.bincount(phi.indices, weights=phi.data, minlength=phi.shape[1])
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:
@@ -287,14 +298,15 @@ def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
     return DesignMatrix(Z=Z, column_mass=column_mass, basis_at_draws=phi, basis=basis)
 
 
-def build_design_matrix(data: ChoiceDataset, draws: DrawSet, basis: BasisSet) -> DesignMatrix:
-    """Assemble the simulated design matrix for a basis.
+def build_design_matrix(data: ChoiceDataset, draws: np.ndarray, basis: BasisSet) -> DesignMatrix:
+    """Assemble the simulated design matrix for a basis over the ``(R, D)``
+    integration draws.
 
     With the level-1 root hat in the basis every draw reaches the kernel.
     Raises :class:`DeadColumnError` when some basis function has no draw in
     its support, which would create an identically zero column.
     """
-    if data.dim != draws.dim or draws.dim != basis.domain.dim:
+    if np.ndim(draws) != 2 or not data.dim == draws.shape[1] == basis.domain.dim:
         raise ValueError("data, draws and basis dimensions must agree")
     return _assemble_columns(None, basis.grid.points, basis, draws, data)
 
@@ -302,7 +314,7 @@ def build_design_matrix(data: ChoiceDataset, draws: DrawSet, basis: BasisSet) ->
 def incremental_columns(
     existing: DesignMatrix,
     new_points,
-    draws: DrawSet,
+    draws: np.ndarray,
     data: ChoiceDataset,
 ) -> DesignMatrix:
     """Extend a design matrix with columns for newly added grid points.

@@ -24,8 +24,8 @@ active and mutually dependent at the optimum, which makes active-set
 methods cycle on degenerate vertices, while the interior-point iteration
 is indifferent to constraint redundancy.  Inequality constraints enter
 only through matrix-vector products and a ``B x B`` normal matrix, never
-through systems of their own size, and are held as one CSR matrix
-(:func:`as_csr`) whatever form ``A_ineq`` has.
+through systems of their own size; a problem holds them as one CSR matrix
+(:func:`as_csr`) from its construction.
 
 The normal matrix is built and factored in NumPy's BLAS and LAPACK: it is
 the symmetric rank-``R`` product ``W' W`` of the row-scaled constraints
@@ -121,15 +121,15 @@ class CLSProblem:
     outcomes ``y``, held as ``H = Z' Z / m``, ``b = Z' y / m`` and
     ``yy = y' y``; :meth:`from_rows` forms them.  ``A_ineq`` needs at least
     one row and no negative entry, and ``c_eq`` positive entries.
-    ``A_ineq`` may be sparse: an array solves bit for bit as the CSR matrix
-    of its nonzeros, which the solver reads.
+    ``A_ineq`` is held as a CSR matrix: an array is taken as the CSR matrix
+    of its nonzeros.
     """
 
     H: np.ndarray
     b: np.ndarray
     yy: float
     m: int
-    A_ineq: np.ndarray | sp.csr_array
+    A_ineq: sp.csr_array
     c_eq: np.ndarray
 
     @classmethod
@@ -148,8 +148,7 @@ class CLSProblem:
         self.H = np.asarray(self.H, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.yy = float(self.yy)
-        self.A_ineq = (as_csr(self.A_ineq) if sp.issparse(self.A_ineq)
-                       else np.asarray(self.A_ineq, dtype=float))
+        self.A_ineq = as_csr(self.A_ineq)
         self.c_eq = np.asarray(self.c_eq, dtype=float)
         if self.b.ndim != 1 or self.H.shape != (self.n_coef,) * 2:
             raise ValueError("H must be (B, B) and b (B,)")
@@ -431,10 +430,9 @@ def solve_cls_stack(
     two problems differ in ``A_ineq`` or ``c_eq``.
     """
     first = problems[0]
-    A = as_csr(first.A_ineq)
+    A = first.A_ineq
     for p in problems[1:]:
-        shared = p.A_ineq is first.A_ineq or (
-            p.A_ineq.shape == A.shape and not (as_csr(p.A_ineq) != A).nnz)
+        shared = p.A_ineq is A or (p.A_ineq.shape == A.shape and not (p.A_ineq != A).nnz)
         for name, ok in (("A_ineq", shared), ("c_eq", np.array_equal(p.c_eq, first.c_eq))):
             if not ok:
                 raise ValueError(f"stacked problems must share {name}")
@@ -585,7 +583,7 @@ def solve_simplex_cls(
 ) -> CLSSolution:
     """Least squares over the probability simplex: :func:`solve_cls` with
     ``A_ineq = I`` and ``c_eq = 1``."""
-    B = np.shape(Z)[1]
+    B = np.atleast_1d(Z).shape[-1]
     problem = CLSProblem.from_rows(Z, y, sp.eye_array(B, format="csr"), np.ones(B))
     return solve_cls(problem, tol, max_iter)
 
@@ -600,7 +598,7 @@ def check_kkt(problem: CLSProblem, solution: CLSSolution) -> dict:
     """
     alpha = np.asarray(solution.alpha, dtype=float)
     lam = np.asarray(solution.lambda_ineq, dtype=float)
-    A = as_csr(problem.A_ineq)
+    A = problem.A_ineq
     s = problem.c_eq
     # the gradient in v = alpha * c_eq
     grad = (problem.H @ alpha - problem.b) / s

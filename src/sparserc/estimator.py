@@ -312,7 +312,8 @@ def fold_assignments(unit_ids, k: int, seed: int = 0) -> dict:
     """Deterministic unit-to-fold map, invariant to unit ordering.
 
     Folds are a seeded permutation of the *sorted* unit ids, so shuffling the
-    rows of a dataset never moves a unit to a different fold.
+    rows of a dataset never moves a unit to a different fold.  The map is
+    keyed by each id as a Python number.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -323,7 +324,7 @@ def fold_assignments(unit_ids, k: int, seed: int = 0) -> dict:
     perm = rng.permutation(ids.shape[0])
     folds = np.empty(ids.shape[0], dtype=int)
     folds[perm] = np.arange(ids.shape[0]) % k
-    return {int(u): int(f) for u, f in zip(ids, folds)}
+    return dict(zip(ids.tolist(), folds.tolist()))
 
 
 def predict_probabilities(fit: FitResult, data: ChoiceDataset) -> np.ndarray:
@@ -378,7 +379,7 @@ class CvResult:
 def _folds(data: ChoiceDataset, k: int, seed: int):
     """Yield the ``(train, test)`` unit positions of each of ``k`` folds."""
     assign = fold_assignments(data.unit_ids, k, seed)
-    fold_of = np.array([assign[int(u)] for u in data.unit_ids])
+    fold_of = np.array([assign[u] for u in data.unit_ids.tolist()])
     for f in range(k):
         yield np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
 
@@ -543,7 +544,7 @@ def _fit_hierarchical(
         kind=kind,
         domain=domain,
         alpha=best_sol.alpha,
-        support=draws.draws,
+        support=draws,
         # the selected grid's columns of Phi, as fit_from_json evaluates them
         density_at_draws=design.basis_at_draws[:, : len(best_grid)] @ best_sol.alpha,
         diagnostics=_diagnostics(best_sol, data.n_rows),
@@ -623,7 +624,7 @@ def fit_from_json(obj: dict) -> FitResult:
         draws = json_object(config.get("draws"), "fit config draws")
         r = json_field(draws, "r", int, "fit config draws", optional=False, low=1)
         burn_in = json_field(draws, "burn_in", int, "fit config draws", optional=False, low=0)
-        support = halton_draws(r, domain.dim, burn_in=burn_in, domain=domain).draws
+        support = halton_draws(r, domain.dim, burn_in=burn_in, domain=domain)
         density = BasisSet(grid, domain).evaluate(support) @ alpha
     return FitResult(
         kind=kind,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,49 +43,18 @@ def _radical_inverse_array(ns: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DrawSet:
-    """Fixed integration nodes in coefficient space.
-
-    Deterministic given (count, dimension, burn-in, domain); the rows are
-    consecutive Halton points mapped affinely into the domain, so extending
-    the count keeps every earlier row unchanged.
-    """
-
-    draws: np.ndarray
-    domain: Domain
-    burn_in: int
-
-    def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        if draws.ndim != 2:
-            raise ValueError("draws must be a 2-D array")
-        if draws.shape[0] < 1:
-            raise ValueError("need at least one draw")
-        if draws.shape[1] != self.domain.dim:
-            raise ValueError("draws and domain dimensions differ")
-        draws.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
-
-
 def halton_draws(
     n_draws: int,
     dim: int,
     burn_in: int = DEFAULT_BURN_IN,
     domain: Domain | None = None,
-) -> DrawSet:
-    """Halton points ``burn_in + 1 .. burn_in + n_draws`` mapped into a domain.
+) -> np.ndarray:
+    """Halton points ``burn_in + 1 .. burn_in + n_draws`` mapped into a domain,
+    as a read-only ``(n_draws, dim)`` array.
 
     Base of dimension ``d`` is the d-th prime; dimensions above 20 are not
-    supported.  Without a domain the points stay in the open unit cube.
+    supported.  Without a domain the points stay in the open unit cube.  The
+    draws are deterministic, and extending the count keeps every earlier row.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -94,6 +62,9 @@ def halton_draws(
         raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    last = 2**63 - 1 - n_draws  # the point indices are 64-bit integers
+    if burn_in > last:
+        raise ValueError(f"burn_in must be <= {last} for {n_draws} draws, got {burn_in}")
     if domain is None:
         domain = Domain.cube(dim, 0.0, 1.0)
     if domain.dim != dim:
@@ -102,7 +73,9 @@ def halton_draws(
     unit = np.empty((n_draws, dim))
     for d in range(dim):
         unit[:, d] = _radical_inverse_array(ns, _PRIMES[d])
-    return DrawSet(draws=domain.from_unit(unit), domain=domain, burn_in=burn_in)
+    draws = domain.from_unit(unit)
+    draws.setflags(write=False)
+    return draws
 
 
 def read_csv_rows(path, header_width, parse_row) -> list:

@@ -181,8 +181,9 @@ def make_dataset(
 class McConfig:
     """One Monte Carlo experiment: a truth, a sample size, estimator settings.
 
-    ``r_draws=None`` means ``DRAWS_PER_DIM * D`` draws, ``eval_subsample=None``
-    scores every lattice point and ``workers=None`` uses every core."""
+    ``r_draws=None`` means ``DRAWS_PER_DIM * D`` draws and ``workers=None``
+    uses every core.  Every replicate is scored on the whole evaluation
+    lattice of ``eval_points_per_dim ** D`` points."""
 
     dgp: MixtureDgp
     n_units: int = 1000
@@ -198,7 +199,6 @@ class McConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
     domain: Domain | None = None
     eval_points_per_dim: int = 10
-    eval_subsample: int | None = None
     truth_samples: int = TRUTH_SAMPLES
     workers: int | None = 1
 
@@ -207,7 +207,7 @@ class McConfig:
         counts = ("n_units", "replicates", "n_alts", "eval_points_per_dim", "truth_samples")
         check_fields(self, int, *counts, low=1)
         check_fields(self, int, "seed", "burn_in", low=0)
-        check_fields(self, int, "r_draws", "eval_subsample", "workers", low=1, optional=True)
+        check_fields(self, int, "r_draws", "workers", low=1, optional=True)
         check_fields(self, int, "sg_levels", "asg_levels", "fkrb_q", low=1, each=True)
         check_fields(self, RefineOptions, "refine")
         check_fields(self, SolverOptions, "solver")
@@ -275,8 +275,7 @@ class McReport:
     eval_points: int
 
 
-def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray,
-                   subset: np.ndarray | None) -> list[ReplicateOutcome]:
+def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray) -> list[ReplicateOutcome]:
     domain = config.resolved_domain()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,)))
     data = make_dataset(config.dgp, config.n_units, config.n_alts, rng)
@@ -300,8 +299,6 @@ def _run_replicate(rep: int, config: McConfig, truth_values: np.ndarray,
                 fit = fit_fkrb(data, domain, setting, solver=config.solver)
             dist = DiscreteDistribution.from_fit(fit)
             values = joint_cdf_lattice(dist, axes).reshape(-1)
-            if subset is not None:
-                values = values[subset]
             outcomes.append(
                 ReplicateOutcome(
                     kind=kind,
@@ -334,19 +331,7 @@ def run_experiment(config: McConfig) -> McReport:
         config.dgp, axes, n_samples=config.truth_samples, seed=config.seed
     )
     truth_values = truth_table.reshape(-1)
-    subset = None
-    if config.eval_subsample is not None and config.eval_subsample < truth_values.shape[0]:
-        sub_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(0xE7A1,))
-        )
-        subset = np.sort(
-            sub_rng.choice(truth_values.shape[0], size=config.eval_subsample, replace=False)
-        )
-        truth_values = truth_values[subset]
-
-    worker = partial(
-        _run_replicate, config=config, truth_values=truth_values, subset=subset
-    )
+    worker = partial(_run_replicate, config=config, truth_values=truth_values)
     n_workers = config.workers or os.cpu_count() or 1
     if n_workers > 1 and config.replicates > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -386,7 +371,6 @@ def run_experiment(config: McConfig) -> McReport:
         "seed": config.seed,
         "r_draws": config.r_draws or DRAWS_PER_DIM * config.dgp.dim,
         "eval_points_per_dim": config.eval_points_per_dim,
-        "eval_subsample": config.eval_subsample,
         "dgp": dgp_to_json(config.dgp),
         "refinement": asdict(config.refine),
         "solver": asdict(config.solver),

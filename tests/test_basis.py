@@ -237,7 +237,7 @@ class TestEvaluateBasisColumns:
     def test_six_dim_level_four_matches_dense_product(self):
         grid = build_classical_sparse_grid(6, 4)
         domain = Domain.cube(6)
-        draws = halton_draws(12_000, 6, domain=domain).draws
+        draws = halton_draws(12_000, 6, domain=domain)
         out = evaluate_basis_columns(grid.points, domain, draws)
         assert out.shape == (12_000, 545)
         # at most one entry per level vector in each row

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from sparserc.choicemodel import (
 )
 from sparserc.clsolver import ROW_BLOCK, CLSProblem, pattern_blocks, solve_cls
 from sparserc.hiergrid import GridPoint, SparseGrid, build_classical_sparse_grid, refine
-from sparserc.quasirand import DrawSet, halton_draws
+from sparserc.quasirand import halton_draws
 
 
 class TestLogitKernel:
@@ -245,6 +246,28 @@ class TestChoiceDataset:
         np.testing.assert_array_equal(sub.unit_ids, [12, 10])
         np.testing.assert_array_equal(sub.x[0], x[2])
 
+    @pytest.mark.parametrize("ids, shown", [
+        ([1.2, 1.7, 3.0, 4.0], "unit 0 has 1.2"),
+        ([1.0, 2.0, np.nan, 4.0], "unit 2 has nan"),
+        ([1.0, 2.0, 3.0, np.inf], "unit 3 has inf"),
+        (["a", "b", "c", "d"], "unit 0 has 'a'"),
+        ([True, False, True, False], "unit 0 has True"),
+        (np.array([1, 2, 3, 2**63], dtype=np.uint64), "unit 3 has 9223372036854775808"),
+    ], ids=["fraction", "nan", "inf", "string", "bool", "past-int64"])
+    def test_non_integer_unit_id_named(self, ids, shown):
+        with pytest.raises(ValueError, match="^unit_ids must be integers: " + re.escape(shown)):
+            ChoiceDataset(np.zeros((4, 2, 1)), np.zeros((4, 2)), unit_ids=ids)
+
+    def test_whole_number_unit_ids_held_as_int64(self, tmp_path):
+        data = ChoiceDataset(np.zeros((4, 2, 1)), np.zeros((4, 2)), unit_ids=[3.0, -1.0, 7.0, 2.0])
+        assert data.unit_ids.dtype == np.int64
+        assert data.unit_ids.tolist() == [3, -1, 7, 2]
+        largest = ChoiceDataset(np.zeros((1, 2, 1)), np.zeros((1, 2)), [2**63 - 1])
+        assert largest.unit_ids.tolist() == [2**63 - 1]
+        write_dataset_csv(data, tmp_path / "data.csv")
+        np.testing.assert_array_equal(read_dataset_csv(tmp_path / "data.csv").unit_ids,
+                                      data.unit_ids)
+
     def test_row_slice(self):
         x = np.zeros((3, 2, 1))
         y = np.zeros((3, 2))
@@ -292,7 +315,7 @@ class TestBuildDesignMatrix:
         # values 0.3 and 0.6 the single entry is 0.3*0.5 + 0.6*0.5 = 0.45
         data = ChoiceDataset(np.zeros((1, 1, 1)), np.zeros((1, 1)))
         dom = Domain.cube(1, 0.0, 1.0)
-        draws = DrawSet(draws=np.array([[0.25], [0.75]]), domain=dom, burn_in=0)
+        draws = np.array([[0.25], [0.75]])
         basis = BasisSet(SparseGrid(1, [GridPoint((1,), (1,))]), dom)
 
         def stub_kernel(x, betas, out=None):
@@ -308,7 +331,7 @@ class TestBuildDesignMatrix:
         data = _tiny_data()
         dom = Domain.cube(1, 0.0, 1.0)
         # all draws in the left half: the (2, 3) basis function sees none
-        draws = DrawSet(draws=np.linspace(0.05, 0.45, 10)[:, None], domain=dom, burn_in=0)
+        draws = np.linspace(0.05, 0.45, 10)[:, None]
         basis = BasisSet(build_classical_sparse_grid(1, 2), dom)
         with pytest.raises(DeadColumnError, match=r"levels=\(2,\), indices=\(3,\)"):
             build_design_matrix(data, draws, basis)
@@ -513,7 +536,7 @@ class TestKernelSeesLiveDraws:
     def _setup(self):
         data = _tiny_data(n=4, j=2, d=1, seed=8)
         dom = Domain.cube(1, 0.0, 1.0)
-        draws = DrawSet(draws=np.linspace(0.0001, 0.9999, 5000)[:, None], domain=dom, burn_in=0)
+        draws = np.linspace(0.0001, 0.9999, 5000)[:, None]
         return data, dom, draws
 
     def test_root_design_passes_every_draw(self, counting_kernel):
@@ -521,7 +544,7 @@ class TestKernelSeesLiveDraws:
         design = build_design_matrix(data, draws, _root_basis())
         phi = design.basis_at_draws.toarray()
         assert (phi != 0.0).all()
-        assert_each_live_point_once(counting_kernel.calls, draws.draws, phi)
+        assert_each_live_point_once(counting_kernel.calls, draws, phi)
 
     def test_new_columns_pass_only_their_live_draws(self, monkeypatch):
         data, dom, draws = self._setup()
@@ -533,8 +556,8 @@ class TestKernelSeesLiveDraws:
         inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data)
         phi = inc.basis_at_draws.toarray()
         live = phi[:, 1] != 0.0
-        assert 0 < live.sum() < draws.n_draws
-        assert_each_live_point_once(kernel.calls, draws.draws, phi[:, 1:])
+        assert 0 < live.sum() < len(draws)
+        assert_each_live_point_once(kernel.calls, draws, phi[:, 1:])
 
     def test_incremental_columns_on_halton_draws(self, monkeypatch):
         data, draws, design = TestIncrementalColumns()._design()
@@ -545,8 +568,8 @@ class TestKernelSeesLiveDraws:
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         inc = incremental_columns(design, added, draws, data)
         new = inc.basis_at_draws.toarray()[:, len(grid):]
-        assert (new != 0.0).any(axis=1).sum() < draws.n_draws
-        assert_each_live_point_once(kernel.calls, draws.draws, new)
+        assert (new != 0.0).any(axis=1).sum() < len(draws)
+        assert_each_live_point_once(kernel.calls, draws, new)
 
 
 class TestDesignSparsity:
@@ -556,7 +579,7 @@ class TestDesignSparsity:
         grid = build_classical_sparse_grid(2, 4)
         basis = BasisSet(grid, Domain.cube(2))
         draws = halton_draws(300, 2, domain=Domain.cube(2))
-        vals = basis.evaluate(draws.draws).toarray()
+        vals = basis.evaluate(draws).toarray()
         n_level_vectors = len({p.levels for p in grid.points})
         nnz_per_draw = (vals > 0).sum(axis=1)
         assert (nnz_per_draw <= n_level_vectors).all()
@@ -611,7 +634,7 @@ class TestIncrementalColumns:
         dom = Domain.cube(1, 0.0, 1.0)
         # all draws in the right half: the (2, 1) child's support (0, 0.5)
         # holds none of them
-        draws = DrawSet(draws=np.linspace(0.55, 0.95, 9)[:, None], domain=dom, burn_in=0)
+        draws = np.linspace(0.55, 0.95, 9)[:, None]
         grid = SparseGrid(1, [GridPoint((1,), (1,))], max_level=5)
         design = build_design_matrix(data, draws, BasisSet(grid, dom))
         with pytest.raises(DeadColumnError):

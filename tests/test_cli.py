@@ -560,6 +560,7 @@ BAD_SETTINGS = {
     "replicates-zero": ("replicate", "replicates", 0),
     "truth_samples-zero": ("replicate", "truth_samples", 0),
     "r_draws-zero": ("replicate", "r_draws", 0),
+    # not a setting: an unknown key
     "eval_subsample-zero": ("replicate", "eval_subsample", 0),
     "workers-zero": ("replicate", "workers", 0),
     "n_units-zero": ("replicate", "n_units", 0),
@@ -582,6 +583,8 @@ BAD_SETTINGS = {
     "level-bool": ("estimate", "level", True),
     "r-float": ("estimate", "draws.r", 300.9),
     "burn_in-negative-estimate": ("estimate", "draws.burn_in", -1),
+    # a 64-bit burn-in whose last point index overflows
+    "burn_in-int64-max": ("estimate", "draws.burn_in", 2**63 - 1),
 }
 
 
@@ -626,6 +629,15 @@ def test_more_folds_than_units_exits_one(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: invalid replicate config: ") and "k_folds" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_subsample_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "rep.json", {**TINY_REPLICATE, "eval_subsample": 20})
+    code = main(["replicate", cfg, "--report", str(tmp_path / "r.json"),
+                 "--table", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown keys in replicate config: eval_subsample\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -788,7 +800,6 @@ VALID_SETTINGS = {
     "asg_levels": st.lists(ASG_LEVEL, max_size=1),
     "fkrb_q": st.lists(FKRB_Q, max_size=1),
     "eval_points_per_dim": st.integers(1, 6),
-    "eval_subsample": st.integers(1, 40),
     "truth_samples": st.integers(1, 5000),
     "workers": st.just(1),
     "solver.tol": st.floats(1e-10, 1e-4),

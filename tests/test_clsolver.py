@@ -54,7 +54,7 @@ def enumerate_face_optimum(problem, feas_tol=1e-9):
     active constraints, so the best feasible face minimizer over all active
     subsets of size <= B is the global optimum.
     """
-    H, b, A, c = problem.H, problem.b, problem.A_ineq, problem.c_eq
+    H, b, A, c = problem.H, problem.b, problem.A_ineq.toarray(), problem.c_eq
     B, R = problem.n_coef, problem.n_ineq
     best = np.inf
     best_x = None
@@ -331,13 +331,16 @@ class TestNoCopyOfZ:
 
 
 class TestSparseConstraints:
-    """A sparse ``A_ineq`` is the same problem as its dense array."""
+    """An array ``A_ineq`` is the same problem as its CSR matrix, which the
+    problem holds."""
 
     @pytest.mark.parametrize("seed", [3, 11, 17])
     def test_dense_and_csr_give_the_same_solution_bit_for_bit(self, seed):
         problem = random_instance(seed)
-        A = problem.A_ineq * (np.random.default_rng(seed).random(problem.A_ineq.shape) < 0.6)
+        A = problem.A_ineq.toarray()
+        A *= np.random.default_rng(seed).random(A.shape) < 0.6
         dense = dataclasses.replace(problem, A_ineq=A)
+        assert isinstance(dense.A_ineq, sp.csr_array)
         sparse = dataclasses.replace(problem, A_ineq=sp.csr_array(A))
         a, b = solve_cls(dense), solve_cls(sparse)
         for f in dataclasses.fields(a):
@@ -349,7 +352,7 @@ class TestSparseConstraints:
                                              (np.inf, "be finite")])
     def test_bad_stored_entry_named_by_row_and_column(self, value, rule):
         problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
-        A = problem.A_ineq.copy()
+        A = problem.A_ineq.toarray()
         A[:3] = 0.0
         A[3, 1] = value
         # a later bad entry must not be the one reported
@@ -360,10 +363,10 @@ class TestSparseConstraints:
     def test_stacked_problems_must_share_sparse_constraints(self):
         problem = random_instance(3, n_coef=3, n_ineq=8, n_rows=10)
         A = sp.csr_array(problem.A_ineq)
-        other = problem.A_ineq.copy()
+        other = problem.A_ineq.toarray()
         other[2, 2] += 1.0
         problems = [dataclasses.replace(problem, A_ineq=a)
-                    for a in (A, problem.A_ineq, sp.csr_array(other))]
+                    for a in (A, problem.A_ineq.toarray(), sp.csr_array(other))]
         # the same matrix, dense or sparse, is shared
         assert len(solve_cls_stack(problems[:2])) == 2
         with pytest.raises(ValueError, match="must share A_ineq"):
@@ -412,7 +415,7 @@ def hierarchical_rows(n_draws, dim, level):
     """Hat-basis rows at Halton draws, dense: one nonzero per hierarchical subspace."""
     grid = build_classical_sparse_grid(dim, level)
     domain = Domain.cube(dim)
-    draws = halton_draws(n_draws, dim, domain=domain).draws
+    draws = halton_draws(n_draws, dim, domain=domain)
     return evaluate_basis_columns(grid.points, domain, draws).toarray()
 
 
@@ -665,6 +668,11 @@ class TestSimplexSolver:
         Z = rng.normal(size=(10, 1))
         sol = solve_simplex_cls(Z, rng.normal(size=10))
         assert sol.alpha[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("Z", [np.ones(3), 1.0], ids=["1-d", "scalar"])
+    def test_design_that_is_not_a_matrix_is_named(self, Z):
+        with pytest.raises(ValueError, match=r"^Z must be \(m, B\)"):
+            solve_simplex_cls(Z, np.ones(3))
 
     def test_identical_columns_deterministic(self):
         rng = np.random.default_rng(21)

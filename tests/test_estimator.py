@@ -207,6 +207,11 @@ class TestFoldAssignments:
         with pytest.raises(ValueError):
             fold_assignments(np.arange(3), 5)
 
+    def test_each_id_keeps_its_own_entry(self):
+        folds = fold_assignments([1.2, 1.7, 3.0, 4.0], 2)
+        assert sorted(folds) == [1.2, 1.7, 3.0, 4.0]
+        assert np.bincount(list(folds.values())).tolist() == [2, 2]
+
 
 class TestHeldoutMetrics:
     def test_loglik_inside_and_outside(self):
@@ -594,8 +599,11 @@ class TestFitSerialization:
         ("sg", ("draws", "r"), 300.5, "fit config draws r must be a 64-bit integer >= 1, got 300.5"),
         ("sg", ("draws", "burn_in"), True,
          "fit config draws burn_in must be a 64-bit integer >= 0, got True"),
+        # a 64-bit burn-in whose last point index overflows
+        ("sg", ("draws", "burn_in"), 2**63 - 1,
+         "burn_in must be <= 9223372036854775507 for 300 draws, got 9223372036854775807"),
     ], ids=["q", "level", "max_level", "refinement-max_level", "draws", "draws-r",
-            "draws-burn_in"])
+            "draws-burn_in", "draws-burn_in-int64-max"])
     def test_config_field_checked_as_its_option(self, saved, kind, path, value, message):
         obj = copy.deepcopy(saved[kind])
         target = obj["config"]

@@ -215,9 +215,12 @@ class TestRunExperiment:
         assert json.loads(json.dumps(obj)) == obj
         assert obj["runs"][0]["rmise"] == report.runs[0].rmise
 
-    def test_eval_subsample(self):
-        report = run_experiment(_tiny_config(eval_subsample=20))
-        assert report.eval_points == 20
+    def test_every_lattice_point_is_scored(self):
+        report = run_experiment(_tiny_config(replicates=1, eval_points_per_dim=4))
+        assert report.eval_points == 4**2
+        assert "eval_subsample" not in report_to_json(report)["config"]
+        with pytest.raises(TypeError, match="eval_subsample"):
+            _tiny_config(eval_subsample=20)
 
     def test_failed_replicates_flagged(self):
         from sparserc.estimator import SolverOptions
@@ -259,7 +262,7 @@ class TestMcConfigChecks:
         [
             ("n_units", 0), ("replicates", 0), ("n_alts", 0), ("seed", -1),
             ("r_draws", 0), ("burn_in", -1), ("eval_points_per_dim", 0),
-            ("eval_subsample", 0), ("truth_samples", 0), ("workers", 0),
+            ("workers", -1), ("truth_samples", 0), ("workers", 0),
             ("n_units", 10.0), ("replicates", True), ("truth_samples", "100"),
             ("n_units", 10**400), ("replicates", 2**63),
             ("sg_levels", (0,)), ("sg_levels", (2.0,)), ("fkrb_q", 3),
@@ -285,5 +288,5 @@ class TestMcConfigChecks:
         assert type(config.n_units) is int
 
     def test_none_keeps_its_meaning(self):
-        config = _tiny_config(r_draws=None, eval_subsample=None, workers=None)
+        config = _tiny_config(r_draws=None, workers=None)
         assert config.r_draws is None and config.workers is None
