@@ -19,12 +19,12 @@ each call whole.  ``Z`` is the only array of the sweep that grows with the
 number of units.  ``Phi`` is held once, as one CSR matrix, from its
 evaluation to the solver.  The kernel drops the max shift for every unit
 whose utilities cannot overflow.  The dataset CSV is read by
-:func:`~sparserc.quasirand.read_csv_rows`, as draw CSVs are.
+:func:`~sparserc.quasirand.read_csv_rows` and written by
+:func:`~sparserc.quasirand.write_csv_columns`, as the other CSV files are.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .basis import BasisSet, evaluate_basis_columns
 from .clsolver import ROW_BLOCK, as_csr, block_slabs, pattern_blocks
 from .hiergrid import SparseGrid
-from .quasirand import read_csv_rows
+from .quasirand import read_csv_rows, write_csv_columns
 
 # Units per tile of :func:`kernel_sweep`: its kernel buffer and transposed
 # sums hold one tile, so only its output grows with the number of units.
@@ -311,48 +311,33 @@ def build_design_matrix(data: ChoiceDataset, draws: np.ndarray, basis: BasisSet)
     return _assemble_columns(None, basis.grid.points, basis, draws, data)
 
 
-def incremental_columns(
-    existing: DesignMatrix,
-    new_points,
-    draws: np.ndarray,
-    data: ChoiceDataset,
-) -> DesignMatrix:
-    """Extend a design matrix with columns for newly added grid points.
+def incremental_columns(existing: DesignMatrix, grid: SparseGrid, draws: np.ndarray,
+                        data: ChoiceDataset) -> DesignMatrix:
+    """Extend a design matrix to a refined grid, whose points start with the
+    design's (as :func:`~sparserc.hiergrid.refine` returns them).
 
-    Existing columns are carried over unchanged (bit for bit); only the new
-    columns are computed, and the kernel is evaluated only at the draws where
-    some new column is nonzero.  The extended grid must remain hierarchically
-    closed, which holds whenever ``new_points`` comes from a refinement step.
+    Existing columns are carried over unchanged (bit for bit); only the
+    columns of the grid's new points are computed, and the kernel is
+    evaluated only at the draws where some new column is nonzero.
     """
-    new_points = list(new_points)
-    old_grid = existing.basis.grid
-    for p in new_points:
-        if p in old_grid:
-            raise ValueError(f"point already in design: {p}")
-    if len(set(new_points)) != len(new_points):
-        raise ValueError("duplicate points in new_points")
-    if not new_points:
+    old = existing.basis.grid.points
+    if grid.points[: len(old)] != old:
+        raise ValueError("the refined grid's points must start with the design's points")
+    if len(grid) == len(old):
         return existing
-    new_grid = SparseGrid(
-        old_grid.dim, old_grid.points + tuple(new_points), max_level=old_grid.max_level
-    )
-    basis = BasisSet(new_grid, existing.basis.domain)
-    return _assemble_columns(existing, new_points, basis, draws, data)
+    basis = BasisSet(grid, existing.basis.domain)
+    return _assemble_columns(existing, grid.points[len(old):], basis, draws, data)
 
 
 def write_dataset_csv(data: ChoiceDataset, path) -> None:
     """One row per (unit, alternative): unit_id, alt_id, chosen, x_1..x_D."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["unit_id", "alt_id", "chosen"] + [f"x_{d + 1}" for d in range(data.dim)]
-        )
-        for n in range(data.n_units):
-            for j in range(data.n_alts):
-                writer.writerow(
-                    [int(data.unit_ids[n]), j + 1, int(round(data.y[n, j]))]
-                    + [repr(float(v)) for v in data.x[n, j]]
-                )
+    header = ["unit_id", "alt_id", "chosen"] + [f"x_{d + 1}" for d in range(data.dim)]
+    write_csv_columns(path, header, [
+        np.repeat(data.unit_ids, data.n_alts),
+        np.tile(np.arange(1, data.n_alts + 1), data.n_units),
+        data.y.reshape(-1).astype(np.int64),
+        *data.x.reshape(-1, data.dim).T,
+    ])
 
 
 def _dataset_width(header) -> int:
@@ -370,7 +355,7 @@ def read_dataset_csv(path) -> ChoiceDataset:
     Rows must be grouped by unit with alternatives in 1..J order; malformed
     rows raise with their line number.
     """
-    units, rows = [], []  # rows[k]: the [chosen, x_1..x_D] rows of unit units[k]
+    rows: dict = {}  # each unit's [chosen, x_1..x_D] rows, units in file order
 
     def parse(row) -> None:
         unit_id, alt_id, chosen = (int(v) for v in row[:3])
@@ -379,17 +364,20 @@ def read_dataset_csv(path) -> ChoiceDataset:
             raise ValueError("covariates must be finite")
         if chosen not in (0, 1):
             raise ValueError("chosen must be 0 or 1")
-        if not units or unit_id != units[-1]:
-            units.append(unit_id)
-            rows.append([])
-        if alt_id != len(rows[-1]) + 1:
-            raise ValueError(f"alt_id {alt_id} out of order (expected {len(rows[-1]) + 1})")
-        rows[-1].append([chosen] + xs)
+        if not rows or unit_id != next(reversed(rows)):
+            if unit_id in rows:
+                raise ValueError(f"unit {unit_id} reappears: rows must be grouped by unit")
+            rows[unit_id] = []
+        alts = rows[unit_id]
+        if alt_id != len(alts) + 1:
+            raise ValueError(f"alt_id {alt_id} out of order (expected {len(alts) + 1})")
+        alts.append([chosen] + xs)
 
     read_csv_rows(path, _dataset_width, parse)
-    for unit_id, alts in zip(units, rows):
-        if len(alts) != len(rows[0]):
+    n_alts = len(next(iter(rows.values())))
+    for unit_id, alts in rows.items():
+        if len(alts) != n_alts:
             raise ValueError(f"{path}: unit {unit_id} has {len(alts)} alternatives, "
-                             f"expected {len(rows[0])}")
-    table = np.asarray(rows, dtype=float)
-    return ChoiceDataset(x=table[..., 1:], y=table[..., 0], unit_ids=np.asarray(units))
+                             f"expected {n_alts}")
+    table = np.asarray(list(rows.values()), dtype=float)
+    return ChoiceDataset(x=table[..., 1:], y=table[..., 0], unit_ids=np.asarray(list(rows)))

@@ -10,7 +10,6 @@ nonconvergent solves returning their best iterate).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -42,7 +41,7 @@ from .estimator import (
     fit_sg,
     fit_to_json,
 )
-from .quasirand import DEFAULT_BURN_IN, read_draws_csv
+from .quasirand import DEFAULT_BURN_IN, read_draws_csv, write_csv_columns
 from .simulate import (
     McConfig,
     MixtureDgp,
@@ -62,8 +61,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WARNINGS = 2
 
-# Points per write of write_points_csv: bounds the Python floats alive at once
-_CSV_CHUNK_ROWS = 1 << 16
 # Points per axis of write_marginals_csv's distribution functions
 _MARGINAL_POINTS = 201
 
@@ -118,39 +115,22 @@ def _parse_dgp(config: dict, preset_key: str = "preset") -> MixtureDgp:
     raise UsageError("config needs either a preset or an explicit dgp")
 
 
-def _float_reprs(column: np.ndarray) -> list:
-    """``repr`` of each float of ``column``, made once per distinct bit pattern."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
-
-
 def write_points_csv(points: np.ndarray, values: np.ndarray, name: str, path) -> None:
-    """One value per point: columns beta_1..beta_D, then ``name``.
-
-    The bytes of a ``csv.writer`` row of ``repr`` strings per point, joined
-    as one string per chunk of points.  A lattice repeats each coordinate
-    many times, so each column's distinct values are formatted once.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"beta_{d + 1}" for d in range(points.shape[1])] + [name]) + "\r\n")
-        for start in range(0, points.shape[0], _CSV_CHUNK_ROWS):
-            chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            table = np.column_stack([points[chunk], values[chunk]]).astype(float, copy=False)
-            columns = [_float_reprs(c) for c in table.T]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+    """One value per point: columns beta_1..beta_D, then ``name``."""
+    header = [f"beta_{d + 1}" for d in range(points.shape[1])] + [name]
+    write_csv_columns(path, header, [*points.T, values])
 
 
 def write_marginals_csv(fit: FitResult, path) -> None:
     """Per-dimension marginal distribution functions in long format, at
     ``_MARGINAL_POINTS`` points per axis."""
     dist = DiscreteDistribution.from_fit(fit)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "t", "F_hat"])
-        for d, grid in enumerate(fit.domain.axes(_MARGINAL_POINTS)):
-            vals = marginal_cdf(dist, d, grid)
-            for t, v in zip(grid, vals):
-                writer.writerow([d + 1, repr(float(t)), repr(float(v))])
+    grids = fit.domain.axes(_MARGINAL_POINTS)
+    write_csv_columns(path, ["dim", "t", "F_hat"], [
+        np.repeat(np.arange(1, len(grids) + 1), _MARGINAL_POINTS),
+        np.concatenate(grids),
+        np.concatenate([marginal_cdf(dist, d, grid) for d, grid in enumerate(grids)]),
+    ])
 
 
 def cmd_simulate(args) -> int:

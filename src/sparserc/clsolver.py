@@ -224,27 +224,21 @@ def _package(problem, v, s, lam, mu, iterations, warnings_, stop_reason):
 
 
 def _factor_stack(M: np.ndarray) -> list:
-    """``cho_solve`` factors of the slices of a ``(k, B, B)`` stack, in one call.
+    """``cho_solve`` factors of the slices of a ``(k, B, B)`` stack.
 
-    When that fails, each slice is retried with a diagonal jitter that grows
-    until it factors; a slice that never does, or is not finite
-    (``np.linalg.cholesky`` does not check), gets ``None``.  Each factor is
-    the upper one, ``L'``, F-contiguous, which SciPy's LAPACK wrapper takes
-    without a copy.
+    A slice that does not factor is retried with a diagonal jitter, relative
+    to its largest diagonal entry, that grows until it does; a slice that
+    never does, or is not finite (``np.linalg.cholesky`` does not check),
+    gets ``None``.  Each factor is the upper one, ``L'``, F-contiguous, which
+    SciPy's LAPACK wrapper takes without a copy.
     """
-    if np.isfinite(M).all():
-        try:
-            return [(L.T, False) for L in np.linalg.cholesky(M)]
-        except np.linalg.LinAlgError:
-            pass
     factors = [None] * len(M)
-    for i, Mi in enumerate(M):
-        if not np.isfinite(Mi).all():
-            continue
-        base = float(np.max(np.diag(Mi)))
-        for jitter in [0.0] + [base * (1e-14 * 10.0**a) for a in range(7)]:
+    for i in np.flatnonzero(np.isfinite(M).all(axis=(1, 2))):
+        Mi = M[i]
+        for rel in [0.0] + [1e-14 * 10.0**a for a in range(7)]:
             try:
-                factors[i] = np.linalg.cholesky(Mi + jitter * np.eye(Mi.shape[0])).T, False
+                jittered = Mi + rel * np.max(np.diag(Mi)) * np.eye(len(Mi)) if rel else Mi
+                factors[i] = np.linalg.cholesky(jittered).T, False
                 break
             except np.linalg.LinAlgError:
                 pass

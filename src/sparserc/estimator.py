@@ -482,7 +482,7 @@ def _fit_hierarchical(
             targets = tuple(ranked[: opts.points_per_step])
             new_grid, _report = refine(grid, targets)
             added = new_grid.points[len(grid):]
-            design = incremental_columns(design, added, draws, data)
+            design = incremental_columns(design, new_grid, draws, data)
             grid = new_grid
         pad = np.zeros(len(added))
         warm = None if sol is None else np.concatenate([sol.alpha, pad])

@@ -13,6 +13,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
 
 MAX_DIM = len(_PRIMES)
 DEFAULT_BURN_IN = 20
+# Rows per write of write_csv_columns: bounds the Python strings alive at once
+_CSV_CHUNK_ROWS = 1 << 16
 
 
 def radical_inverse(n: int, base: int) -> float:
@@ -40,7 +42,8 @@ def _radical_inverse_array(ns: np.ndarray, base: int) -> np.ndarray:
         out += f * (n % base)
         n //= base
         f /= base
-    return out
+    # past 2**53 the float digit sum can round up to 1.0; the exact value is below it
+    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
 
 
 def halton_draws(
@@ -103,6 +106,30 @@ def read_csv_rows(path, header_width, parse_row) -> list:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows
+
+
+def write_csv_columns(path, header, columns) -> None:
+    """Write a CSV file of ``header``, then row ``i`` of every column per line.
+
+    A float64 array column is written by ``repr`` of each value, made once per
+    distinct bit pattern (a lattice or a dataset repeats its values); any
+    other value by ``str``.  The bytes are those of a ``csv.writer`` given
+    the same strings, none of which needs quoting: rows end in ``\\r\\n``.
+    Rows are joined into one string per ``_CSV_CHUNK_ROWS`` of them.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            cells = []
+            for column in columns:
+                chunk = column[start:start + _CSV_CHUNK_ROWS]
+                if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
+                    bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+                    reprs = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+                    cells.append(reprs[inverse].tolist())
+                else:
+                    cells.append([str(v) for v in chunk])
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def _point(row) -> list:

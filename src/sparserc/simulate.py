@@ -10,7 +10,6 @@ produce identical reports.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +30,7 @@ from .distribution import (
 from .checks import check_fields, finite_array, json_object
 from .estimator import DRAWS_PER_DIM, RefineOptions, SolverOptions
 from .estimator import fit_asg, fit_fkrb, fit_sg
-from .quasirand import DEFAULT_BURN_IN
+from .quasirand import DEFAULT_BURN_IN, write_csv_columns
 
 # Draws per slice of the mixture transform: its gathered Cholesky factors
 # stay about 1 MB at D=6.
@@ -404,23 +403,11 @@ def write_table_csv(report: McReport, path) -> None:
     for run in report.runs:
         key = (report.config["n_units"], level_label(run.kind, run.setting))
         rows.setdefault(key, {})[run.kind] = run
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_units", "level", "fkrb_parameters", "sg_parameters", "asg_parameters",
-             "fkrb_rmise", "sg_rmise", "asg_rmise"]
-        )
-        for (n, lab), by_kind in sorted(rows.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            def cell(kind, attr):
-                run = by_kind.get(kind)
-                if run is None:
-                    return ""
-                v = getattr(run, attr)
-                return "" if v is None else repr(v)
-
-            writer.writerow(
-                [n, lab,
-                 cell("fkrb", "mean_parameters"), cell("sg", "mean_parameters"),
-                 cell("asg", "mean_parameters"), cell("fkrb", "rmise"),
-                 cell("sg", "rmise"), cell("asg", "rmise")]
-            )
+    keys = sorted(rows, key=lambda key: (key[0], str(key[1])))
+    header, columns = ["n_units", "level"], [[n for n, _ in keys], [lab for _, lab in keys]]
+    for name, attr in (("parameters", "mean_parameters"), ("rmise", "rmise")):
+        for kind in ("fkrb", "sg", "asg"):
+            values = [getattr(rows[key].get(kind), attr, None) for key in keys]
+            header.append(f"{kind}_{name}")
+            columns.append(["" if v is None else repr(v) for v in values])
+    write_csv_columns(path, header, columns)

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import tracemalloc
@@ -553,7 +554,8 @@ class TestKernelSeesLiveDraws:
         kernel = _CountingKernel()
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
         # support (0, 0.5): about half the draws are live
-        inc = incremental_columns(design, [GridPoint((2,), (1,))], draws, data)
+        grid = SparseGrid(1, [*root.points, GridPoint((2,), (1,))], max_level=5)
+        inc = incremental_columns(design, grid, draws, data)
         phi = inc.basis_at_draws.toarray()
         live = phi[:, 1] != 0.0
         assert 0 < live.sum() < len(draws)
@@ -563,10 +565,9 @@ class TestKernelSeesLiveDraws:
         data, draws, design = TestIncrementalColumns()._design()
         grid = design.basis.grid
         new_grid, _ = refine(grid, [grid.points[1]])
-        added = new_grid.points[len(grid):]
         kernel = _CountingKernel()
         monkeypatch.setattr(choicemodel, "choice_probabilities", kernel)
-        inc = incremental_columns(design, added, draws, data)
+        inc = incremental_columns(design, new_grid, draws, data)
         new = inc.basis_at_draws.toarray()[:, len(grid):]
         assert (new != 0.0).any(axis=1).sum() < len(draws)
         assert_each_live_point_once(kernel.calls, draws, new)
@@ -595,15 +596,15 @@ class TestIncrementalColumns:
 
     def test_empty_addition_is_identity(self):
         data, draws, design = self._design()
-        out = incremental_columns(design, [], draws, data)
+        out = incremental_columns(design, design.basis.grid, draws, data)
         assert out is design
 
     def test_matches_full_rebuild(self):
         data, draws, design = self._design()
         grid = design.basis.grid
         new_grid, _ = refine(grid, [grid.points[1]])
-        added = new_grid.points[len(grid):]
-        inc = incremental_columns(design, added, draws, data)
+        inc = incremental_columns(design, new_grid, draws, data)
+        assert inc.basis.grid is new_grid
         full = build_design_matrix(data, draws, BasisSet(new_grid, Domain.cube(2)))
         np.testing.assert_array_equal(inc.Z[:, : len(grid)], design.Z)
         # new columns may differ from a monolithic rebuild by summation
@@ -620,14 +621,21 @@ class TestIncrementalColumns:
         data, draws, design = self._design()
         grid = design.basis.grid
         new_grid, _ = refine(grid, [grid.points[1], grid.points[2]])
-        inc = incremental_columns(design, new_grid.points[len(grid):], draws, data)
+        inc = incremental_columns(design, new_grid, draws, data)
         for d in (design, inc):
             np.testing.assert_array_equal(d.column_mass, d.basis_at_draws.toarray().sum(axis=0))
 
     def test_duplicate_point_rejected(self):
+        # a grid that does not start with the design's points: reordered, or
+        # missing one of them
         data, draws, design = self._design()
-        with pytest.raises(ValueError, match="already in design"):
-            incremental_columns(design, [design.basis.grid.points[0]], draws, data)
+        grid = design.basis.grid
+        new_grid, _ = refine(grid, [grid.points[1]])
+        for points in (new_grid.points[1:2] + new_grid.points[:1] + new_grid.points[2:],
+                       new_grid.points[:1] + new_grid.points[2:]):
+            other = SparseGrid(grid.dim, points, max_level=grid.max_level, validate=False)
+            with pytest.raises(ValueError, match="must start with the design's points"):
+                incremental_columns(design, other, draws, data)
 
     def test_dead_new_column_rejected(self):
         data = _tiny_data(n=5, j=2, d=1, seed=6)
@@ -637,13 +645,11 @@ class TestIncrementalColumns:
         draws = np.linspace(0.55, 0.95, 9)[:, None]
         grid = SparseGrid(1, [GridPoint((1,), (1,))], max_level=5)
         design = build_design_matrix(data, draws, BasisSet(grid, dom))
+        new_grid = SparseGrid(
+            1, [*grid.points, GridPoint((2,), (1,)), GridPoint((2,), (3,))], max_level=5
+        )
         with pytest.raises(DeadColumnError):
-            incremental_columns(
-                design,
-                [GridPoint((2,), (1,)), GridPoint((2,), (3,))],
-                draws,
-                data,
-            )
+            incremental_columns(design, new_grid, draws, data)
 
 
 class TestPredictedProbabilityBound:
@@ -682,6 +688,35 @@ class TestDatasetCsv:
         write_dataset_csv(ChoiceDataset(x, y), path)
         back = read_dataset_csv(path)
         np.testing.assert_array_equal(back.y, y)
+
+    def test_bytes_match_csv_writer_rows(self, tmp_path):
+        x = np.random.default_rng(3).normal(size=(6, 3, 2))
+        x[0, 0] = [-0.0, 1e22]
+        y = np.zeros((6, 3))
+        y[[0, 2, 3, 5], [1, 0, 2, 2]] = 1.0
+        data = ChoiceDataset(x, y, unit_ids=[7, -2, 2**62, 0, 5, 1])
+        write_dataset_csv(data, tmp_path / "fast.csv")
+        # the writer it replaced
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["unit_id", "alt_id", "chosen"] + [f"x_{d + 1}" for d in range(data.dim)]
+            )
+            for n in range(data.n_units):
+                for j in range(data.n_alts):
+                    writer.writerow(
+                        [int(data.unit_ids[n]), j + 1, int(round(data.y[n, j]))]
+                        + [repr(float(v)) for v in data.x[n, j]]
+                    )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_regrouped_unit_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit_id,alt_id,chosen,x_1\n1,1,0,0.5\n2,1,1,0.1\n1,1,1,0.3\n")
+        with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: line 4: unit 1 reappears: rows must be grouped by unit$"
+        )):
+            read_dataset_csv(path)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparserc import cli
+from sparserc import cli, quasirand
 from sparserc.basis import Domain
 from sparserc.choicemodel import read_dataset_csv
-from sparserc.cli import EXIT_OK, EXIT_USAGE, main, write_points_csv
+from sparserc.cli import EXIT_OK, EXIT_USAGE, main
 from sparserc.distribution import (
     DiscreteDistribution,
     ise,
     joint_cdf,
     joint_cdf_lattice,
     lattice_points,
+    marginal_cdf,
     mixture_cdf_lattice,
 )
 from sparserc.estimator import fit_from_json
@@ -283,6 +284,17 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == f"error: {empty}: {expected}\n"
         assert not (tmp_path / "fit.json").exists()
 
+    def test_regrouped_unit_exits_one_naming_its_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"estimator": "sg", "level": 2})
+        bad = tmp_path / "bad.csv"
+        bad.write_text("unit_id,alt_id,chosen,x_1\n1,1,0,0.5\n2,1,1,0.1\n1,1,1,0.3\n")
+        code = main(["estimate", cfg, str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: unit 1 reappears: rows must be grouped by unit\n"
+        )
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nonconvergence_exits_with_warning_code(self, simulated, capsys):
         cfg = write_config(
             simulated / "est.json",
@@ -412,21 +424,42 @@ class TestEvaluateCommand:
 
 
 class TestPointsCsv:
-    @pytest.mark.parametrize("chunk", [5, cli._CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [5, quasirand._CSV_CHUNK_ROWS])
     def test_bytes_match_one_csv_writer_row_per_point(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        # write_csv_columns, the writer of every CSV file, against the
+        # csv.writer rows it replaced: floats, ints and strings
+        monkeypatch.setattr(quasirand, "_CSV_CHUNK_ROWS", chunk)
         points = lattice_points(Domain.cube(2).axes(7))
         rng = np.random.default_rng(0)
         values = rng.uniform(-1.0, 1.0, size=points.shape[0])
         values[:10] = [-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e22, 3.0, np.nan, np.inf, -np.inf]
-        write_points_csv(points, values, "F_hat", tmp_path / "fast.csv")
+        ids = rng.integers(-(2**62), 2**62, size=points.shape[0])
+        labels = [f"q{k % 4}" if k % 3 else "" for k in range(points.shape[0])]
+        header = ["beta_1", "beta_2", "F_hat", "id", "label"]
+        quasirand.write_csv_columns(tmp_path / "fast.csv", header, [*points.T, values, ids, labels])
         # the writer it replaced
         with open(tmp_path / "rows.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["beta_1", "beta_2", "F_hat"])
-            for row, v in zip(points, values):
-                writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
+            writer.writerow(header)
+            for row, v, i, lab in zip(points, values, ids, labels):
+                writer.writerow([repr(float(x)) for x in row] + [repr(float(v)), int(i), lab])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+class TestMarginalsCsv:
+    def test_bytes_match_csv_writer_rows(self, fitted):
+        fit = fit_from_json(json.loads((fitted / "fit.json").read_text()))
+        cli.write_marginals_csv(fit, fitted / "fast.csv")
+        # the writer it replaced
+        dist = DiscreteDistribution.from_fit(fit)
+        with open(fitted / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dim", "t", "F_hat"])
+            for d, grid in enumerate(fit.domain.axes(cli._MARGINAL_POINTS)):
+                vals = marginal_cdf(dist, d, grid)
+                for t, v in zip(grid, vals):
+                    writer.writerow([d + 1, repr(float(t)), repr(float(v))])
+        assert (fitted / "fast.csv").read_bytes() == (fitted / "rows.csv").read_bytes()
 
 
 class TestReplicateCommand:

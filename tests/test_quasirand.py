@@ -5,7 +5,7 @@ from scipy.stats import qmc
 from sparserc.basis import BasisSet, Domain
 from sparserc.choicemodel import ChoiceDataset, build_design_matrix
 from sparserc.hiergrid import build_classical_sparse_grid
-from sparserc.quasirand import halton_draws, radical_inverse, read_draws_csv
+from sparserc.quasirand import MAX_DIM, halton_draws, radical_inverse, read_draws_csv
 
 
 def radical_inverse_by_digits(n, base):
@@ -51,9 +51,11 @@ class TestHaltonDraws:
         np.testing.assert_allclose(draws[0], [0.5, 1 / 3])
 
     def test_strictly_inside_open_cube(self):
-        draws = halton_draws(5000, 3, burn_in=0)
-        assert draws.min() > 0.0
-        assert draws.max() < 1.0
+        # past index 2**53 the float digit sum can round up to 1.0
+        for draws in (halton_draws(5000, 3, burn_in=0),
+                      halton_draws(3, MAX_DIM, burn_in=2**63 - 4)):
+            assert draws.min() > 0.0
+            assert draws.max() < 1.0
 
     def test_determinism(self):
         a = halton_draws(200, 4, burn_in=20)

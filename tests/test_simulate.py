@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +210,42 @@ class TestRunExperiment:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("n_units,level,fkrb_parameters")
         assert len(lines) == 2  # q=3 pairs with level 2
+
+    def test_table_bytes_match_csv_writer_rows(self, tmp_path):
+        # q=3 pairs with level 2, q=5 has no level and sg level 3 no q: a
+        # labelled row and empty cells
+        report = run_experiment(_tiny_config(replicates=1, sg_levels=(2, 3), fkrb_q=(3, 5)))
+        write_table_csv(report, tmp_path / "fast.csv")
+        # the writer it replaced
+        rows: dict = {}
+        for run in report.runs:
+            q_level = math.log2(run.setting + 1)
+            lab = (run.setting if run.kind in ("sg", "asg")
+                   else int(q_level) if q_level.is_integer() else f"q{run.setting}")
+            rows.setdefault((report.config["n_units"], lab), {})[run.kind] = run
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["n_units", "level", "fkrb_parameters", "sg_parameters", "asg_parameters",
+                 "fkrb_rmise", "sg_rmise", "asg_rmise"]
+            )
+            for (n, lab), by_kind in sorted(rows.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+                def cell(kind, attr):
+                    run = by_kind.get(kind)
+                    if run is None:
+                        return ""
+                    v = getattr(run, attr)
+                    return "" if v is None else repr(v)
+
+                writer.writerow(
+                    [n, lab,
+                     cell("fkrb", "mean_parameters"), cell("sg", "mean_parameters"),
+                     cell("asg", "mean_parameters"), cell("fkrb", "rmise"),
+                     cell("sg", "rmise"), cell("asg", "rmise")]
+                )
+        text = (tmp_path / "fast.csv").read_text()
+        assert ",q5," in text and ",," in text
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_report_json_round_trip(self):
         report = run_experiment(_tiny_config())
