@@ -15,10 +15,12 @@ hierarchical subspace, so a row of ``Phi`` has one nonzero per level vector
 for each tile, the draws in the solver's row blocks, ordered by zero
 pattern: each tile and block is one kernel call, and multiplies only the
 columns the block touches.  These tiles are the only ones: the kernel takes
-each call whole.  ``Z`` is the only array of the sweep that grows with the
-number of units.  ``Phi`` is held once, as one CSR matrix, from its
-evaluation to the solver.  The kernel drops the max shift for every unit
-whose utilities cannot overflow.  The dataset CSV is read by
+each call whole.  A finished tile is copied into ``Z``, the only array of
+the sweep that grows with the number of units, or reduced into the Gram
+terms ``Z' Z`` and ``Z' y``, which is all an sg fit needs: then no array
+grows with the number of units.  ``Phi`` is held once, as one CSR matrix,
+from its evaluation to the solver.  The kernel drops the max shift for
+every unit whose utilities cannot overflow.  The dataset CSV is read by
 :func:`~sparserc.quasirand.read_csv_rows` and written by
 :func:`~sparserc.quasirand.write_csv_columns`, as the other CSV files are.
 """
@@ -210,9 +212,13 @@ class DesignMatrix:
     """Simulated regressors plus the constraint data that travels with them.
 
     ``Z`` is the ``(N * J, B)`` design, C-ordered, filled by
-    :func:`kernel_sweep` one unit tile at a time.  It is a fit's one array
-    that grows with ``N * J``; the solver never reads it, only its Gram
-    form (:meth:`~sparserc.clsolver.CLSProblem.from_rows`).
+    :func:`kernel_sweep` one unit tile at a time: the one array of an asg
+    fit that grows with ``N * J``.  The solver never reads it, only its
+    Gram form (:meth:`~sparserc.clsolver.CLSProblem.from_rows`).  A design
+    built with ``gram=True`` has no ``Z`` (None): the sweep reduced each
+    tile, and ``gram`` holds the sums ``(Z' Z, Z' y)`` of the rows and the
+    data's outcomes.  An sg fit needs nothing else, so it holds no array
+    that grows with ``N`` besides the data.
     ``column_mass[b] = sum_r phi_b(beta_r)`` is both the unit-mass constraint
     vector and an assembly sanity check (every column of ``Z`` lies between 0
     and its mass entry).  ``basis_at_draws`` keeps the raw ``(R, B)`` basis
@@ -220,17 +226,18 @@ class DesignMatrix:
     nonnegativity constraints are exactly its rows.
     """
 
-    Z: np.ndarray
+    Z: np.ndarray | None
     column_mass: np.ndarray
     basis_at_draws: sp.csr_array
     basis: BasisSet
+    gram: tuple | None = None
 
     @property
     def n_columns(self) -> int:
-        return self.Z.shape[1]
+        return self.column_mass.shape[0]
 
 
-def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
+def kernel_sweep(x: np.ndarray, points: np.ndarray, weights, y: np.ndarray | None = None):
     """``sum_r g(x, points_r) weights[r]``: the ``(N * J, K)`` kernel-weighted
     sums of the ``K`` columns of ``weights`` (one row per point), a CSR
     matrix or an array taken as the CSR matrix of its nonzeros.
@@ -246,10 +253,16 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
     block: one kernel call per tile and block, so each live point reaches
     the kernel once per tile.  Every call writes into one buffer of one
     tile by ``ROW_BLOCK`` points, and each tile's sums go into one
-    ``(K, tile * J)`` array, copied into the output when the tile is done.
-    The output is the only array of the sweep that grows with ``N``.  A
-    unit's kernel values depend on its own covariates alone; its sums can
-    differ in the last bits with the ``gemm`` shape of its tile.
+    ``(K, tile * J)`` array ``T``.  A finished tile has one of two
+    consumers.  Without ``y``, ``T`` is copied into the output, the only
+    array of the sweep that grows with ``N``.  With the outcomes ``y`` (one
+    per row), ``T`` is reduced in place and the sweep returns ``(Z' Z,
+    Z' y)`` of the output it did not build: each tile adds ``T T'``,
+    formed in one ``(K, K)`` scratch by one ``syrk`` (so the sum is exactly
+    symmetric), and ``T y_tile``.  Then no array of the sweep grows with
+    ``N``.  A unit's kernel values depend on its own covariates alone; its
+    sums can differ in the last bits with the ``gemm`` shape of its tile,
+    and the reduced sums with the tiling.
     """
     n, j = x.shape[:2]
     weights = as_csr(weights)
@@ -260,7 +273,8 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
     blocks = [(points[live[rows]], cols, slab.T)
               for (rows, cols), slab in zip(spans, block_slabs(weights, spans))]
     k = weights.shape[1]
-    out = np.empty((n * j, k))
+    out = np.empty((n * j, k)) if y is None else np.zeros((k, k))
+    zy, scratch = (None, None) if y is None else (np.zeros(k), np.empty((k, k)))
     tile = max(1, min(n, UNIT_TILE))
     buffer = np.empty(tile * j * ROW_BLOCK)
     sums = np.empty(k * tile * j)
@@ -273,24 +287,30 @@ def kernel_sweep(x: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
             g = buffer[:rows * betas.shape[0]].reshape(xt.shape[0], j, -1)
             g = choice_probabilities(xt, betas, out=g).reshape(rows, -1)
             acc[cols] += slab_t @ g.T
-        out[start * j:start * j + rows] = acc.T
-    return out
+        if y is None:
+            out[start * j:start * j + rows] = acc.T
+        else:  # T T' is one syrk: its sum stays exactly symmetric
+            out += np.matmul(acc, acc.T, out=scratch)
+            zy += acc @ y[start * j:start * j + rows]
+    return out if y is None else (out, zy)
 
 
-def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
+def _assemble_columns(existing, points, basis, draws, data, gram=False) -> DesignMatrix:
     """The columns of ``points`` appended to ``existing`` (None: no columns yet).
 
     ``Z`` is the :func:`kernel_sweep` of the columns' ``Phi`` over the
-    ``(R, D)`` draws;
+    ``(R, D)`` draws, or with ``gram`` (and no ``existing``) its Gram terms;
     ``basis`` is the basis of the resulting design.  A column's mass adds its
     stored entries in row order, as a dense column sum would.
     """
     phi = evaluate_basis_columns(points, basis.domain, draws)
-    Z = kernel_sweep(data.x, draws, phi)
+    Z = kernel_sweep(data.x, draws, phi, data.y_flat if gram else None)
     column_mass = np.bincount(phi.indices, weights=phi.data, minlength=phi.shape[1])
     dead = np.flatnonzero(column_mass <= 0.0)
     if dead.size:
         raise DeadColumnError([points[k] for k in dead])
+    if gram:  # Z is (Z' Z, Z' y) of the rows the sweep did not keep
+        return DesignMatrix(None, column_mass, phi, basis, gram=Z)
     if existing is not None:
         Z = np.hstack([existing.Z, Z])
         column_mass = np.concatenate([existing.column_mass, column_mass])
@@ -298,9 +318,11 @@ def _assemble_columns(existing, points, basis, draws, data) -> DesignMatrix:
     return DesignMatrix(Z=Z, column_mass=column_mass, basis_at_draws=phi, basis=basis)
 
 
-def build_design_matrix(data: ChoiceDataset, draws: np.ndarray, basis: BasisSet) -> DesignMatrix:
+def build_design_matrix(data: ChoiceDataset, draws: np.ndarray, basis: BasisSet,
+                        gram: bool = False) -> DesignMatrix:
     """Assemble the simulated design matrix for a basis over the ``(R, D)``
-    integration draws.
+    integration draws; with ``gram``, only its Gram terms with the data's
+    outcomes (see :class:`DesignMatrix`).
 
     With the level-1 root hat in the basis every draw reaches the kernel.
     Raises :class:`DeadColumnError` when some basis function has no draw in
@@ -308,7 +330,7 @@ def build_design_matrix(data: ChoiceDataset, draws: np.ndarray, basis: BasisSet)
     """
     if np.ndim(draws) != 2 or not data.dim == draws.shape[1] == basis.domain.dim:
         raise ValueError("data, draws and basis dimensions must agree")
-    return _assemble_columns(None, basis.grid.points, basis, draws, data)
+    return _assemble_columns(None, basis.grid.points, basis, draws, data, gram)
 
 
 def incremental_columns(existing: DesignMatrix, grid: SparseGrid, draws: np.ndarray,
@@ -353,31 +375,31 @@ def read_dataset_csv(path) -> ChoiceDataset:
     """Parse a dataset CSV written by :func:`write_dataset_csv`.
 
     Rows must be grouped by unit with alternatives in 1..J order; malformed
-    rows raise with their line number.
+    rows raise with their line number, and a unit with another number of
+    alternatives than the first unit with the line of its first row.
     """
     rows: dict = {}  # each unit's [chosen, x_1..x_D] rows, units in file order
 
-    def parse(row) -> None:
+    def parse(row) -> int:
         unit_id, alt_id, chosen = (int(v) for v in row[:3])
         xs = [float(v) for v in row[3:]]
         if not np.all(np.isfinite(xs)):
             raise ValueError("covariates must be finite")
         if chosen not in (0, 1):
             raise ValueError("chosen must be 0 or 1")
-        if not rows or unit_id != next(reversed(rows)):
-            if unit_id in rows:
-                raise ValueError(f"unit {unit_id} reappears: rows must be grouped by unit")
-            rows[unit_id] = []
-        alts = rows[unit_id]
+        if unit_id in rows and unit_id != next(reversed(rows)):
+            raise ValueError(f"unit {unit_id} reappears: rows must be grouped by unit")
+        alts = rows.setdefault(unit_id, [])
         if alt_id != len(alts) + 1:
             raise ValueError(f"alt_id {alt_id} out of order (expected {len(alts) + 1})")
         alts.append([chosen] + xs)
+        return unit_id
 
-    read_csv_rows(path, _dataset_width, parse)
+    units = read_csv_rows(path, _dataset_width, parse)  # the unit id of each row
     n_alts = len(next(iter(rows.values())))
     for unit_id, alts in rows.items():
-        if len(alts) != n_alts:
-            raise ValueError(f"{path}: unit {unit_id} has {len(alts)} alternatives, "
-                             f"expected {n_alts}")
+        if len(alts) != n_alts:  # the line of the unit's first row; data start on line 2
+            raise ValueError(f"{path}: line {units.index(unit_id) + 2}: unit {unit_id} has "
+                             f"{len(alts)} alternatives, expected {n_alts}")
     table = np.asarray(list(rows.values()), dtype=float)
     return ChoiceDataset(x=table[..., 1:], y=table[..., 0], unit_ids=np.asarray(list(rows)))

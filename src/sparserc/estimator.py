@@ -454,6 +454,14 @@ def _fit_hierarchical(
     selection criterion is returned.  Without ``opts`` only step 0 runs and
     none is selected: that is the classical estimator, recorded as "sg" with
     no trace.
+
+    A fit that reads no row of the design, one with no refinement step and
+    no fold refits (the sg fit, or zero steps under "aic"), builds it with
+    ``gram=True``: the sweep reduces each unit tile into the sums ``Z' Z``
+    and ``Z' y`` of the step-0 problem, so no ``(N * J, B)`` array is
+    allocated.  Every other fit keeps ``Z`` for its per-row values: the
+    ``local_error`` scores, the folds' held-out rows and the appended
+    columns of each step.
     """
     if data.dim != domain.dim:
         raise ValueError("data and domain dimensions differ")
@@ -465,7 +473,8 @@ def _fit_hierarchical(
 
     grid = build_classical_sparse_grid(data.dim, level, max_level=max_level)
     draws = halton_draws(r, data.dim, burn_in=burn_in, domain=domain)
-    design = build_design_matrix(data, draws, BasisSet(grid, domain))
+    gram = not cv and (opts is None or opts.steps == 0)
+    design = build_design_matrix(data, draws, BasisSet(grid, domain), gram=gram)
     # (grid, full-data solution) of each step; a step appends columns, so its
     # design is a column prefix of the last one, and only the last one is kept
     path, records = [], []
@@ -486,7 +495,9 @@ def _fit_hierarchical(
             grid = new_grid
         pad = np.zeros(len(added))
         warm = None if sol is None else np.concatenate([sol.alpha, pad])
-        problem = CLSProblem.from_rows(design.Z, y, design.basis_at_draws, design.column_mass)
+        A, c, m = design.basis_at_draws, design.column_mass, y.size
+        problem = (CLSProblem(design.gram[0] / m, design.gram[1] / m, y @ y, m, A, c)
+                   if design.Z is None else CLSProblem.from_rows(design.Z, y, A, c))
         sol = _solve(solve_cls, solver, problem, x0=warm)
         path.append((grid, sol))
         if opts is None:

@@ -533,6 +533,37 @@ class TestUnitTiles:
         assert beyond_output(4 * UNIT_TILE) <= one_tile + (1 << 16)
 
 
+class TestGramConsumer:
+    """With outcomes, the sweep reduces each unit tile into the Gram sums."""
+
+    def test_sweep_returns_the_sums_of_its_output(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(UNIT_TILE + 7, 2, 2))
+        y = rng.uniform(size=2 * x.shape[0])
+        points = rng.uniform(-4, 4, size=(ROW_BLOCK + 40, 2))
+        weights = rng.uniform(size=(points.shape[0], 4))
+        weights[rng.uniform(size=weights.shape) < 0.4] = 0.0
+        Z = kernel_sweep(x, points, weights)
+        G, g = kernel_sweep(x, points, weights, y)
+        np.testing.assert_allclose(G, Z.T @ Z, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g, Z.T @ y, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(G, G.T)
+
+    def test_reduced_design_keeps_phi_and_masses(self):
+        data = _tiny_data(n=2 * UNIT_TILE + 3, j=3, d=2, seed=30)
+        draws = halton_draws(800, 2, domain=Domain.cube(2))
+        basis = BasisSet(build_classical_sparse_grid(2, 3), Domain.cube(2))
+        rows = build_design_matrix(data, draws, basis)
+        reduced = build_design_matrix(data, draws, basis, gram=True)
+        assert reduced.Z is None
+        assert reduced.n_columns == rows.n_columns == len(basis.grid)
+        np.testing.assert_array_equal(reduced.column_mass, rows.column_mass)
+        assert (reduced.basis_at_draws != rows.basis_at_draws).nnz == 0
+        G, g = reduced.gram
+        np.testing.assert_allclose(G, rows.Z.T @ rows.Z, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g, rows.Z.T @ data.y_flat, rtol=1e-13, atol=0)
+
+
 class TestKernelSeesLiveDraws:
     def _setup(self):
         data = _tiny_data(n=4, j=2, d=1, seed=8)
@@ -715,6 +746,17 @@ class TestDatasetCsv:
         path.write_text("unit_id,alt_id,chosen,x_1\n1,1,0,0.5\n2,1,1,0.1\n1,1,1,0.3\n")
         with pytest.raises(ValueError, match=(
             f"^{re.escape(str(path))}: line 4: unit 1 reappears: rows must be grouped by unit$"
+        )):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["fewer", "more"])
+    def test_unit_of_another_width_names_its_first_line(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        unit_1 = "".join(f"1,{a},0,0.{a}\n" for a in range(1, rows + 1))
+        path.write_text("unit_id,alt_id,chosen,x_1\n0,1,0,0.5\n0,2,1,0.1\n"
+                        + unit_1 + "2,1,0,0.2\n2,2,1,0.4\n")
+        with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: line 4: unit 1 has {rows} alternatives, expected 2$"
         )):
             read_dataset_csv(path)
 

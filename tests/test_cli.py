@@ -295,6 +295,18 @@ class TestEstimateCommand:
         )
         assert not (tmp_path / "fit.json").exists()
 
+    def test_unit_with_fewer_alternatives_exits_one_naming_its_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"estimator": "sg", "level": 2})
+        bad = tmp_path / "bad.csv"
+        bad.write_text("unit_id,alt_id,chosen,x_1\n0,1,0,0.5\n0,2,1,0.1\n1,1,1,0.3\n"
+                       "2,1,0,0.2\n2,2,1,0.4\n")
+        code = main(["estimate", cfg, str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: unit 1 has 1 alternatives, expected 2\n"
+        )
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nonconvergence_exits_with_warning_code(self, simulated, capsys):
         cfg = write_config(
             simulated / "est.json",

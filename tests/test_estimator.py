@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparserc import estimator
-from sparserc.basis import BasisSet, Domain
-from sparserc.choicemodel import UNIT_TILE, ChoiceDataset, build_design_matrix
+from sparserc.basis import BasisSet, Domain, evaluate_basis_columns
+from sparserc.choicemodel import UNIT_TILE, ChoiceDataset, DeadColumnError, build_design_matrix
 from sparserc.clsolver import CLSProblem, NonConvergenceError, check_kkt, solve_cls
 from sparserc.distribution import DiscreteDistribution
 from sparserc.estimator import (
@@ -31,7 +32,7 @@ from sparserc.estimator import (
     predict_probabilities,
 )
 from sparserc.hiergrid import CapacityError, build_classical_sparse_grid
-from sparserc.quasirand import halton_draws
+from sparserc.quasirand import DEFAULT_BURN_IN, halton_draws
 from sparserc.simulate import simulate_choices, two_normal_mixture
 
 
@@ -73,6 +74,35 @@ class TestFitSg:
         fit = fit_sg(data, Domain.cube(2), 3, r_draws=800)
         assert fit.diagnostics["kkt_residual"] <= 1e-8
         assert abs(fit.diagnostics["eq_violation"]) <= 1e-10
+
+    def test_holds_no_design_of_its_rows(self):
+        # 10,000 units of 5 alternatives on 300 draws at level 3: the
+        # (N * J, B) design, 6.8 MB, would be the largest array of the fit
+        # (its traced peak is about 1.8 MB without it)
+        data = _data(n=10000, j=5, d=2, seed=5)
+        design_bytes = 8 * data.n_rows * len(build_classical_sparse_grid(2, 3))
+        tracemalloc.start()
+        try:
+            fit = fit_sg(data, Domain.cube(2), 3, r_draws=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.diagnostics["stop_reason"] == "converged"
+        assert peak < design_bytes
+
+    def test_dead_points_raise_naming_them(self):
+        data = _data(n=40, d=2, seed=6)
+        domain = Domain.cube(2)
+        grid = build_classical_sparse_grid(2, 4)
+        draws = halton_draws(6, 2, burn_in=DEFAULT_BURN_IN, domain=domain)
+        mass = evaluate_basis_columns(grid.points, domain, draws).sum(axis=0)
+        dead = [p for p, m in zip(grid.points, mass) if m <= 0.0]
+        assert dead
+        with pytest.raises(DeadColumnError) as err:
+            fit_sg(data, domain, 4, r_draws=6)
+        assert err.value.points == dead
+        for p in dead:
+            assert f"(levels={p.levels}, indices={p.indices})" in str(err.value)
 
 
 class TestFitFkrb:
@@ -409,6 +439,27 @@ def _record_solvers(monkeypatch):
     monkeypatch.setattr(estimator, "solve_cls", solo)
     monkeypatch.setattr(estimator, "solve_cls_stack", stack)
     return solo, stack
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [50, 2 * UNIT_TILE + 3], ids=["one-tile", "partial-last-tile"])
+def test_sg_problem_is_the_problem_of_the_rows(monkeypatch, dim, n):
+    # the sg fit solves the Gram its sweep reduced; this forms it from the rows
+    solo, _ = _record_solvers(monkeypatch)
+    data = _data(n=n, j=3, d=dim, seed=40 + dim)
+    domain = Domain.cube(dim)
+    fit = fit_sg(data, domain, 3, r_draws=400 * dim)
+    [((problem,), _, _)] = solo.calls
+    design = build_design_matrix(data, fit.support, BasisSet(fit.grid, domain))
+    direct = CLSProblem.from_rows(design.Z, data.y_flat, design.basis_at_draws, design.column_mass)
+    assert problem.m == direct.m == data.n_rows
+    for name in ("H", "b", "yy"):
+        np.testing.assert_allclose(
+            getattr(problem, name), getattr(direct, name), rtol=1e-13, atol=0.0
+        )
+    np.testing.assert_array_equal(problem.H, problem.H.T)
+    np.testing.assert_array_equal(problem.c_eq, direct.c_eq)
+    assert (problem.A_ineq != direct.A_ineq).nnz == 0
 
 
 class TestFoldRefits:

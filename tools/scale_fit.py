@@ -3,6 +3,7 @@
     python3 tools/scale_fit.py --dim 8 --level 4
     python3 tools/scale_fit.py --dim 6 --level 4 --draws 12000
     python3 tools/scale_fit.py --dim 6 --level 4 --units 10000
+    python3 tools/scale_fit.py --dim 6 --level 4 --units 50000
     python3 tools/scale_fit.py --dim 6 --level 4 --units 10000 --steps 1
 
 Run it from the repository root; it imports ``sparserc`` from ``src/``.  The
